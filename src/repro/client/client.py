@@ -264,24 +264,19 @@ class ReproClient:
         """
         self._reject_unsupported(config=config)
         token = cancel_token or CancelToken(timeout_ms=timeout_ms)
-        handle = QueryHandle(token, sql)
-        thread = threading.Thread(
-            target=handle._run,
-            args=(
-                lambda: self.query(
-                    sql,
-                    params=params,
-                    collect_stats=collect_stats,
-                    trace=trace,
-                    timeout_ms=timeout_ms,
-                    cancel_token=token,
-                ),
+        return QueryHandle.spawn(
+            token,
+            sql,
+            lambda: self.query(
+                sql,
+                params=params,
+                collect_stats=collect_stats,
+                trace=trace,
+                timeout_ms=timeout_ms,
+                cancel_token=token,
             ),
             name="repro-client-query",
-            daemon=True,
         )
-        thread.start()
-        return handle
 
     def _reject_unsupported(self, config=None, profile: bool = False) -> None:
         if config is not None:

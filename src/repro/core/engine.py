@@ -29,10 +29,10 @@ ordering, the relaxation rule, and BLAS routing can each be disabled.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
-import threading
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from ..errors import (
     AdmissionError,
     OutOfMemoryBudgetError,
     QueryCancelledError,
-    QueryKilledError,
     QueryTimeoutError,
     ReproError,
     RetryableAdmissionError,
@@ -69,6 +68,7 @@ from ..obs import (
 from ..obs import activate as _activate_profiler
 from ..optimizer.feedback import QueryFeedback, measure
 from ..query.translate import CompiledQuery, translate
+from ..sql.ast import SelectStmt
 from ..sql.binder import bind
 from ..sql.params import ParamValues, normalize_sql
 from ..sql.parser import parse
@@ -99,6 +99,30 @@ EXPLAIN_SCHEMA_VERSION = 2
 #: the textual APPROXIMATE prefix ("APPROXIMATE SELECT ...") -- detected
 #: before parsing so the plan-cache key and config reflect the policy.
 _APPROX_PREFIX = re.compile(r"^\s*approximate\b", re.IGNORECASE)
+
+
+@dataclasses.dataclass
+class QueryRun:
+    """One query's run state: what the lifecycle hands its runner, and
+    what its bookkeeping (query log, flight record) reads back."""
+
+    entry: InflightQuery
+    token: Optional[CancelToken]
+    tracer: object
+    plan: PhysicalPlan
+    #: the plan-cache outcome and, unless it was a hit, the compile time.
+    cache_outcome: Optional[str]
+    compile_seconds: Optional[float]
+    stats: Optional[ExecutionStats]
+    #: the governor's memory share for this run (None: the plan's own).
+    budget: Optional[int]
+    #: whether the caller asked for ``result.trace``.
+    trace: bool
+    profile: bool
+    partial: bool
+    #: whether admission degraded this run to approximate.
+    degraded: bool
+    started: float = dataclasses.field(default_factory=time.perf_counter)
 
 
 class LevelHeadedEngine:
@@ -308,15 +332,7 @@ class LevelHeadedEngine:
         Always compiles fresh (no cache) -- use this for plan
         inspection; ``query``/``prepare`` are the cached paths.
         """
-        cfg = config or self.config
-        stmt = parse(sql)
-        approx_spec = None
-        if cfg.approx == "force":
-            stmt, approx_spec = maybe_rewrite(stmt, self.catalog)
-        compiled = translate(bind(stmt, self.catalog))
-        plan = build_plan(compiled, cfg)
-        plan.approx = approx_spec
-        return plan
+        return self._compile_stmt(parse(sql), config or self.config)
 
     def execute(
         self,
@@ -337,41 +353,18 @@ class LevelHeadedEngine:
         minted correlation id so a coordinator can stamp one id end to
         end across every shard's flight entry.
         """
-        token = self._make_token(timeout_ms, cancel_token)
-        tracer = Tracer() if trace else NULL_TRACER
-        query_id = query_id or next_query_id()
-        entry = self.inflight.register(
-            query_id, None, session=current_admission_session()
+        return self._run_query(
+            None,
+            plan.config,
+            plan=plan,
+            collect_stats=collect_stats,
+            trace=trace,
+            profile=profile,
+            timeout_ms=timeout_ms,
+            cancel_token=cancel_token,
+            partial=partial,
+            query_id=query_id,
         )
-        slot: Optional[AdmissionSlot] = None
-        try:
-            with cancel_scope(token), tracer.span("query") as qspan:
-                qspan.set(query_id=query_id)
-                with tracer.span("admission.wait") as aspan:
-                    slot = self._admit(cached=True, token=token, entry=entry)
-                    if slot is not None:
-                        aspan.set(
-                            queued=slot.queued,
-                            waited_ms=round(slot.waited_seconds * 1000, 3),
-                        )
-                return self._run_plan(
-                    plan,
-                    outcome=None,
-                    collect_stats=collect_stats,
-                    tracer=tracer,
-                    profile=profile,
-                    cancel=token,
-                    slot=slot,
-                    query_id=query_id,
-                    inflight=entry,
-                    partial=partial,
-                )
-        except BaseException as exc:
-            self._note_query_failure(exc, entry)
-            raise
-        finally:
-            self.inflight.finish(query_id)
-            self._release(slot)
 
     def query(
         self,
@@ -431,99 +424,18 @@ class LevelHeadedEngine:
             policy = normalize_policy(approx, default=cfg.approx)
         if cfg.approx != policy:
             cfg = dataclasses.replace(cfg, approx=policy)
+        opts = dict(
+            collect_stats=collect_stats,
+            trace=trace,
+            profile=profile,
+            timeout_ms=timeout_ms,
+            cancel_token=cancel_token,
+            partial=partial,
+            query_id=query_id,
+        )
         if params is not None:
-            return self.prepare(sql, config=cfg).execute(
-                params,
-                collect_stats=collect_stats,
-                trace=trace,
-                profile=profile,
-                timeout_ms=timeout_ms,
-                cancel_token=cancel_token,
-                partial=partial,
-                query_id=query_id,
-            )
-        token = self._make_token(timeout_ms, cancel_token)
-        cached = self.governor is not None and self.plan_cache.peek(
-            self._plan_key(sql, cfg), self.catalog
-        )
-        # a deadlined/cancellable query is always traced: if it is
-        # killed, the error must carry the span tree of what ran
-        tracer = (
-            Tracer()
-            if (trace or token is not None or self._forces_trace())
-            else NULL_TRACER
-        )
-        query_id = query_id or next_query_id()
-        entry = self.inflight.register(
-            query_id, sql, session=current_admission_session()
-        )
-        slot: Optional[AdmissionSlot] = None
-        degraded = False
-        admission_error: Optional[RetryableAdmissionError] = None
-        try:
-            with cancel_scope(token), tracer.span("query") as qspan:
-                qspan.set(query_id=query_id)
-                with tracer.span("admission.wait") as aspan:
-                    try:
-                        slot = self._admit(
-                            cached=cached, token=token, entry=entry,
-                            count_rejected=policy != "allow",
-                        )
-                    except RetryableAdmissionError as exc:
-                        # the shedding rung before queue_full rejection:
-                        # an opted-in query with sample coverage runs
-                        # approximately instead of failing retryable
-                        if policy != "allow" or not self._approx_covers(sql):
-                            if policy == "allow":
-                                self._count_rejection(exc)
-                            raise
-                        degraded = True
-                        admission_error = exc
-                        cfg = dataclasses.replace(cfg, approx="force")
-                        self.metrics.inc("degraded_to_approx")
-                        aspan.set(degraded_to_approx=True, cause=exc.cause)
-                    if slot is not None:
-                        aspan.set(
-                            queued=slot.queued,
-                            waited_ms=round(slot.waited_seconds * 1000, 3),
-                        )
-                entry.phase = "compile"
-                t0 = time.perf_counter()
-                with tracer.span("compile"):
-                    plan, outcome, key = self._cached_plan(sql, cfg, tracer)
-                if degraded and plan.approx is None:
-                    # coverage disappeared between the pre-check and the
-                    # compile (a concurrent drop): the rejection stands
-                    self._count_rejection(admission_error)
-                    raise admission_error
-                compile_seconds = (
-                    time.perf_counter() - t0
-                    if outcome in (MISS, INVALIDATED, REOPTIMIZED)
-                    else None
-                )
-                return self._run_plan(
-                    plan,
-                    outcome,
-                    collect_stats=collect_stats,
-                    tracer=tracer,
-                    compile_seconds=compile_seconds,
-                    profile=profile,
-                    sql=sql,
-                    expose_trace=trace,
-                    cancel=token,
-                    slot=slot,
-                    cache_key=key,
-                    query_id=query_id,
-                    inflight=entry,
-                    partial=partial,
-                    degraded=degraded,
-                )
-        except BaseException as exc:
-            self._note_query_failure(exc, entry)
-            raise
-        finally:
-            self.inflight.finish(query_id)
-            self._release(slot)
+            return self.prepare(sql, config=cfg).execute(params, **opts)
+        return self._run_query(sql, cfg, **opts)
 
     def submit(
         self,
@@ -553,24 +465,18 @@ class LevelHeadedEngine:
         handles cannot pin admission slots.
         """
         token = self._make_token(timeout_ms, cancel_token) or CancelToken()
-        handle = QueryHandle(token, sql)
-        thread = threading.Thread(
-            target=handle._run,
-            args=(
-                lambda: self.query(
-                    sql,
-                    params=params,
-                    config=config,
-                    collect_stats=collect_stats,
-                    trace=trace,
-                    cancel_token=token,
-                ),
+        return QueryHandle.spawn(
+            token,
+            sql,
+            lambda: self.query(
+                sql,
+                params=params,
+                config=config,
+                collect_stats=collect_stats,
+                trace=trace,
+                cancel_token=token,
             ),
-            name="repro-query",
-            daemon=True,
         )
-        thread.start()
-        return handle
 
     def explain(
         self,
@@ -599,6 +505,188 @@ class LevelHeadedEngine:
         plan, outcome, _ = self._cached_plan(sql, cfg)
         return self._explain_plan(plan, outcome, analyze=analyze, format=format)
 
+    # -- the query lifecycle ---------------------------------------------------
+
+    def _run_query(
+        self,
+        sql: Optional[str],
+        cfg: EngineConfig,
+        *,
+        plan: Optional[PhysicalPlan] = None,
+        key_of: Optional[Callable[[EngineConfig], Tuple]] = None,
+        statement: Optional[Callable[[], SelectStmt]] = None,
+        on_plan: Optional[Callable[[PhysicalPlan, str, Tuple], None]] = None,
+        runner: Optional[Callable[[QueryRun], ResultTable]] = None,
+        collect_stats: bool = False,
+        trace: bool = False,
+        profile: bool = False,
+        timeout_ms: Optional[float] = None,
+        cancel_token: Optional[CancelToken] = None,
+        partial: bool = False,
+        query_id: Optional[str] = None,
+    ) -> ResultTable:
+        """The one query lifecycle behind every front door.
+
+        ``query``, ``execute``, ``PreparedStatement.execute`` and the
+        shard coordinator's ``query`` all run these steps, in this order:
+        cancel token, tracer, ``query_id``, in-flight registration,
+        admission (with the degrade-to-approximate rung), the timed
+        cached compile, the run, then the bookkeeping tail (q-error
+        feedback, metrics, query log, flight record).  Whatever leaves as
+        an exception is stamped with the ``query_id`` and flight-recorded,
+        and the governor slot is always released.
+
+        Two inputs differ between callers.  *Where the plan comes from*:
+        ad-hoc text passes only ``sql`` (parsed lazily, on a cache miss);
+        a prepared statement adds ``key_of`` (its cache key under a
+        config), ``statement`` (its literal-substituted statement) and
+        ``on_plan`` (its recompile bookkeeping); ``execute`` passes the
+        compiled ``plan`` and skips the compile step.  *How the plan
+        runs*: ``runner(run)``, by default :meth:`_execute_local`;
+        the shard coordinator passes its scatter/single/local dispatch.
+        """
+        token = self._make_token(timeout_ms, cancel_token)
+        # a deadlined/cancellable query is always traced: if it is
+        # killed, the error must carry the span tree of what ran
+        tracer = (
+            Tracer()
+            if (trace or token is not None or self._forces_trace())
+            else NULL_TRACER
+        )
+        query_id = query_id or next_query_id()
+        entry = self.inflight.register(
+            query_id, sql, session=current_admission_session()
+        )
+        key_of = key_of or functools.partial(self._plan_key, sql)
+        statement = statement or functools.partial(self._parse_adhoc, sql)
+        slot: Optional[AdmissionSlot] = None
+        rejection: Optional[RetryableAdmissionError] = None
+        run: Optional[QueryRun] = None
+        outcome = compile_seconds = None
+        try:
+            with cancel_scope(token), tracer.span("query") as qspan:
+                qspan.set(query_id=query_id)
+                key = key_of(cfg) if plan is None else None
+                cached = plan is not None or (
+                    self.governor is not None
+                    and self.plan_cache.peek(key, self.catalog)
+                )
+                with tracer.span("admission.wait") as aspan:
+                    try:
+                        slot = self._admit(cached, token, entry)
+                    except RetryableAdmissionError as exc:
+                        # the shedding rung before queue_full rejection:
+                        # an opted-in query with sample coverage runs
+                        # approximately instead of failing retryable
+                        stmt = None
+                        if plan is None and cfg.approx == "allow":
+                            stmt = self._approx_covers(statement)
+                        if stmt is None:
+                            self._count_rejection(exc)
+                            raise
+                        rejection, statement = exc, (lambda: stmt)
+                        cfg = dataclasses.replace(cfg, approx="force")
+                        key = key_of(cfg)
+                        self.metrics.inc("degraded_to_approx")
+                        aspan.set(degraded_to_approx=True, cause=exc.cause)
+                    if slot is not None:
+                        aspan.set(
+                            queued=slot.queued,
+                            waited_ms=round(slot.waited_seconds * 1000, 3),
+                        )
+                if plan is None:
+                    entry.phase = "compile"
+                    t0 = time.perf_counter()
+                    with tracer.span("compile"):
+                        plan, outcome, _ = self._cached_plan(
+                            sql, cfg, tracer, key=key, statement=statement
+                        )
+                    if outcome != HIT:
+                        compile_seconds = time.perf_counter() - t0
+                    if on_plan is not None:
+                        on_plan(plan, outcome, key)
+                    if rejection is not None and plan.approx is None:
+                        # coverage disappeared between the pre-check and the
+                        # compile (a concurrent drop): the rejection stands
+                        self._count_rejection(rejection)
+                        raise rejection
+                stats: Optional[ExecutionStats] = None
+                if collect_stats or tracer.active or token is not None or key is not None:
+                    # a governed query always carries stats (a killed query
+                    # must report the partial work it did), and so does a
+                    # cacheable one: per-node row counts feed the q-error
+                    # drift record
+                    stats = ExecutionStats()
+                    stats.query_id = query_id
+                    self._note_cache_outcome(stats, outcome)
+                entry.phase = "execute"
+                entry.stats = stats
+                run = QueryRun(
+                    entry=entry,
+                    token=token,
+                    tracer=tracer,
+                    plan=plan,
+                    cache_outcome=outcome,
+                    compile_seconds=compile_seconds,
+                    stats=stats,
+                    budget=slot.memory_share_bytes if slot is not None else None,
+                    trace=trace,
+                    profile=profile,
+                    partial=partial,
+                    degraded=rejection is not None,
+                )
+                result = (runner or self._execute_local)(run)
+                execute_seconds = time.perf_counter() - run.started
+                _, drifted = self._record_feedback(plan, stats, key)
+                if collect_stats:
+                    result.stats = stats
+                if trace and result.trace is None:
+                    # a trace forced by a deadline or the slow-query log
+                    # stays internal, and a runner that attached its own
+                    # tree (the coordinator's ``shard.<route>``) keeps it
+                    result.trace = tracer.root
+                result.query_id = query_id
+                annotations: Dict[str, object] = {}
+                if result.approx is not None:
+                    annotations["approx"] = {
+                        "mode": result.approx["mode"],
+                        "fraction": result.approx["fraction"],
+                        "samples": [use["sample"] for use in result.approx["samples"]],
+                        "errors": {
+                            name: info["error"]
+                            for name, info in result.approx["columns"].items()
+                        },
+                    }
+                bytes_out = result.nbytes
+                self.metrics.record_query(
+                    execute_seconds,
+                    compile_seconds=compile_seconds,
+                    cache_outcome=outcome,
+                    rows=result.num_rows,
+                    bytes_materialized=bytes_out,
+                    groups_emitted=stats.groups_emitted if stats is not None else None,
+                )
+                self._finish_flight(
+                    entry,
+                    "ok",
+                    run,
+                    execute_seconds=execute_seconds,
+                    rows=result.num_rows,
+                    bytes_out=bytes_out,
+                    drifted=drifted,
+                    annotations=annotations,
+                )
+                return result
+        except BaseException as exc:
+            retry = self._note_query_failure(exc, entry, run)
+            if retry is not None:
+                raise retry from exc
+            raise
+        finally:
+            self.inflight.finish(query_id)
+            if slot is not None:
+                self.governor.release(slot)
+
     # -- governance machinery -------------------------------------------------
 
     def _make_token(
@@ -619,51 +707,44 @@ class LevelHeadedEngine:
         if exc.cause:
             self.metrics.inc(f"admission_rejected_{exc.cause}")
 
-    def _approx_covers(self, sql: Optional[str]) -> bool:
-        """Whether ``sql`` could run approximately (degrade pre-check)."""
-        if not sql:
-            return False
-        try:
-            stmt = parse(sql)
-        except Exception:
-            return False
+    def _parse_adhoc(self, sql: str) -> SelectStmt:
+        """Parse parameterless SQL text (the ad-hoc plan source)."""
+        stmt = parse(sql)
         if stmt.parameters:
-            return False
-        return has_usable_sample(stmt, self.catalog)
+            raise UnsupportedQueryError(
+                "statement has parameter placeholders; pass params= or "
+                "use engine.prepare(sql)"
+            )
+        return stmt
+
+    def _approx_covers(
+        self, statement: Callable[[], SelectStmt]
+    ) -> Optional[SelectStmt]:
+        """The statement, if it could run approximately (degrade pre-check)."""
+        try:
+            stmt = statement()
+        except ReproError:
+            return None
+        return stmt if has_usable_sample(stmt, self.catalog) else None
 
     def _admit(
-        self,
-        cached: bool,
-        token: Optional[CancelToken],
-        entry: Optional[InflightQuery] = None,
-        count_rejected: bool = True,
+        self, cached: bool, token: Optional[CancelToken], entry: InflightQuery
     ) -> Optional[AdmissionSlot]:
         """Acquire an admission slot (None when no governor is attached).
 
-        ``count_rejected=False`` leaves the rejection metrics to the
-        caller -- the degrade-to-approximate path only counts a
-        rejection when it actually rejects.
+        Rejections are counted by the lifecycle, which first tries the
+        degrade-to-approximate rung and only counts what it rejects.
         """
         if self.governor is None:
             return None
-        try:
-            slot = self.governor.admit(cached=cached, token=token)
-        except RetryableAdmissionError as exc:
-            if count_rejected:
-                self._count_rejection(exc)
-            raise
+        slot = self.governor.admit(cached=cached, token=token)
         self.metrics.inc("admission_admitted")
-        if entry is not None:
-            entry.admission_wait_seconds = slot.waited_seconds
-            entry.queued = slot.queued
+        entry.admission_wait_seconds = slot.waited_seconds
+        entry.queued = slot.queued
         if slot.queued:
             self.metrics.inc("admission_queued")
             self.metrics.observe("admission_wait_seconds", slot.waited_seconds)
         return slot
-
-    def _release(self, slot: Optional[AdmissionSlot]) -> None:
-        if slot is not None and self.governor is not None:
-            self.governor.release(slot)
 
     def _on_memory_pressure(self) -> None:
         """Governor pressure listener: shed plan-cache LRU entries."""
@@ -672,91 +753,139 @@ class LevelHeadedEngine:
         if shed:
             self.metrics.inc("plan_cache_shed_entries", shed)
 
-    def _effective_budget(self, slot: Optional[AdmissionSlot]):
-        """The memory-budget override for this run (or no-override)."""
-        if slot is not None and slot.memory_share_bytes is not None:
-            return slot.memory_share_bytes
-        return None
-
     # -- correlation & flight recording -----------------------------------------
 
-    def _note_query_failure(self, exc: BaseException, entry: InflightQuery) -> None:
-        """Stamp the query_id onto the error and flight-record the failure.
+    def _note_query_failure(
+        self, exc: BaseException, entry: InflightQuery, run: Optional[QueryRun]
+    ) -> Optional[RetryableAdmissionError]:
+        """Stamp, count and record whatever exception leaves the lifecycle.
 
-        Runs for *every* exception leaving ``query``/``execute`` -- the
-        kill paths already recorded their entry (``entry.recorded``), so
-        this catches the rest: admission rejections, compile errors,
-        plain execution bugs.
+        Every error gets the ``query_id`` and a flight record.  A query
+        killed while running (``run`` exists: deadline, cancel, memory
+        budget) is also dressed up with its partial stats and span tree,
+        counted, and written to the query log.  Returns the retryable
+        error to raise instead when an out-of-memory kill was really the
+        governor's share running out.
         """
         try:
             if getattr(exc, "query_id", None) is None:
                 exc.query_id = entry.query_id
         except Exception:  # pragma: no cover -- exotic exceptions with slots
             pass
-        if entry.recorded:
-            return
         if isinstance(exc, QueryTimeoutError):
-            outcome = "timeout"
+            outcome, metric = "timeout", "query_timeouts"
         elif isinstance(exc, QueryCancelledError):
-            outcome = "cancelled"
+            outcome, metric = "cancelled", "query_cancellations"
         elif isinstance(exc, OutOfMemoryBudgetError):
-            outcome = "oom"
-        elif isinstance(exc, AdmissionError):
-            outcome = "rejected"
+            outcome, metric = "oom", "query_oom"
         else:
-            outcome = "error"
+            outcome = "rejected" if isinstance(exc, AdmissionError) else "error"
+        if run is None or outcome in ("rejected", "error"):
+            # admission rejections, compile errors (a kill during compile
+            # included), plain execution bugs
+            self._finish_flight(
+                entry, outcome, execute_seconds=entry.elapsed_seconds(), error=str(exc)
+            )
+            return None
+        execute_seconds = time.perf_counter() - run.started
+        self.metrics.inc(metric)
+        if run.stats is not None and exc.partial_stats is None:
+            exc.partial_stats = run.stats
+        if run.tracer.active:
+            run.tracer.mark("killed", outcome=outcome, execute_ms=execute_seconds * 1000)
+            if getattr(exc, "trace_root", None) is None:
+                exc.trace_root = run.tracer.root
         self._finish_flight(
-            entry,
-            outcome=outcome,
-            execute_seconds=entry.elapsed_seconds(),
-            error=str(exc),
+            entry, outcome, run, execute_seconds=execute_seconds, error=str(exc)
         )
+        if outcome != "oom":
+            return None
+        if self.governor is not None:
+            self.governor.note_memory_pressure()
+        own_budget = run.plan.config.memory_budget_bytes
+        if run.budget is None or (own_budget is not None and run.budget >= own_budget):
+            return None
+        # the *governor's share*, not the query's own budget, was the
+        # binding constraint: concurrent callers get retryable
+        # backpressure, never an unhandled OOM
+        retry = RetryableAdmissionError(
+            f"query exceeded its admitted memory share ({run.budget} bytes): {exc}",
+        )
+        retry.partial_stats = exc.partial_stats
+        retry.query_id = entry.query_id
+        return retry
 
     def _finish_flight(
         self,
-        entry: Optional[InflightQuery],
-        *,
+        entry: InflightQuery,
         outcome: str,
-        plan: Optional[PhysicalPlan] = None,
-        cache_outcome: Optional[str] = None,
-        compile_seconds: Optional[float] = None,
+        run: Optional[QueryRun] = None,
+        *,
         execute_seconds: Optional[float] = None,
         rows: int = 0,
-        stats: Optional[ExecutionStats] = None,
-        drifted: bool = False,
         bytes_out: int = 0,
-        error: Optional[str] = None,
+        drifted: bool = False,
         annotations: Optional[Dict[str, object]] = None,
+        error: Optional[str] = None,
     ) -> None:
-        """Write one flight-recorder entry for a finished query (once).
+        """The record of a finished query: flight entry, query-log event.
 
-        Every record carries an ``annotations`` block with the
+        Every flight record carries an ``annotations`` block with the
         ``strategy`` and ``feedback`` sub-blocks *uniformly present*
         (empty on admission rejections and compile failures, where no
-        plan exists) -- ``/debug/flight`` consumers never need
+        ``run`` exists) -- ``/debug/flight`` consumers never need
         per-outcome key guards.  The approximate-execution annotation
         (``approx``) joins the block only when the query ran on samples.
+
+        A query that reached its run (served or killed) also appends one
+        event to the attached query log; a killed one always captures
+        its plan text and span tree, a served one only when it crossed
+        the slow-query threshold.
         """
-        if entry is None or entry.recorded:
+        if entry.recorded:
             return
         entry.recorded = True
-        nodes = plan.node_summaries() if plan is not None else []
-        block: Dict[str, object] = dict(annotations or {})
-        block["strategy"] = [
+        plan = run.plan if run is not None else None
+        stats = run.stats if run is not None else None
+        cache_outcome = run.cache_outcome if run is not None else None
+        compile_seconds = run.compile_seconds if run is not None else None
+        log = self.query_log
+        if log is not None and run is not None:
+            capture = outcome != "ok" or (
+                log.slow_query_seconds is not None
+                and execute_seconds >= log.slow_query_seconds
+            )
+            log.record(
+                sql=entry.sql,
+                mode=plan.mode,
+                cache_outcome=cache_outcome,
+                compile_seconds=compile_seconds,
+                execute_seconds=execute_seconds,
+                rows=rows,
+                plan_text=plan.explain() if capture else None,
+                trace_root=run.tracer.root if capture else None,
+                outcome=outcome,
+                query_id=entry.query_id,
+                annotations=annotations,
+            )
+        nodes = [
             {
                 "node": summary.get("node_key"),
-                "choice": (summary.get("strategy") or {}).get("choice"),
+                "order": list(summary.get("attrs") or ()),
+                "strategy": (summary.get("strategy") or {}).get("choice"),
             }
-            for summary in nodes
+            for summary in (plan.node_summaries() if plan is not None else [])
         ]
-        block["feedback"] = {
-            "q_error_max": (
-                float(stats.q_error_max)
-                if stats is not None and stats.q_error_max
-                else None
-            ),
-            "drifted": bool(drifted),
-        }
+        q_error_max = (
+            float(stats.q_error_max)
+            if stats is not None and stats.q_error_max
+            else None
+        )
+        block: Dict[str, object] = dict(annotations or {})
+        block["strategy"] = [
+            {"node": node["node"], "choice": node["strategy"]} for node in nodes
+        ]
+        block["feedback"] = {"q_error_max": q_error_max, "drifted": bool(drifted)}
         record: Dict[str, object] = {
             "query_id": entry.query_id,
             "ts": round(time.time(), 6),
@@ -777,19 +906,8 @@ class LevelHeadedEngine:
             "rows": int(rows),
             "bytes_out": int(bytes_out),
             "cancel_checks": int(stats.cancel_checks) if stats is not None else 0,
-            "nodes": [
-                {
-                    "node": summary.get("node_key"),
-                    "order": list(summary.get("attrs") or ()),
-                    "strategy": (summary.get("strategy") or {}).get("choice"),
-                }
-                for summary in nodes
-            ],
-            "q_error_max": (
-                float(stats.q_error_max)
-                if stats is not None and stats.q_error_max
-                else None
-            ),
+            "nodes": nodes,
+            "q_error_max": q_error_max,
             "drifted": bool(drifted),
             "annotations": block,
         }
@@ -860,8 +978,20 @@ class LevelHeadedEngine:
 
     # -- internal query machinery ---------------------------------------------
 
-    def _plan_key(self, sql: str, cfg: EngineConfig) -> Tuple:
-        key = (normalize_sql(sql), (), cfg.fingerprint())
+    def _plan_key(
+        self,
+        sql: str,
+        cfg: EngineConfig,
+        param_token: Tuple = (),
+        normalized: Optional[str] = None,
+    ) -> Tuple:
+        """The plan-cache key of ``sql`` under ``cfg``.
+
+        ``param_token`` / ``normalized`` are the prepared statement's
+        bound-literal token and pre-normalized text; ad-hoc text
+        normalizes here.
+        """
+        key = (normalized or normalize_sql(sql), param_token, cfg.fingerprint())
         if cfg.approx == "force":
             # sample creation/drop must be picked up by the next
             # approximate query without flushing any cached exact plan
@@ -869,19 +999,28 @@ class LevelHeadedEngine:
         return key
 
     def _cached_plan(
-        self, sql: str, cfg: EngineConfig, tracer=NULL_TRACER
+        self,
+        sql: str,
+        cfg: EngineConfig,
+        tracer=NULL_TRACER,
+        key: Optional[Tuple] = None,
+        statement: Optional[Callable[[], SelectStmt]] = None,
     ) -> Tuple[PhysicalPlan, str, Tuple]:
-        """Look up (or compile and cache) the plan for parameterless SQL.
+        """Look up (or compile and cache) a plan: the one cached-compile step.
 
-        On a hit the SQL is never even parsed -- the normalized text,
-        config fingerprint, and catalog domain versions fully determine
-        the plan.  A ``reoptimized`` outcome recompiles with the cache's
-        accumulated per-node observations overriding the estimates
+        ``key`` defaults to the ad-hoc :meth:`_plan_key` of ``sql``;
+        ``statement`` lazily makes the statement to compile and defaults
+        to parsing ``sql``.  On a hit it is never called, so ad-hoc SQL
+        is never even parsed -- the normalized text, config fingerprint,
+        and catalog domain versions fully determine the plan.  A
+        ``reoptimized`` outcome recompiles with the cache's accumulated
+        per-node observations overriding the estimates
         (:meth:`PlanCache.corrections`).  Returns ``(plan, outcome,
         cache_key)`` so execution can feed q-error measurements back to
         the entry.
         """
-        key = self._plan_key(sql, cfg)
+        if key is None:
+            key = self._plan_key(sql, cfg)
         with tracer.span("plan_cache.lookup") as span:
             plan, outcome = self.plan_cache.lookup(key, self.catalog)
             span.set(outcome=outcome)
@@ -890,27 +1029,38 @@ class LevelHeadedEngine:
                 self.plan_cache.corrections(key) if outcome == REOPTIMIZED else {}
             )
             with tracer.span("parse"):
-                stmt = parse(sql)
-            if stmt.parameters:
-                raise UnsupportedQueryError(
-                    "statement has parameter placeholders; pass params= or "
-                    "use engine.prepare(sql)"
-                )
-            approx_spec = None
-            if cfg.approx == "force":
-                with tracer.span("approx.rewrite"):
-                    stmt, approx_spec = maybe_rewrite(stmt, self.catalog)
-            with tracer.span("bind"):
-                bound = bind(stmt, self.catalog)
-            with tracer.span("translate"):
-                compiled = translate(bound)
-            with tracer.span("physical_plan"):
-                plan = build_plan(compiled, cfg, tracer=tracer, feedback=corrections)
-            plan.approx = approx_spec
+                stmt = statement() if statement is not None else self._parse_adhoc(sql)
+            plan = self._compile_stmt(stmt, cfg, tracer, corrections)
             self.plan_cache.store(key, plan)
             if outcome == REOPTIMIZED:
                 self.metrics.inc("plan_reoptimizations")
         return plan, outcome, key
+
+    def _compile_stmt(
+        self,
+        stmt: SelectStmt,
+        cfg: EngineConfig,
+        tracer=NULL_TRACER,
+        feedback: Optional[Dict[str, int]] = None,
+    ) -> PhysicalPlan:
+        """The one ``stmt -> PhysicalPlan`` pipeline.
+
+        Approximate rewrite (under ``approx="force"``), bind, translate,
+        ``build_plan``; the rewrite's :class:`ApproxSpec` rides on
+        ``plan.approx``.
+        """
+        approx_spec = None
+        if cfg.approx == "force":
+            with tracer.span("approx.rewrite"):
+                stmt, approx_spec = maybe_rewrite(stmt, self.catalog)
+        with tracer.span("bind"):
+            bound = bind(stmt, self.catalog)
+        with tracer.span("translate"):
+            compiled = translate(bound)
+        with tracer.span("physical_plan"):
+            plan = build_plan(compiled, cfg, tracer=tracer, feedback=feedback)
+        plan.approx = approx_spec
+        return plan
 
     def _forces_trace(self) -> bool:
         """Whether the attached query log needs every query traced."""
@@ -930,170 +1080,40 @@ class LevelHeadedEngine:
         self.query_log = QueryLog(sink, slow_query_seconds=slow_query_seconds)
         return self.query_log
 
-    def _run_plan(
-        self,
-        plan: PhysicalPlan,
-        outcome: Optional[str],
-        collect_stats: bool = False,
-        tracer=None,
-        compile_seconds: Optional[float] = None,
-        profile: bool = False,
-        sql: Optional[str] = None,
-        expose_trace: bool = True,
-        cancel: Optional[CancelToken] = None,
-        slot: Optional[AdmissionSlot] = None,
-        cache_key: Optional[Tuple] = None,
-        query_id: str = "",
-        inflight: Optional[InflightQuery] = None,
-        partial: bool = False,
-        degraded: bool = False,
-    ) -> ResultTable:
-        tracer = tracer or NULL_TRACER
-        stats: Optional[ExecutionStats] = None
-        if collect_stats or tracer.active or cancel is not None or cache_key is not None:
-            # a governed query always carries stats (a killed query must
-            # report the partial work it did), and so does a cacheable
-            # one: per-node row counts feed the q-error drift record
-            stats = ExecutionStats()
-            stats.query_id = query_id
-            self._note_cache_outcome(stats, outcome)
-        if inflight is not None:
-            inflight.phase = "execute"
-            inflight.stats = stats
-        profiler = KernelProfiler() if profile else None
-        budget = self._effective_budget(slot)
-        budget_kwargs = {} if budget is None else {"memory_budget_bytes": budget}
-        t0 = time.perf_counter()
-        try:
-            with tracer.span("execute") as span:
-                snapshot = stats.snapshot() if tracer.active else None
-                if profiler is not None:
-                    # activate around execution only: the profile attributes
-                    # execute_plan, not compilation or result decode
-                    t_exec = time.perf_counter()
-                    with _activate_profiler(profiler):
-                        raw = execute_plan(
-                            plan,
-                            stats=stats,
-                            tracer=tracer,
-                            profiler=profiler,
-                            cancel=cancel,
-                            **budget_kwargs,
-                        )
-                    profiler.execute_seconds = time.perf_counter() - t_exec
-                else:
-                    raw = execute_plan(
-                        plan, stats=stats, tracer=tracer, cancel=cancel, **budget_kwargs
-                    )
-                if tracer.active:
-                    span.set(mode=plan.mode, rows=raw.num_rows)
-                    span.stats = stats.delta_since(snapshot)
-        except (QueryKilledError, OutOfMemoryBudgetError) as exc:
-            self._note_killed(
-                exc,
-                plan,
-                stats,
-                tracer,
-                sql=sql,
-                outcome=outcome,
-                compile_seconds=compile_seconds,
-                execute_seconds=time.perf_counter() - t0,
-                query_id=query_id,
-                inflight=inflight,
-            )
-            if isinstance(exc, OutOfMemoryBudgetError):
-                if self.governor is not None:
-                    self.governor.note_memory_pressure()
-                if budget is not None and (
-                    plan.config.memory_budget_bytes is None
-                    or budget < plan.config.memory_budget_bytes
-                ):
-                    # the *governor's share*, not the query's own budget,
-                    # was the binding constraint: concurrent callers get
-                    # retryable backpressure, never an unhandled OOM
-                    retry = RetryableAdmissionError(
-                        f"query exceeded its admitted memory share "
-                        f"({budget} bytes): {exc}",
-                    )
-                    retry.partial_stats = exc.partial_stats
-                    raise retry from exc
-            raise
-        if inflight is not None:
-            inflight.phase = "decode"
+    def _execute_local(self, run: QueryRun) -> ResultTable:
+        """The default runner: ``execute_plan`` on this engine, then decode."""
+        plan, tracer, stats = run.plan, run.tracer, run.stats
+        profiler = KernelProfiler() if run.profile else None
+        kwargs = dict(stats=stats, tracer=tracer, profiler=profiler, cancel=run.token)
+        if run.budget is not None:
+            kwargs["memory_budget_bytes"] = run.budget
+        with tracer.span("execute") as span:
+            snapshot = stats.snapshot() if tracer.active else None
+            if profiler is not None:
+                # activate around execution only: the profile attributes
+                # execute_plan, not compilation or result decode
+                t_exec = time.perf_counter()
+                with _activate_profiler(profiler):
+                    raw = execute_plan(plan, **kwargs)
+                profiler.execute_seconds = time.perf_counter() - t_exec
+            else:
+                raw = execute_plan(plan, **kwargs)
+            if tracer.active:
+                span.set(mode=plan.mode, rows=raw.num_rows)
+                span.stats = stats.delta_since(snapshot)
+        run.entry.phase = "decode"
         with tracer.span("decode"):
-            if partial:
+            if run.partial:
                 result = self._decode_partial(plan.compiled, plan, raw)
             else:
                 result = self._decode(plan.compiled, plan, raw)
-        approx_meta = None
-        if not partial and plan.approx is not None:
+        if not run.partial and plan.approx is not None:
             with tracer.span("approx.estimate"):
-                approx_meta = apply_estimation(
-                    result, plan.approx, mode="degraded" if degraded else "forced"
+                apply_estimation(
+                    result, plan.approx, mode="degraded" if run.degraded else "forced"
                 )
             self.metrics.inc("approx_queries")
-        execute_seconds = time.perf_counter() - t0
-        _, drifted = self._record_feedback(plan, stats, cache_key)
-        if collect_stats:
-            result.stats = stats
-        if tracer.active and expose_trace:
-            # a trace forced by the slow-query log stays internal: the
-            # caller didn't ask for result.trace
-            result.trace = tracer.root
-        if profiler is not None:
-            result.profile = profiler
-        result.query_id = query_id or None
-        bytes_out = result.nbytes
-        annotations: Dict[str, object] = {}
-        if approx_meta is not None:
-            annotations["approx"] = {
-                "mode": approx_meta["mode"],
-                "fraction": approx_meta["fraction"],
-                "samples": [use["sample"] for use in approx_meta["samples"]],
-                "errors": {
-                    name: info["error"]
-                    for name, info in approx_meta["columns"].items()
-                },
-            }
-        self.metrics.record_query(
-            execute_seconds,
-            compile_seconds=compile_seconds,
-            cache_outcome=outcome,
-            rows=result.num_rows,
-            bytes_materialized=bytes_out,
-            groups_emitted=stats.groups_emitted if stats is not None else None,
-        )
-        log = self.query_log
-        if log is not None:
-            slow = (
-                log.slow_query_seconds is not None
-                and execute_seconds >= log.slow_query_seconds
-            )
-            log.record(
-                sql=sql,
-                mode=plan.mode,
-                cache_outcome=outcome,
-                compile_seconds=compile_seconds,
-                execute_seconds=execute_seconds,
-                rows=result.num_rows,
-                plan_text=plan.explain() if slow else None,
-                trace_root=tracer.root if slow else None,
-                query_id=query_id or None,
-                annotations=annotations,
-            )
-        self._finish_flight(
-            inflight,
-            outcome="ok",
-            plan=plan,
-            cache_outcome=outcome,
-            compile_seconds=compile_seconds,
-            execute_seconds=execute_seconds,
-            rows=result.num_rows,
-            stats=stats,
-            drifted=drifted,
-            bytes_out=bytes_out,
-            annotations=annotations,
-        )
+        result.profile = profiler
         return result
 
     def _record_feedback(
@@ -1136,61 +1156,6 @@ class LevelHeadedEngine:
             stats.plan_cache_invalidations += 1
         elif outcome == REOPTIMIZED:
             stats.plan_reoptimizations += 1
-
-    def _note_killed(
-        self,
-        exc: Union[QueryKilledError, OutOfMemoryBudgetError],
-        plan: PhysicalPlan,
-        stats: Optional[ExecutionStats],
-        tracer,
-        sql: Optional[str],
-        outcome: Optional[str],
-        compile_seconds: Optional[float],
-        execute_seconds: float,
-        query_id: str = "",
-        inflight: Optional[InflightQuery] = None,
-    ) -> None:
-        """Dress up a killed query: partial stats, trace, metrics, log."""
-        if isinstance(exc, QueryTimeoutError):
-            kind, metric = "timeout", "query_timeouts"
-        elif isinstance(exc, QueryCancelledError):
-            kind, metric = "cancelled", "query_cancellations"
-        else:
-            kind, metric = "oom", "query_oom"
-        self.metrics.inc(metric)
-        if query_id and getattr(exc, "query_id", None) is None:
-            exc.query_id = query_id
-        if stats is not None and exc.partial_stats is None:
-            exc.partial_stats = stats
-        if tracer.active:
-            tracer.mark("killed", outcome=kind, execute_ms=execute_seconds * 1000)
-        if getattr(exc, "trace_root", None) is None and tracer.active:
-            exc.trace_root = tracer.root
-        log = self.query_log
-        if log is not None:
-            log.record(
-                sql=sql,
-                mode=plan.mode,
-                cache_outcome=outcome,
-                compile_seconds=compile_seconds,
-                execute_seconds=execute_seconds,
-                rows=0,
-                plan_text=plan.explain(),
-                trace_root=tracer.root if tracer.active else None,
-                outcome=kind,
-                query_id=query_id or None,
-            )
-        self._finish_flight(
-            inflight,
-            outcome=kind,
-            plan=plan,
-            cache_outcome=outcome,
-            compile_seconds=compile_seconds,
-            execute_seconds=execute_seconds,
-            rows=0,
-            stats=stats,
-            error=str(exc),
-        )
 
     def _explain_plan(
         self,

@@ -585,6 +585,25 @@ class QueryHandle:
 
     # -- driver side ----------------------------------------------------------
 
+    @classmethod
+    def spawn(
+        cls,
+        token: CancelToken,
+        sql: str,
+        fn: Callable[[], object],
+        name: str = "repro-query",
+    ) -> "QueryHandle":
+        """Run ``fn`` on a daemon thread named ``name``; its handle, at once.
+
+        The one spawning point behind every surface's ``submit``: ``fn``
+        is the surface's own ``query`` call, closed over ``token``.
+        """
+        handle = cls(token, sql)
+        threading.Thread(
+            target=handle._run, args=(fn,), name=name, daemon=True
+        ).start()
+        return handle
+
     def _run(self, fn: Callable[[], object]) -> None:
         try:
             self._result = fn()

@@ -18,11 +18,12 @@ dictionaries -- counted in :attr:`recompiles`.
 
 from __future__ import annotations
 
-import time
+import dataclasses
+import functools
 from typing import Optional, Tuple
 
-from ..obs import NULL_TRACER, Tracer, next_query_id
-from ..query.translate import translate
+from ..approx import normalize_policy
+from ..sql.ast import SelectStmt
 from ..sql.binder import bind
 from ..sql.params import (
     ParamValues,
@@ -33,9 +34,9 @@ from ..sql.params import (
     substitute_parameters,
 )
 from ..sql.parser import parse
-from ..xcution.plan import EngineConfig, PhysicalPlan, build_plan
-from .governor import CancelToken, cancel_scope, current_admission_session
-from .plan_cache import INVALIDATED, MISS, REOPTIMIZED
+from ..xcution.plan import EngineConfig, PhysicalPlan
+from .governor import CancelToken
+from .plan_cache import HIT
 
 
 class PreparedStatement:
@@ -61,10 +62,6 @@ class PreparedStatement:
         self.recompiles = 0
         self._seen_keys = set()
         self._last_plan: Optional[PhysicalPlan] = None
-        #: per-policy sibling statements minted by ``execute(approx=...)``
-        #: overrides, so one prepared handle serves both exact and
-        #: approximate runs without recompiling per call.
-        self._approx_variants: dict = {}
         if not self.param_slots:
             # No placeholders: capture the compiled plan (and the domain
             # versions it was built against) right now.
@@ -72,59 +69,36 @@ class PreparedStatement:
 
     # -- compilation ---------------------------------------------------------
 
-    def _cache_key(self, literals) -> Tuple:
-        key = (
-            self.normalized_sql,
+    def _cache_key(self, literals, cfg: Optional[EngineConfig] = None) -> Tuple:
+        """The engine's plan-cache key for these literals (same keying)."""
+        return self._engine._plan_key(
+            self.sql,
+            cfg or self.config,
             param_cache_token(literals),
-            self.config.fingerprint(),
+            self.normalized_sql,
         )
-        if self.config.approx == "force":
-            # match the engine's keying: sample creation/drop re-keys
-            # approximate plans without flushing exact ones
-            key = key + (self._engine.catalog.samples_epoch,)
-        return key
 
-    def _plan_for(
-        self, literals, tracer=NULL_TRACER
-    ) -> Tuple[PhysicalPlan, str, Tuple]:
-        engine = self._engine
-        key = self._cache_key(literals)
-        with tracer.span("plan_cache.lookup") as span:
-            plan, outcome = engine.plan_cache.lookup(key, engine.catalog)
-            span.set(outcome=outcome)
-        if plan is None:
-            corrections = (
-                engine.plan_cache.corrections(key) if outcome == REOPTIMIZED else {}
-            )
-            with tracer.span("parse"):
-                stmt = (
-                    substitute_parameters(self._stmt, literals)
-                    if self._stmt.parameters
-                    else self._stmt
-                )
-            approx_spec = None
-            if self.config.approx == "force":
-                from ..approx import maybe_rewrite
+    def _statement_for(self, literals) -> SelectStmt:
+        """The parsed statement with ``literals`` substituted in."""
+        if not self._stmt.parameters:
+            return self._stmt
+        return substitute_parameters(self._stmt, literals)
 
-                with tracer.span("approx.rewrite"):
-                    stmt, approx_spec = maybe_rewrite(stmt, engine.catalog)
-            with tracer.span("bind"):
-                bound = bind(stmt, engine.catalog)
-            with tracer.span("translate"):
-                compiled = translate(bound)
-            with tracer.span("physical_plan"):
-                plan = build_plan(
-                    compiled, self.config, tracer=tracer, feedback=corrections
-                )
-            plan.approx = approx_spec
-            engine.plan_cache.store(key, plan)
-            if outcome == REOPTIMIZED:
-                engine.metrics.inc("plan_reoptimizations")
-            if key in self._seen_keys:
-                self.recompiles += 1
+    def _note_plan(self, plan: PhysicalPlan, outcome: str, key: Tuple) -> None:
+        if outcome != HIT and key in self._seen_keys:
+            self.recompiles += 1
         self._seen_keys.add(key)
         self._last_plan = plan
-        return plan, outcome, key
+
+    def _plan_for(self, literals) -> Tuple[PhysicalPlan, str, Tuple]:
+        found = self._engine._cached_plan(
+            self.sql,
+            self.config,
+            key=self._cache_key(literals),
+            statement=functools.partial(self._statement_for, literals),
+        )
+        self._note_plan(*found)
+        return found
 
     # -- execution -----------------------------------------------------------
 
@@ -157,92 +131,45 @@ class PreparedStatement:
 
         ``approx`` overrides this statement's configured policy for one
         call: ``"force"``/``True`` runs on samples, ``"never"``/``False``
-        pins exact.  (The governor's degrade-to-approximate rung applies
-        to ad-hoc ``engine.query`` calls, not prepared executions.)
+        pins exact, and ``"allow"`` runs exact but lets the governor
+        degrade the run to approximate instead of rejecting it.
         """
+        cfg = self.config
         if approx is not None:
-            from ..approx import normalize_policy
+            policy = normalize_policy(approx, default=cfg.approx)
+            if policy != cfg.approx:
+                cfg = dataclasses.replace(cfg, approx=policy)
+        return self._run(
+            params,
+            cfg=cfg,
+            collect_stats=collect_stats,
+            trace=trace,
+            profile=profile,
+            timeout_ms=timeout_ms,
+            cancel_token=cancel_token,
+            partial=partial,
+            query_id=query_id,
+        )
 
-            policy = normalize_policy(approx, default=self.config.approx)
-            if policy != self.config.approx:
-                variant = self._approx_variants.get(policy)
-                if variant is None:
-                    import dataclasses
+    def _run(self, params: ParamValues, cfg=None, runner=None, **opts):
+        """Bind ``params`` and enter the engine's query lifecycle.
 
-                    variant = PreparedStatement(
-                        self._engine,
-                        self.sql,
-                        config=dataclasses.replace(self.config, approx=policy),
-                    )
-                    self._approx_variants[policy] = variant
-                return variant.execute(
-                    params,
-                    collect_stats=collect_stats,
-                    trace=trace,
-                    profile=profile,
-                    timeout_ms=timeout_ms,
-                    cancel_token=cancel_token,
-                    partial=partial,
-                    query_id=query_id,
-                )
+        This statement is the lifecycle's plan source (cache key,
+        literal-substituted statement, recompile bookkeeping); ``runner``
+        is how the plan runs -- None for the engine's local path, the
+        shard coordinator passes its dispatch.
+        """
         literals = bind_param_values(params, self.param_slots)
-        engine = self._engine
-        token = engine._make_token(timeout_ms, cancel_token)
-        cached = engine.governor is not None and engine.plan_cache.peek(
-            self._cache_key(literals), engine.catalog
+        self.executions += 1
+        return self._engine._run_query(
+            self.sql,
+            cfg or self.config,
+            key_of=functools.partial(self._cache_key, literals),
+            statement=functools.partial(self._statement_for, literals),
+            on_plan=self._note_plan,
+            runner=runner,
+            **opts,
         )
-        tracer = (
-            Tracer()
-            if (trace or token is not None or engine._forces_trace())
-            else NULL_TRACER
-        )
-        query_id = query_id or next_query_id()
-        entry = engine.inflight.register(
-            query_id, self.sql, session=current_admission_session()
-        )
-        slot = None
-        try:
-            with cancel_scope(token), tracer.span("query") as qspan:
-                qspan.set(query_id=query_id)
-                with tracer.span("admission.wait") as aspan:
-                    slot = engine._admit(cached=cached, token=token, entry=entry)
-                    if slot is not None:
-                        aspan.set(
-                            queued=slot.queued,
-                            waited_ms=round(slot.waited_seconds * 1000, 3),
-                        )
-                entry.phase = "compile"
-                t0 = time.perf_counter()
-                with tracer.span("compile"):
-                    plan, outcome, key = self._plan_for(literals, tracer)
-                compile_seconds = (
-                    time.perf_counter() - t0
-                    if outcome in (MISS, INVALIDATED, REOPTIMIZED)
-                    else None
-                )
-                self.executions += 1
-                return engine._run_plan(
-                    plan,
-                    outcome,
-                    collect_stats=collect_stats,
-                    tracer=tracer,
-                    compile_seconds=compile_seconds,
-                    profile=profile,
-                    sql=self.sql,
-                    expose_trace=trace,
-                    cancel=token,
-                    slot=slot,
-                    cache_key=key,
-                    query_id=query_id,
-                    inflight=entry,
-                    partial=partial,
-                )
-        except BaseException as exc:
-            engine._note_query_failure(exc, entry)
-            raise
-        finally:
-            engine.inflight.finish(query_id)
-            engine._release(slot)
 
     __call__ = execute
 

@@ -42,24 +42,15 @@ distributed run.
 
 from __future__ import annotations
 
+import functools
 import threading
-import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.governor import (
-    CancelToken,
-    QueryHandle,
-    cancel_scope,
-    current_admission_session,
-)
-from ..core.plan_cache import INVALIDATED, MISS, REOPTIMIZED
+from ..core.governor import CancelToken, QueryHandle
 from ..errors import QueryKilledError, ReproError, UnsupportedOnTopology
-from ..obs import NULL_TRACER, Span, Tracer, next_query_id
-from ..sql.params import bind_param_values
 from ..xcution.finalize import finalize_result
-from ..xcution.stats import ExecutionStats
 from ..sql.ast import ColumnRef
 from .merge import MERGEABLE_FUNCS, _decoded_dtype, merge_partials, merge_shard_stats
 from .partitioner import choose_partition_domain, leading_domain, shard_indices, slice_table
@@ -95,16 +86,16 @@ class ShardStatement:
         query_id: Optional[str] = None,
         approx=None,
     ):
-        return self._coordinator.query(
+        self._coordinator._reject_unsupported(partial=partial, approx=approx)
+        return self._coordinator._run(
             self.sql,
-            params=params,
+            params,
+            self._statement,
             collect_stats=collect_stats,
             trace=trace,
             timeout_ms=timeout_ms,
             cancel_token=cancel_token,
-            partial=partial,
             query_id=query_id,
-            approx=approx,
         )
 
     __call__ = execute
@@ -287,170 +278,94 @@ class ShardCoordinator:
         self._reject_unsupported(
             config=config, profile=profile, partial=partial, approx=approx
         )
-        engine = self.engine
-        self._sync()
-        token = engine._make_token(timeout_ms, cancel_token)
-        statement = literals = None
-        if params is None:
-            cached = engine.governor is not None and engine.plan_cache.peek(
-                engine._plan_key(sql, engine.config), engine.catalog
-            )
-        else:
-            statement = engine.prepare(sql)
-            literals = bind_param_values(params, statement.param_slots)
-            cached = engine.governor is not None and engine.plan_cache.peek(
-                statement._cache_key(literals), engine.catalog
-            )
-        query_id = query_id or next_query_id()
-        entry = engine.inflight.register(
-            query_id, sql, session=current_admission_session()
+        return self._run(
+            sql,
+            params,
+            None if params is None else self.engine.prepare(sql),
+            collect_stats=collect_stats,
+            trace=trace,
+            timeout_ms=timeout_ms,
+            cancel_token=cancel_token,
+            query_id=query_id,
         )
-        slot = None
-        try:
-            with cancel_scope(token):
-                slot = engine._admit(cached=cached, token=token, entry=entry)
-                entry.phase = "compile"
-                t0 = time.perf_counter()
-                if statement is None:
-                    plan, outcome, key = engine._cached_plan(sql, engine.config)
-                else:
-                    plan, outcome, key = statement._plan_for(literals)
-                compile_seconds = (
-                    time.perf_counter() - t0
-                    if outcome in (MISS, INVALIDATED, REOPTIMIZED)
-                    else None
-                )
-                route = self._route(plan)
-                if route == LOCAL:
-                    # serial fallback on the coordinator's own engine --
-                    # correct for every query scatter cannot serve
-                    tracer = Tracer() if (trace or token is not None) else NULL_TRACER
-                    return engine._run_plan(
-                        plan,
-                        outcome,
-                        collect_stats=collect_stats,
-                        tracer=tracer,
-                        compile_seconds=compile_seconds,
-                        sql=sql,
-                        expose_trace=trace,
-                        cancel=token,
-                        slot=slot,
-                        cache_key=key,
-                        query_id=query_id,
-                        inflight=entry,
-                    )
-                entry.phase = "execute"
-                t_exec = time.perf_counter()
-                if route == SINGLE:
-                    result, shard_stats, shard_traces = self._run_single(
-                        sql, params, plan, token, query_id, trace
-                    )
-                else:
-                    result, shard_stats, shard_traces = self._run_scatter(
-                        sql, params, plan, token, query_id, trace
-                    )
-                execute_seconds = time.perf_counter() - t_exec
-                merged = ExecutionStats()
-                merged.query_id = query_id
-                engine._note_cache_outcome(merged, outcome)
-                merge_shard_stats(merged, shard_stats)
-                _, drifted = engine._record_feedback(plan, merged, key)
-                result.stats = merged if collect_stats else None
-                result.query_id = query_id
-                if trace:
-                    result.trace = self._stitch_trace(
-                        route, query_id, t_exec, execute_seconds, shard_traces
-                    )
-                bytes_out = result.nbytes
-                engine.metrics.record_query(
-                    execute_seconds,
-                    compile_seconds=compile_seconds,
-                    cache_outcome=outcome,
-                    rows=result.num_rows,
-                    bytes_materialized=bytes_out,
-                    groups_emitted=merged.groups_emitted,
-                )
-                engine._finish_flight(
-                    entry,
-                    outcome="ok",
-                    plan=plan,
-                    cache_outcome=outcome,
-                    compile_seconds=compile_seconds,
-                    execute_seconds=execute_seconds,
-                    rows=result.num_rows,
-                    stats=merged,
-                    drifted=drifted,
-                    bytes_out=bytes_out,
-                )
-                return result
-        except BaseException as exc:
-            engine._note_query_failure(exc, entry)
-            raise
-        finally:
-            engine.inflight.finish(query_id)
-            engine._release(slot)
 
-    def _run_single(
-        self,
-        sql: str,
-        params,
-        plan,
-        token: Optional[CancelToken],
-        query_id: str,
-        trace: bool,
-    ):
-        """All operands replicated: run whole on one worker, round-robin."""
-        worker = self._next_worker()
-        result = worker.client.query(
+    def _run(self, sql: str, params, statement, **opts):
+        """Enter the engine's query lifecycle with this fleet as the runner.
+
+        The plan comes from the coordinator engine's cache -- ad-hoc
+        text, or the prepared ``statement`` when ``params`` are bound --
+        and runs through :meth:`_dispatch`.
+        """
+        self._sync()
+        runner = functools.partial(self._dispatch, sql, params)
+        if statement is None:
+            return self.engine._run_query(
+                sql, self.engine.config, runner=runner, **opts
+            )
+        return statement._run(params, runner=runner, **opts)
+
+    def _dispatch(self, sql: str, params, run):
+        """How a plan runs on the shard surface: route, fan out, merge."""
+        route = self._route(run.plan)
+        if route == LOCAL:
+            # serial fallback on the coordinator's own engine --
+            # correct for every query scatter cannot serve
+            return self.engine._execute_local(run)
+        fan_out = self._run_single if route == SINGLE else self._run_scatter
+        with run.tracer.span(f"shard.{route}") as span:
+            result, shard_stats, shard_traces = fan_out(sql, params, run)
+        merge_shard_stats(run.stats, shard_stats)
+        if run.trace:
+            # the caller's tree is rooted at the route span, one child
+            # per shard; the lifecycle's own spans stay internal
+            span.set(query_id=run.entry.query_id, shards=len(shard_traces))
+            span.children.extend(shard_traces)
+            result.trace = span
+        return result
+
+    def _ask(self, worker: ShardWorker, sql: str, params, run, token, partial=False):
+        """One worker's share of the run, under its query_id and token."""
+        return worker.client.query(
             sql,
             params=params,
             collect_stats=True,
-            trace=trace,
+            trace=run.trace,
             timeout_ms=token.remaining_ms() if token is not None else None,
             cancel_token=token,
-            query_id=query_id,
+            partial=partial,
+            query_id=run.entry.query_id,
         )
-        self._restore_native_dtypes(plan, result)
+
+    def _run_single(self, sql: str, params, run):
+        """All operands replicated: run whole on one worker, round-robin."""
+        worker = self._next_worker()
+        result = self._ask(worker, sql, params, run, run.token)
+        self._restore_native_dtypes(run.plan, result)
         stats, result.stats = result.stats, None
         span = result.trace
         if span is not None:
             span.set(shard=worker.index)
         return result, [stats], [span] if span is not None else []
 
-    def _run_scatter(
-        self,
-        sql: str,
-        params,
-        plan,
-        token: Optional[CancelToken],
-        query_id: str,
-        trace: bool,
-    ):
+    def _run_scatter(self, sql: str, params, run):
         """Fan the query out in partial mode; gather, merge, finalize."""
-        fan_token = token if token is not None else CancelToken()
-        deadline_ms = fan_token.remaining_ms()
+        plan = run.plan
+        fan_token = run.token if run.token is not None else CancelToken()
         n = len(self.workers)
         results: List[Optional[object]] = [None] * n
         errors: List[Optional[BaseException]] = [None] * n
 
-        def run(shard: int, worker: ShardWorker) -> None:
+        def ask(shard: int, worker: ShardWorker) -> None:
             try:
-                results[shard] = worker.client.query(
-                    sql,
-                    params=params,
-                    collect_stats=True,
-                    trace=trace,
-                    timeout_ms=deadline_ms,
-                    cancel_token=fan_token,
-                    partial=True,
-                    query_id=query_id,
+                results[shard] = self._ask(
+                    worker, sql, params, run, fan_token, partial=True
                 )
             except BaseException as exc:
                 errors[shard] = exc
 
         threads = [
             threading.Thread(
-                target=run, args=(shard, worker), name=f"repro-scatter-{shard}",
+                target=ask, args=(shard, worker), name=f"repro-scatter-{shard}",
                 daemon=True,
             )
             for shard, worker in enumerate(self.workers)
@@ -514,20 +429,6 @@ class ShardCoordinator:
                 else np.array(strings)
             )
 
-    @staticmethod
-    def _stitch_trace(
-        route: str,
-        query_id: str,
-        t_exec: float,
-        execute_seconds: float,
-        shard_traces: List[Span],
-    ) -> Span:
-        root = Span(f"shard.{route}", t_exec)
-        root.end = t_exec + execute_seconds
-        root.set(query_id=query_id, shards=len(shard_traces))
-        root.children.extend(shard_traces)
-        return root
-
     def prepare(self, sql: str, config=None) -> ShardStatement:
         """Validate ``sql`` now; executions route through :meth:`query`."""
         self._reject_unsupported(config=config)
@@ -558,23 +459,18 @@ class ShardCoordinator:
         """Run :meth:`query` on a background thread; cancel fans out."""
         self._reject_unsupported(config=config)
         token = self.engine._make_token(timeout_ms, cancel_token) or CancelToken()
-        handle = QueryHandle(token, sql)
-        thread = threading.Thread(
-            target=handle._run,
-            args=(
-                lambda: self.query(
-                    sql,
-                    params=params,
-                    collect_stats=collect_stats,
-                    trace=trace,
-                    cancel_token=token,
-                ),
+        return QueryHandle.spawn(
+            token,
+            sql,
+            lambda: self.query(
+                sql,
+                params=params,
+                collect_stats=collect_stats,
+                trace=trace,
+                cancel_token=token,
             ),
             name="repro-shard-query",
-            daemon=True,
         )
-        thread.start()
-        return handle
 
     def debug(
         self, what: str, n: Optional[int] = None, outcome: Optional[str] = None

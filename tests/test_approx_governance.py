@@ -52,13 +52,27 @@ def _overloaded_engine(**connect_kwargs):
 # ---------------------------------------------------------------------------
 
 
-def test_overloaded_allow_query_degrades_with_error_bars():
+PARAM_SQL = SQL.replace("GROUP BY", "WHERE l_quantity >= ? GROUP BY")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda engine: engine.query(SQL),
+        # the rung lives in the one query lifecycle, so a prepared
+        # execution (pre-check on the literal-substituted statement)
+        # degrades exactly like ad-hoc text
+        lambda engine: engine.prepare(PARAM_SQL).execute([0]),
+    ],
+    ids=["adhoc", "prepared"],
+)
+def test_overloaded_allow_query_degrades_with_error_bars(run):
     engine, governor, held = _overloaded_engine(approx="allow")
     engine.create_sample("lineitem", 0.5, seed=1)
     sink = io.StringIO()
     engine.enable_query_log(sink)
     try:
-        result = engine.query(SQL)
+        result = run(engine)
     finally:
         governor.release(held)
     assert result.approx is not None

@@ -209,14 +209,14 @@ def test_debug_queries_sees_inflight_query():
     seen = {}
     barrier = threading.Event()
 
-    original = engine._run_plan
+    original = engine._execute_local
 
-    def spying_run_plan(*args, **kwargs):
+    def spying_runner(*args, **kwargs):
         seen["queries"] = engine.debug_snapshot("queries")
         barrier.set()
         return original(*args, **kwargs)
 
-    engine._run_plan = spying_run_plan
+    engine._execute_local = spying_runner
     result = engine.query(Q5_SQL)
     assert barrier.is_set()
     live = seen["queries"]

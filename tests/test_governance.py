@@ -107,6 +107,18 @@ def test_timeout_error_reaches_prepared_statements():
     assert excinfo.value.partial_stats is not None
 
 
+def test_timeout_through_execute_carries_the_span_tree():
+    # one lifecycle, one tracer rule: a deadlined run is always traced,
+    # whichever front door it came through
+    engine = LevelHeadedEngine(graph_catalog(500, 20_000))
+    plan = engine.compile(TRIANGLE_SQL)
+    with pytest.raises(QueryTimeoutError) as excinfo:
+        engine.execute(plan, timeout_ms=100)
+    assert excinfo.value.partial_stats is not None
+    assert excinfo.value.trace_root is not None
+    assert excinfo.value.trace_root.name == "query"
+
+
 # ---------------------------------------------------------------------------
 # cooperative cancellation
 # ---------------------------------------------------------------------------

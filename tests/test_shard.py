@@ -22,6 +22,8 @@ Four contracts under test:
   ``UnsupportedOnTopology`` for options a topology cannot honor.
 """
 
+import io
+import json
 import multiprocessing
 import time
 
@@ -386,6 +388,40 @@ def test_trace_stitches_one_span_per_shard():
         assert result.trace.name == "shard.scatter"
         shards = sorted(child.payload["shard"] for child in result.trace.children)
         assert shards == [0, 1]
+
+
+def test_query_log_covers_every_route():
+    """One JSONL event per query under the coordinator's query_id, on
+    scatter, single and local routes alike -- and the slow-query log's
+    forced trace reaches the routed ones too."""
+    catalog = make_mini_tpch()
+    with repro.connect("shard://local?workers=2", catalog=catalog) as sharded:
+        sink = io.StringIO()
+        sharded.enable_query_log(sink, slow_query_seconds=0.0)
+        sharded.query("SELECT count(*) AS n FROM lineitem")  # sync, so routes are known
+        sink.seek(0)
+        sink.truncate()
+        cases = [
+            ("SELECT sum(l_extendedprice) AS s FROM lineitem", SCATTER),
+            (REPLICATED_SQL, SINGLE),
+            # a self-join of a partitioned table off its partition key
+            (
+                "SELECT count(*) AS n FROM lineitem a, lineitem b "
+                "WHERE a.l_suppkey = b.l_suppkey",
+                LOCAL,
+            ),
+        ]
+        for sql, route in cases:
+            plan, _, _ = sharded.engine._cached_plan(sql, sharded.engine.config)
+            assert sharded._route(plan) == route, sql
+        query_ids = [sharded.query(sql).query_id for sql, _ in cases]
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+    assert [e["query_id"] for e in events] == query_ids
+    assert [e["sql"] for e in events] == [sql for sql, _ in cases]
+    assert len({tuple(e) for e in events}) == 1  # one schema on every route
+    for event in events:
+        assert event["event"] == "slow_query"
+        assert event["trace"]["name"] == "query"
 
 
 def test_metrics_prometheus_aggregates_worker_counters():
