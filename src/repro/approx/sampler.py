@@ -45,19 +45,17 @@ def default_sample_name(base: str, fraction: float, kind: str) -> str:
 def _stratified_rows(
     table: Table, strata: Tuple[str, ...], fraction: float, rng: np.random.Generator
 ) -> np.ndarray:
+    from ..xcution.codes import group_runs  # xcution.plan imports this package
+
     columns = []
     for name in strata:
         table.schema.attribute(name)  # raises on unknown names
         columns.append(np.asarray(table.columns[name]))
-    stacked = np.rec.fromarrays(columns)
-    # sort-based grouping keeps group iteration order deterministic
-    order = np.argsort(stacked, kind="stable")
-    sorted_keys = stacked[order]
-    boundaries = np.flatnonzero(
-        np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-    )
+    # group iteration order is deterministic: strata ascending, rows in
+    # table order inside each
+    order, boundaries = group_runs(columns)
     picked = []
-    for start, stop in zip(boundaries, np.r_[boundaries[1:], sorted_keys.size]):
+    for start, stop in zip(boundaries, np.r_[boundaries[1:], order.size]):
         group = order[start:stop]
         take = max(1, int(round(fraction * group.size)))
         take = min(take, group.size)

@@ -30,6 +30,7 @@ import numpy as np
 
 from ..core.result import ResultTable
 from ..errors import ExecutionError
+from ..xcution.codes import group_runs, segmented_reduce, whole_run
 from ..xcution.stats import ExecutionStats
 
 __all__ = ["MERGEABLE_FUNCS", "merge_partials", "merge_shard_stats"]
@@ -37,15 +38,6 @@ __all__ = ["MERGEABLE_FUNCS", "merge_partials", "merge_shard_stats"]
 #: aggregate functions with a shard-mergeable partial form.  Anything
 #: outside this set routes the query away from scatter execution.
 MERGEABLE_FUNCS = frozenset({"sum", "count", "min", "max"})
-
-
-def _merge_value(func: Optional[str], old: float, new: float) -> float:
-    if func == "min":
-        return new if new < old else old
-    if func == "max":
-        return new if new > old else old
-    # sum / count (and the semiring + of LA annotations)
-    return old + new
 
 
 def _decoded_dtype(compiled, plan, ref):
@@ -100,45 +92,41 @@ def merge_partials(
     key_names = [n for n in names if n not in funcs]
     agg_names = [n for n in names if n in funcs]
 
-    groups: Dict[Tuple, List[float]] = {}
-    for table in tables:
-        key_cols = [np.asarray(table.columns[n]) for n in key_names]
-        agg_cols = [np.asarray(table.columns[n], dtype=np.float64) for n in agg_names]
-        for i in range(table.num_rows):
-            key = tuple(col[i] for col in key_cols)
-            row = [float(col[i]) for col in agg_cols]
-            have = groups.get(key)
-            if have is None:
-                groups[key] = row
-            else:
-                for j, name in enumerate(agg_names):
-                    have[j] = _merge_value(funcs.get(name), have[j], row[j])
+    def merged(name):
+        parts = [np.asarray(table.columns[name]) for table in tables]
+        # wire-decoded string columns arrive as object arrays
+        return np.concatenate(
+            [part.astype(str) if part.dtype == object else part for part in parts]
+        )
 
-    ordered = sorted(groups)
-    n_rows = len(ordered)
+    # one group per distinct decoded key tuple, in sorted tuple order;
+    # a group's partials fold in shard (arrival) order
+    key_columns = [merged(name) for name in key_names]
+    if key_columns:
+        order, starts = group_runs(key_columns)
+    else:
+        order, starts = whole_run(sum(table.num_rows for table in tables))
+    matrix = segmented_reduce(
+        [funcs[name] for name in agg_names],
+        [merged(name).astype(np.float64, copy=False) for name in agg_names],
+        order,
+        starts,
+    )
+
+    first = None if order is None else order[starts]
     key_env: Dict[str, np.ndarray] = {}
-    for position, name in enumerate(key_names):
+    for name, column in zip(key_names, key_columns):
         source = np.asarray(tables[0].columns[name])
-        values = [key[position] for key in ordered]
-        native = _decoded_dtype(compiled, plan, name)
-        if source.dtype != object:
-            key_env[name] = np.array(
-                values, dtype=native if native is not None else source.dtype
-            )
-        else:
-            # wire-decoded string columns arrive as object arrays;
-            # rebuild with the dictionary's dtype like a local decode does
-            strings = [str(v) for v in values]
-            key_env[name] = (
-                np.array(strings, dtype=native)
-                if native is not None
-                else np.array(strings)
-            )
+        # rebuild with the dictionary's dtype like a local decode does
+        dtype = _decoded_dtype(compiled, plan, name)
+        if dtype is None and source.dtype != object:
+            dtype = source.dtype
+        values = column[first]
+        key_env[name] = values if dtype is None else values.astype(dtype)
     agg_columns: Dict[str, np.ndarray] = {
-        name: np.array([groups[key][j] for key in ordered], dtype=np.float64)
-        for j, name in enumerate(agg_names)
+        name: np.ascontiguousarray(matrix[:, j]) for j, name in enumerate(agg_names)
     }
-    return key_env, agg_columns, n_rows
+    return key_env, agg_columns, int(starts.size)
 
 
 #: per-shard counters that must NOT sum into the coordinator's stats:

@@ -60,6 +60,9 @@ class Table:
         self._cache_domain_versions: Dict[Tuple, Tuple[int, ...]] = {}
         self._distinct_cache: Dict[Tuple[str, ...], int] = {}
         self._string_dicts: Dict[str, Dictionary] = {}
+        #: dictionary-encoded string columns, built on first use and
+        #: dropped with the table (``replace_table`` makes a new one).
+        self._string_codes: Dict[str, np.ndarray] = {}
 
     @classmethod
     def from_columns(cls, schema: Schema, **columns) -> "Table":
@@ -93,8 +96,10 @@ class Table:
         elif len(token) == 1:
             count = int(np.unique(self.columns[token[0]]).size)
         else:
-            stacked = np.rec.fromarrays([self.columns[a] for a in token])
-            count = int(np.unique(stacked).size)
+            from ..xcution.codes import group_runs  # xcution imports storage
+
+            _order, starts = group_runs([self.columns[a] for a in token])
+            count = int(starts.size)
         self._distinct_cache[token] = count
         return count
 
@@ -121,6 +126,19 @@ class Table:
             d = Dictionary.build(self.columns[column])
             self._string_dicts[column] = d
         return d
+
+    def string_codes(self, column: str) -> np.ndarray:
+        """A string column as uint32 codes of :meth:`string_dictionary`.
+
+        Encoded once, on first use, and cached: group-bys and string
+        annotations run on the codes instead of re-ranking raw strings.
+        """
+        codes = self._string_codes.get(column)
+        if codes is None:
+            codes = self.string_dictionary(column).encode(self.columns[column])
+            codes.flags.writeable = False  # shared by every later query
+            self._string_codes[column] = codes
+        return codes
 
     def _domain_dictionary(self, attr_name: str) -> Dictionary:
         attr = self.schema.attribute(attr_name)
@@ -188,7 +206,7 @@ class Table:
                     values = self.columns[req.source]
                     if attr.type is AttrType.STRING:
                         dictionary = self.string_dictionary(req.source)
-                        values = dictionary.encode(values)
+                        values = self.string_codes(req.source)
             if values is not None and row_mask is not None:
                 values = values[row_mask]
             specs.append(AnnotationSpec(req.name, values, req.level, req.combine, dictionary))

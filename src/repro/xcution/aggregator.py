@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import OutOfMemoryBudgetError
+from .codes import group_runs, segmented_reduce
 
 #: check the memory budget every this many new groups.
 _BUDGET_CHECK_EVERY = 65536
@@ -176,7 +177,7 @@ class GroupAggregator:
         Both the dict-backed groups and the pending unique batches move
         into runs sorted by group key, so ``result_arrays`` can merge
         every run (and late dict re-adds of already-spilled keys) with
-        one lexsort + segmented reduce per aggregate function.  Spilled
+        one radix order + segmented reduce per aggregate function.  Spilled
         rows are accounted at the lean columnar rate, which is exactly
         what degrading buys under budget pressure.
         """
@@ -236,24 +237,10 @@ class GroupAggregator:
             for i in range(self._group_width)
         ]
         matrix = np.vstack([run[1] for run in runs])
-        order = np.lexsort(tuple(reversed(columns)))
-        columns = [col[order] for col in columns]
-        matrix = matrix[order]
-        new_group = np.zeros(matrix.shape[0], dtype=bool)
-        new_group[0] = True
-        for col in columns:
-            new_group[1:] |= col[1:] != col[:-1]
-        starts = np.flatnonzero(new_group)
-        out = np.empty((starts.size, self.n_aggs))
-        for a_idx in range(self.n_aggs):
-            func = self.agg_funcs[a_idx]
-            if func == "min":
-                out[:, a_idx] = np.minimum.reduceat(matrix[:, a_idx], starts)
-            elif func == "max":
-                out[:, a_idx] = np.maximum.reduceat(matrix[:, a_idx], starts)
-            else:
-                out[:, a_idx] = np.add.reduceat(matrix[:, a_idx], starts)
-        return [col[starts] for col in columns], out
+        order, starts = group_runs(columns)
+        out = segmented_reduce(self.agg_funcs, matrix.T, order, starts)
+        first = order[starts]
+        return [col[first] for col in columns], out
 
     def __len__(self) -> int:
         """Groups held (an upper bound while degraded: a key spilled and

@@ -16,10 +16,15 @@ the implicit count slots (summing raw per-row products equals summing
 trie-pre-aggregated products, because the join condition depends only
 on keys; min/max are idempotent, so duplicate rows are harmless).
 
-Joins are sort-merge over packed composite keys (dictionary codes fit
-32 bits; multi-vertex keys are packed pairwise with a dense re-encode
-between steps).  Group-by reduction is one ``np.unique`` over a record
-view of the key columns followed by ``reduceat`` per aggregate.  The
+Joins and group-by run on the dense-code kernels of
+:mod:`repro.xcution.codes`.  A join key is the shared vertices' codes
+packed mixed-radix by their domain sizes (frames carry the sizes
+``Table.trie_inputs`` reports); the probe is a direct-address table when
+the joined-in frame is unique on the key (every FK->PK join), a
+counting-sort CSR when it is not, and a sort-merge only when the packed
+key space is too sparse for a table.  Group-by reduction packs the
+output vertices' codes (and fetched annotation codes) the same way,
+radix-orders the rows and runs one ``reduceat`` per aggregate.  The
 whole node runs single-threaded through vectorized kernels, so its
 counters (``binary_joins``, ``binary_rows``) are parallel-invariant by
 construction.
@@ -34,6 +39,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ExecutionError, OutOfMemoryBudgetError
+from .codes import (
+    group_runs,
+    join_indices,
+    kernel_seconds,
+    pack,
+    row_values,
+    segmented_reduce,
+    whole_run,
+)
 
 
 @dataclass
@@ -44,6 +58,9 @@ class RelationFrame:
     vertices: Tuple[str, ...]
     #: parallel to ``vertices``; uint32 dictionary codes.
     key_columns: List[np.ndarray]
+    #: parallel to ``vertices``: size of each vertex's code domain; empty
+    #: when unknown (child-result frames).
+    domain_sizes: Tuple[int, ...] = ()
     #: slot id -> raw per-row values (already string-encoded).
     slot_columns: Dict[str, np.ndarray] = field(default_factory=dict)
     #: decode dictionaries for string-valued slots (parity with tries).
@@ -70,7 +87,7 @@ def build_frame(
     row_mask: Optional[np.ndarray],
 ) -> RelationFrame:
     """Build a frame through the same encoding path as a trie build."""
-    key_columns, _domains, specs = table.trie_inputs(key_order, requests, row_mask)
+    key_columns, domain_sizes, specs = table.trie_inputs(key_order, requests, row_mask)
     slot_columns: Dict[str, np.ndarray] = {}
     slot_dictionaries: Dict[str, object] = {}
     implicit = set()
@@ -85,6 +102,7 @@ def build_frame(
         alias=table.name,
         vertices=tuple(vertices),
         key_columns=[np.asarray(c) for c in key_columns],
+        domain_sizes=tuple(domain_sizes),
         slot_columns=slot_columns,
         slot_dictionaries=slot_dictionaries,
         implicit_mult=frozenset(implicit),
@@ -116,43 +134,21 @@ class BinaryNodeResult:
 
 
 def _composite_keys(
-    left_cols: List[np.ndarray], right_cols: List[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack parallel multi-column keys into comparable int64 scalars.
+    left_cols: List[np.ndarray], right_cols: List[np.ndarray], sizes: List[int]
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Pack parallel multi-column keys; returns ``(lkey, rkey, domain)``.
 
-    Codes fit 32 bits; packing is pairwise with a dense re-encode of the
-    accumulated key between steps, so arbitrarily many columns stay
-    within 64 bits.
+    One column joins on its codes as they are; more are packed
+    mixed-radix by domain size, both sides together so a dense re-encode
+    (domain product past 62 bits) stays consistent across them.
     """
-    lkey = left_cols[0].astype(np.int64)
-    rkey = right_cols[0].astype(np.int64)
-    for lc, rc in zip(left_cols[1:], right_cols[1:]):
-        n_left = lkey.size
-        both = np.concatenate([lkey, rkey])
-        _, inverse = np.unique(both, return_inverse=True)
-        lkey = inverse[:n_left] << np.int64(32) | lc.astype(np.int64)
-        rkey = inverse[n_left:] << np.int64(32) | rc.astype(np.int64)
-    return lkey, rkey
-
-
-def _merge_join(
-    lkey: np.ndarray, rkey: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-index pairs of the equi-join, vectorized sort-merge."""
-    order_r = np.argsort(rkey, kind="stable")
-    rsorted = rkey[order_r]
-    lo = np.searchsorted(rsorted, lkey, side="left")
-    hi = np.searchsorted(rsorted, lkey, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    left_idx = np.repeat(np.arange(lkey.size, dtype=np.int64), counts)
-    bases = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(bases, counts)
-    right_idx = order_r[np.repeat(lo, counts) + within]
-    return left_idx, right_idx
+    if len(sizes) == 1:
+        return left_cols[0], right_cols[0], sizes[0]
+    n_left = left_cols[0].size
+    key, domain = pack(
+        [np.concatenate(pair) for pair in zip(left_cols, right_cols)], sizes
+    )
+    return key[:n_left], key[n_left:], domain
 
 
 class _Assembled:
@@ -162,6 +158,9 @@ class _Assembled:
         self.vertex_columns: Dict[str, np.ndarray] = {
             v: col for v, col in zip(frame.vertices, frame.key_columns)
         }
+        self.domain_sizes: Dict[str, int] = dict(
+            zip(frame.vertices, frame.domain_sizes)
+        )
         self.slot_columns: Dict[str, np.ndarray] = dict(frame.slot_columns)
         self.implicit_mult = set(frame.implicit_mult)
         self.num_rows = frame.num_rows
@@ -173,12 +172,20 @@ class _Assembled:
 
     def join(self, frame: RelationFrame, shared: List[str]) -> int:
         """Equi-join ``frame`` in on ``shared`` vertices; returns rows out."""
+        for v, size in zip(frame.vertices, frame.domain_sizes):
+            self.domain_sizes.setdefault(v, size)
         if shared:
-            lkey, rkey = _composite_keys(
-                [self.vertex_columns[v] for v in shared],
-                [frame.key_columns[frame.vertices.index(v)] for v in shared],
+            left_cols = [self.vertex_columns[v] for v in shared]
+            right_cols = [frame.key_columns[frame.vertices.index(v)] for v in shared]
+            sizes = [
+                # two child results meeting on a vertex: neither knows
+                # the domain, the codes themselves bound it
+                self.domain_sizes.get(v) or int(max(lc.max(), rc.max())) + 1
+                for v, lc, rc in zip(shared, left_cols, right_cols)
+            ]
+            left_idx, right_idx = join_indices(
+                *_composite_keys(left_cols, right_cols, sizes)
             )
-            left_idx, right_idx = _merge_join(lkey, rkey)
         else:  # disconnected fragment: cross product
             n_left, n_right = self.num_rows, frame.num_rows
             left_idx = np.repeat(np.arange(n_left, dtype=np.int64), n_right)
@@ -221,7 +228,8 @@ def execute_binary_node(
     once per join and once per group stage -- deterministic counts, so
     ``cancel_checks`` stays parallel-invariant.
     """
-    start = time.perf_counter() if profiler is not None else 0.0
+    if profiler is not None:
+        start, kernels_before = time.perf_counter(), kernel_seconds(profiler)
     if not frames:
         raise ExecutionError("binary node has no input frames")
     budget = config.memory_budget_bytes
@@ -271,7 +279,11 @@ def execute_binary_node(
         stats.nodes_executed += 1
         stats.groups_emitted += len(result)
     if profiler is not None:
-        profiler.add_category("binary.execute", time.perf_counter() - start)
+        # self time: the join and group kernels record their own categories
+        in_kernels = kernel_seconds(profiler) - kernels_before
+        profiler.add_category(
+            "binary.execute", time.perf_counter() - start - in_kernels
+        )
     return result
 
 
@@ -293,36 +305,6 @@ def _fetch_columns(node, assembled: _Assembled) -> Dict[str, np.ndarray]:
     return out
 
 
-def _row_values(node, assembled: _Assembled) -> List[np.ndarray]:
-    """Per-row contribution of every aggregate, before grouping."""
-    n = assembled.num_rows
-    values: List[np.ndarray] = []
-    for agg in node.aggregates:
-        if agg.func in ("min", "max"):
-            col = assembled.slot_columns.get(agg.minmax_slot)
-            if col is None:
-                raise ExecutionError(
-                    f"binary node missing min/max slot '{agg.minmax_slot}'"
-                )
-            values.append(col.astype(np.float64, copy=False))
-            continue
-        total = np.zeros(n, dtype=np.float64)
-        for coefficient, slot_ids in agg.terms:
-            term = np.full(n, float(coefficient))
-            for slot_id in slot_ids:
-                if slot_id in assembled.implicit_mult:
-                    continue  # multiplicity is physical in the raw rows
-                col = assembled.slot_columns.get(slot_id)
-                if col is None:
-                    raise ExecutionError(
-                        f"binary node missing slot '{slot_id}'"
-                    )
-                term = term * col
-            total += term
-        values.append(total)
-    return values
-
-
 def _reduce_groups(
     node, assembled: Optional[_Assembled], stats=None
 ) -> BinaryNodeResult:
@@ -336,43 +318,34 @@ def _reduce_groups(
     fetched = _fetch_columns(node, assembled)
     if stats is not None:
         stats.fetches += len(fetched) * assembled.num_rows
+    fetch_dictionaries = {f.ref_id: f.dictionary for f in node.group_fetchers}
     key_columns: List[np.ndarray] = []
+    cardinalities: List[Optional[int]] = []
     for kind, ref in node.walk_layout:
         if kind == "vertex":
             key_columns.append(
                 assembled.vertex_columns[ref].astype(np.int64, copy=False)
             )
+            cardinalities.append(assembled.domain_sizes.get(ref))
         else:
             key_columns.append(np.asarray(fetched[ref]))
-    agg_values = _row_values(node, assembled)
+            dictionary = fetch_dictionaries[ref]
+            cardinalities.append(None if dictionary is None else dictionary.size)
+    agg_funcs = [agg.func for agg in node.aggregates]
+    agg_values = row_values(
+        node.aggregates,
+        assembled.slot_columns,
+        assembled.num_rows,
+        implicit=assembled.implicit_mult,
+    )
 
     if not key_columns:  # scalar aggregate: one group over all rows
-        row = []
-        for agg, vals in zip(node.aggregates, agg_values):
-            if agg.func == "min":
-                row.append(vals.min())
-            elif agg.func == "max":
-                row.append(vals.max())
-            else:
-                row.append(vals.sum())
-        return BinaryNodeResult([], np.asarray([row], dtype=np.float64))
+        matrix = segmented_reduce(
+            agg_funcs, agg_values, *whole_run(assembled.num_rows)
+        )
+        return BinaryNodeResult([], matrix)
 
-    record = np.rec.fromarrays(key_columns)
-    unique, inverse = np.unique(record, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    sorted_inverse = inverse[order]
-    boundaries = np.empty(sorted_inverse.size, dtype=bool)
-    boundaries[0] = True
-    boundaries[1:] = sorted_inverse[1:] != sorted_inverse[:-1]
-    starts = np.flatnonzero(boundaries)
-    matrix = np.empty((unique.size, n_aggs), dtype=np.float64)
-    for j, (agg, vals) in enumerate(zip(node.aggregates, agg_values)):
-        vals = vals[order]
-        if agg.func == "min":
-            matrix[:, j] = np.minimum.reduceat(vals, starts)
-        elif agg.func == "max":
-            matrix[:, j] = np.maximum.reduceat(vals, starts)
-        else:
-            matrix[:, j] = np.add.reduceat(vals, starts)
-    out_keys = [np.asarray(unique[name]) for name in unique.dtype.names]
-    return BinaryNodeResult(out_keys, matrix)
+    order, starts = group_runs(key_columns, cardinalities)
+    matrix = segmented_reduce(agg_funcs, agg_values, order, starts)
+    first = order[starts]
+    return BinaryNodeResult([col[first] for col in key_columns], matrix)

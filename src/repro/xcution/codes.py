@@ -1,0 +1,290 @@
+"""Sort-free relational kernels over dense integer codes.
+
+Order-preserving dictionary codes (Section III-B) make grouping and
+equi-joining array work: every relational "sort" in the engine goes
+through this module, which never comparison-sorts a record array.
+
+* :func:`group_runs` turns GROUP BY columns into per-column dense codes,
+  packs them mixed-radix into one integer and orders rows with a stable
+  LSD radix sort (16-bit ``lexsort`` digits), so groups come out in
+  lexicographic column order with input row order kept inside each
+  group -- the order ``np.unique`` over a record view used to give.
+* :func:`segmented_reduce` / :func:`row_values` are the one copy of the
+  coefficient x slot product loop and the sum/min/max ``reduceat`` loop.
+* :func:`join_indices` probes a direct-address table when the build
+  side is unique on the key (every FK->PK join), a counting-sort CSR
+  when it is not, and sort-merges only when the key space is too sparse
+  for a table.  Pairs come out left-major with right matches in row
+  order -- what the sort-merge join emits -- whichever branch ran.
+
+Kernel time is attributed to the active :class:`KernelProfiler` under
+``group.order``, ``group.reduce``, ``binary.join_direct`` and
+``binary.join_sorted``.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..errors import ExecutionError
+from ..obs import profile as _profile
+
+#: packed keys stay below this so ``key * cardinality + code`` cannot
+#: overflow int64 before the next overflow check.
+_PACK_LIMIT = 1 << 62
+
+#: a table indexed by code (a join's build side, a column's value range)
+#: is used only while the code domain is at most this multiple of the
+#: rows involved (plus a small floor, so tiny inputs over a mid-sized
+#: domain still skip the sort): table memory is bounded by input size,
+#: never by the catalog.
+_TABLE_ROWS_MULTIPLE = 4
+_TABLE_FLOOR = 1 << 16
+
+
+def _fits_table(domain_size: int, n_rows: int) -> bool:
+    return domain_size <= max(_TABLE_ROWS_MULTIPLE * n_rows, _TABLE_FLOOR)
+
+
+_REDUCERS = {"min": np.minimum, "max": np.maximum}
+
+#: profiler categories this module's kernels record their time under.
+KERNEL_CATEGORIES = (
+    "group.order",
+    "group.reduce",
+    "binary.join_direct",
+    "binary.join_sorted",
+)
+
+
+def _profiled(category: str, start: float) -> None:
+    profiler = _profile.ACTIVE
+    if profiler is not None:
+        profiler.add_category(category, time.perf_counter() - start)
+
+
+def kernel_seconds(profiler) -> float:
+    """Seconds ``profiler`` has attributed to this module's kernels.
+
+    Callers that time a span containing kernel calls subtract the
+    difference, so category times stay disjoint.
+    """
+    return sum(
+        profiler.category_seconds.get(name, 0.0) for name in KERNEL_CATEGORIES
+    )
+
+
+def column_codes(column: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Order-preserving dense codes of one column and their cardinality.
+
+    Integers spanning a range no wider than a few times the row count
+    are shifted to start at zero (no sort); anything else is ranked with
+    a per-column ``np.unique``.
+    """
+    column = np.asarray(column)
+    if column.dtype.kind in "iub" and column.size:
+        low, high = int(column.min()), int(column.max())
+        span = high - low + 1
+        if _fits_table(span, column.size):
+            if column.dtype == np.uint64:  # may not fit int64 before the shift
+                return (column - np.uint64(low)).astype(np.int64), span
+            return column.astype(np.int64) - low, span
+    values, inverse = np.unique(column, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64, copy=False), int(values.size)
+
+
+def pack(
+    columns: Sequence[np.ndarray], cardinalities: Sequence[int]
+) -> Tuple[np.ndarray, int]:
+    """Mixed-radix pack parallel code columns into one int64 key.
+
+    The first column is the most significant digit, so packed keys order
+    like the column tuples.  When the cardinality product would leave 62
+    bits the accumulated key is densely re-encoded first (its
+    cardinality drops to at most the row count).
+    """
+    key = np.asarray(columns[0]).astype(np.int64, copy=False)
+    cardinality = int(cardinalities[0])
+    for column, card in zip(columns[1:], cardinalities[1:]):
+        card = int(card)
+        if cardinality * card >= _PACK_LIMIT:
+            key, cardinality = column_codes(key)
+        if cardinality * card >= _PACK_LIMIT:
+            column, card = column_codes(column)
+        key = key * np.int64(card) + np.asarray(column).astype(np.int64)
+        cardinality *= card
+    return key, cardinality
+
+
+def stable_order(key: np.ndarray, cardinality: int) -> np.ndarray:
+    """Stable ascending order of non-negative ``key < cardinality``.
+
+    An LSD radix sort: ``lexsort`` over the key's 16-bit digits runs one
+    counting pass per digit instead of a comparison sort.
+    """
+    bits = max(int(cardinality) - 1, 1).bit_length()
+    digits = [
+        (key >> np.int64(shift)).astype(np.uint16) for shift in range(0, bits, 16)
+    ]
+    return np.lexsort(digits)
+
+
+def group_runs(
+    columns: Sequence[np.ndarray],
+    cardinalities: Optional[Sequence[Optional[int]]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Group rows by ``columns``; returns ``(order, starts)``.
+
+    ``order`` permutes rows so equal column tuples are adjacent, groups
+    ascend lexicographically (first column most significant) and rows
+    keep their input order inside a group; ``starts`` holds each group's
+    first position in ``order``.  ``cardinalities[i]``, when given,
+    declares column ``i`` already holds codes in ``[0, cardinality)``
+    (dictionary codes); other columns are coded by :func:`column_codes`.
+    At least one column; :func:`whole_run` covers the ungrouped case.
+    """
+    start = time.perf_counter()
+    n_rows = int(np.asarray(columns[0]).shape[0])
+    if n_rows == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    coded: List[np.ndarray] = []
+    cards: List[int] = []
+    for i, column in enumerate(columns):
+        declared = cardinalities[i] if cardinalities is not None else None
+        if declared is None:
+            column, declared = column_codes(column)
+        coded.append(column)
+        cards.append(declared)
+    key, cardinality = pack(coded, cards)
+    order = stable_order(key, cardinality)
+    ordered = key[order]
+    boundary = np.empty(n_rows, dtype=bool)
+    boundary[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    _profiled("group.order", start)
+    return order, starts
+
+
+def whole_run(n_rows: int) -> Tuple[None, np.ndarray]:
+    """The ``(order, starts)`` of a query without GROUP BY columns: every
+    row in one run, in input order (no run at all over zero rows)."""
+    return None, np.zeros(1 if n_rows else 0, dtype=np.int64)
+
+
+def row_values(
+    aggregates, slot_columns, n_rows: int, implicit=()
+) -> Iterator[np.ndarray]:
+    """Per-row contribution of every aggregate, before grouping.
+
+    SUM/COUNT aggregates sum ``coefficient x slot x ...`` terms; slots
+    in ``implicit`` are multiplicities already physical in the rows and
+    are skipped.  MIN/MAX aggregates pass their slot through.  Lazy, so
+    :func:`segmented_reduce` holds one aggregate's rows at a time.
+    """
+    for agg in aggregates:
+        if agg.func in _REDUCERS:
+            column = slot_columns.get(agg.minmax_slot)
+            if column is None:
+                raise ExecutionError(f"missing min/max slot '{agg.minmax_slot}'")
+            yield np.asarray(column).astype(np.float64, copy=False)
+            continue
+        total = np.zeros(n_rows, dtype=np.float64)
+        for coefficient, slot_ids in agg.terms:
+            term = None
+            for slot_id in slot_ids:
+                if slot_id in implicit:
+                    continue
+                column = slot_columns.get(slot_id)
+                if column is None:
+                    raise ExecutionError(f"missing slot '{slot_id}'")
+                if term is None:  # float64 whatever the slot's own width
+                    term = np.multiply(float(coefficient), column, dtype=np.float64)
+                else:
+                    term = term * column
+            total += float(coefficient) if term is None else term
+        yield total
+
+
+def segmented_reduce(
+    agg_funcs: Sequence[str],
+    value_columns: Iterable[np.ndarray],
+    order: Optional[np.ndarray],
+    starts: np.ndarray,
+) -> np.ndarray:
+    """Reduce each value column over the runs ``group_runs`` found.
+
+    Returns the ``(groups, aggregates)`` float64 matrix: addition for
+    SUM/COUNT, elementwise extremum for MIN/MAX.  ``order=None`` means
+    the rows already sit in run order.
+    """
+    start = time.perf_counter()
+    matrix = np.empty((starts.size, len(agg_funcs)), dtype=np.float64)
+    if starts.size:
+        for j, (func, values) in enumerate(zip(agg_funcs, value_columns)):
+            if order is not None:
+                values = values[order]
+            matrix[:, j] = _REDUCERS.get(func, np.add).reduceat(values, starts)
+    _profiled("group.reduce", start)
+    return matrix
+
+
+def _expand_matches(
+    counts: np.ndarray, first: np.ndarray, order_r: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Left-major index pairs from per-left-row match counts.
+
+    Left row ``i`` matches ``order_r[first[i] : first[i] + counts[i]]``.
+    """
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    left_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    bases = np.cumsum(counts) - counts
+    within = np.arange(total, dtype=np.int64) - np.repeat(bases, counts)
+    right_idx = order_r[np.repeat(first, counts) + within]
+    return left_idx, right_idx
+
+
+def join_indices(
+    lkey: np.ndarray, rkey: np.ndarray, domain_size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-index pairs of the equi-join ``lkey = rkey``.
+
+    Keys are codes in ``[0, domain_size)``.  Pairs are left-major; a
+    left row's matches ascend by right row index.
+    """
+    start = time.perf_counter()
+    if not _fits_table(domain_size, lkey.size + rkey.size):
+        # key space too sparse for a table: radix-sort both sides and
+        # merge (probes in key order walk the build side sequentially)
+        order_l = stable_order(lkey, domain_size)
+        order_r = stable_order(rkey, domain_size)
+        lsorted, rsorted = lkey[order_l], rkey[order_r]
+        low = np.empty(lkey.size, dtype=np.int64)
+        high = np.empty(lkey.size, dtype=np.int64)
+        low[order_l] = np.searchsorted(rsorted, lsorted, side="left")
+        high[order_l] = np.searchsorted(rsorted, lsorted, side="right")
+        pairs = _expand_matches(high - low, low, order_r)
+        _profiled("binary.join_sorted", start)
+        return pairs
+    counts = np.bincount(rkey, minlength=domain_size)
+    if counts.max(initial=0) <= 1:
+        # unique build side: the table is the whole index
+        position = np.full(domain_size, -1, dtype=np.int64)
+        position[rkey] = np.arange(rkey.size, dtype=np.int64)
+        hit = position[lkey]
+        left_idx = np.flatnonzero(hit >= 0)
+        pairs = left_idx, hit[left_idx]
+    else:
+        # counting-sort CSR: offsets by key, rows in stable key order
+        offsets = np.cumsum(counts) - counts
+        order_r = stable_order(rkey, domain_size)
+        pairs = _expand_matches(counts[lkey], offsets[lkey], order_r)
+    _profiled("binary.join_direct", start)
+    return pairs

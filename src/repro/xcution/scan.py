@@ -2,9 +2,13 @@
 
 No hypergraph vertices means no trie traversal: filters become one row
 mask, GROUP BY expressions are evaluated row-wise, and aggregates
-reduce over sorted group runs.  Attribute elimination shows up here as
-"only touch the referenced columns" -- the Table III ablation forces a
-pass over every column instead.
+reduce over group runs found by :func:`repro.xcution.codes.group_runs`
+-- a stable radix order over dense per-column codes, never a sort of
+the raw values.  A GROUP BY on a plain string column groups on the
+table's cached dictionary codes and decodes only the output groups.
+Attribute elimination shows up here as "only touch the referenced
+columns" -- the Table III ablation forces a pass over every column
+instead.
 """
 
 from __future__ import annotations
@@ -13,7 +17,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..sql.ast import ColumnRef
 from ..sql.expressions import evaluate
+from ..storage.schema import AttrType
+from .codes import group_runs, row_values, segmented_reduce, whole_run
 from .plan import ScanPlan
 
 
@@ -46,50 +53,41 @@ def execute_scan(plan: ScanPlan) -> Tuple[List[np.ndarray], np.ndarray]:
 
     n_rows = int(mask.sum()) if mask is not None else table.num_rows
     slot_rows: Dict[str, np.ndarray] = {}
+    count_slots = set()
     for slot_id, (expr, combine) in plan.slot_exprs.items():
-        if expr is None:  # count-style slot
-            slot_rows[slot_id] = np.ones(n_rows)
+        if expr is None:  # count-style slot: every row contributes 1
+            count_slots.add(slot_id)
         else:
             slot_rows[slot_id] = masked(evaluate(expr, resolve)).astype(np.float64)
+    values = row_values(plan.aggregates, slot_rows, n_rows, implicit=count_slots)
+    agg_funcs = [agg.func for agg in plan.aggregates]
 
-    group_columns = [masked(evaluate(g.expr, resolve)) for g in plan.group_exprs]
-
-    if group_columns:
-        if n_rows == 0:
-            return [col[:0] for col in group_columns], np.zeros(
-                (0, len(plan.aggregates))
-            )
-        stacked = np.rec.fromarrays(group_columns)
-        unique_rows, inverse = np.unique(stacked, return_inverse=True)
-        n_groups = unique_rows.size
-        order = np.argsort(inverse, kind="stable")
-        sorted_inverse = inverse[order]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], sorted_inverse[1:] != sorted_inverse[:-1]))
-        )
-        key_columns = [unique_rows[name] for name in unique_rows.dtype.names]
+    if plan.group_exprs:
+        # plain string columns group on their cached dictionary codes
+        group_columns, cardinalities, dictionaries = [], [], []
+        for g in plan.group_exprs:
+            dictionary = None
+            if (
+                isinstance(g.expr, ColumnRef)
+                and table.schema.attribute(g.expr.name).type is AttrType.STRING
+            ):
+                dictionary = table.string_dictionary(g.expr.name)
+                column = masked(table.string_codes(g.expr.name))
+            else:
+                column = masked(evaluate(g.expr, resolve))
+            group_columns.append(column)
+            cardinalities.append(None if dictionary is None else dictionary.size)
+            dictionaries.append(dictionary)
+        order, starts = group_runs(group_columns, cardinalities)
+        first = order[starts]
+        key_columns = [
+            col[first] if d is None else d.values[col[first]]
+            for col, d in zip(group_columns, dictionaries)
+        ]
     else:
-        n_groups = 1 if n_rows > 0 else 0
-        order = np.arange(n_rows)
-        boundaries = np.array([0], dtype=np.int64) if n_rows else np.empty(0, np.int64)
+        order, starts = whole_run(n_rows)
         key_columns = []
-
-    matrix = np.zeros((n_groups, len(plan.aggregates)))
-    for a_idx, agg in enumerate(plan.aggregates):
-        if agg.func in ("min", "max"):
-            rows = slot_rows[agg.minmax_slot][order]
-            if n_groups:
-                reducer = np.minimum if agg.func == "min" else np.maximum
-                matrix[:, a_idx] = reducer.reduceat(rows, boundaries)
-            continue
-        total = np.zeros(n_rows)
-        for coefficient, slot_ids in agg.terms:
-            product = np.full(n_rows, coefficient)
-            for slot_id in slot_ids:
-                product = product * slot_rows[slot_id]
-            total += product
-        if n_groups:
-            matrix[:, a_idx] = np.add.reduceat(total[order], boundaries)
+    matrix = segmented_reduce(agg_funcs, values, order, starts)
 
     # A global aggregate over an empty selection returns zero rows here;
     # the decode layer emits the one-row identity result (COUNT/SUM -> 0,

@@ -108,7 +108,7 @@ def test_bench_numbering_starts_at_3(tmp_path):
 
 def test_regress_end_to_end(tmp_path):
     logs = []
-    # threshold well below the 3x injected slowdown but wide enough that
+    # threshold well below the injected slowdown but wide enough that
     # scheduler noise on a loaded CI machine cannot trip the clean runs.
     common = dict(
         quick=True,
@@ -134,9 +134,11 @@ def test_regress_end_to_end(tmp_path):
     assert entry["rows"] > 0
     assert "kernel_counts" in entry["work"]
 
-    # injected slowdown: caught, exits nonzero, writes nothing
+    # injected slowdown: caught, exits nonzero, writes nothing (quick
+    # Q1 runs in under a millisecond, so only a large factor clears the
+    # absolute min_delta_ms floor as well as the ratio)
     status = run_regression(
-        inject_slowdown="tpch_q1", inject_factor=3.0, **common
+        inject_slowdown="tpch_q1", inject_factor=30.0, **common
     )
     assert status == 1
     assert not (tmp_path / "BENCH_0004.json").exists()

@@ -439,24 +439,43 @@ def test_metrics_prometheus_aggregates_worker_counters():
 # ---------------------------------------------------------------------------
 
 
-def make_slow_catalog(n_keys=120_000) -> Catalog:
-    """A join wide enough that WCOJ iterates ~n_keys outer values."""
+def make_slow_catalog(parts=4, nodes=500, edges=20_000) -> Catalog:
+    """One random graph per partition key: counting triangles inside each
+    partition is cyclic, so every worker walks the generic-join
+    interpreter for seconds (about 1 s per partition) -- slow because of
+    the work, whatever the host or the kernels do."""
+    rng = np.random.default_rng(7)
+    square = nodes * nodes
+    flat = np.concatenate(
+        [np.unique(rng.integers(0, square, edges)) + p * square for p in range(parts)]
+    )
     cat = Catalog()
-    keys = np.arange(n_keys)
     cat.register(
         Table.from_columns(
-            Schema("fact", [key("k", domain="bigk"), annotation("v")]),
-            k=keys,
-            v=np.ones(n_keys),
+            Schema(
+                "pedges",
+                [
+                    key("p", domain="part"),
+                    key("src", domain="node"),
+                    key("dst", domain="node"),
+                ],
+            ),
+            p=flat // square,
+            src=flat % square // nodes,
+            dst=flat % nodes,
         )
     )
     cat.register(
-        Table.from_columns(Schema("dimt", [key("k", domain="bigk")]), k=keys)
+        Table.from_columns(Schema("dimt", [key("p", domain="part")]), p=np.arange(parts))
     )
     return cat
 
 
-SLOW_SQL = "SELECT sum(f.v) AS s FROM fact f, dimt d WHERE f.k = d.k"
+SLOW_SQL = (
+    "SELECT count(*) AS triangles FROM pedges e1, pedges e2, pedges e3 "
+    "WHERE e1.p = e2.p AND e2.p = e3.p "
+    "AND e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src"
+)
 
 
 def test_cancel_fans_out_to_every_worker_and_frees_slots():
@@ -517,6 +536,9 @@ def test_cancel_fans_out_to_every_worker_and_frees_slots():
         assert surface.engine.governor.snapshot()["active"] == 0
         # the fleet still answers queries after the cancel storm
         assert surface.query(REPLICATED_SQL_SLOWCAT) is not None
+        # and the cancelled query really was fanned out to the workers
+        plan, _, _ = surface.engine._cached_plan(SLOW_SQL, surface.engine.config)
+        assert surface._route(plan) == SCATTER
     finally:
         surface.close()
 
