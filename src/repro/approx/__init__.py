@@ -16,11 +16,11 @@ the inverse sampling fraction.  This package supplies the three layers:
   aggregates into CLT 95% confidence intervals attached to the result
   (``result.approx``).
 
-Policy values (``EngineConfig.approx`` / ``REPRO_APPROX`` / per-query
-``approx=``): ``"never"`` runs exact, ``"force"`` runs on samples
-whenever a usable one covers a touched table, and ``"allow"`` runs
-exact but lets the governor *degrade* an overload-rejected query to
-approximate instead of failing it with
+Policy values (``EngineConfig.approx`` / per-query ``approx=``):
+``"never"`` runs exact, ``"force"`` runs on samples whenever a usable
+one covers a touched table, and ``"allow"`` runs exact but lets the
+governor *degrade* an overload-rejected query to approximate instead
+of failing it with
 :class:`~repro.errors.RetryableAdmissionError`.
 """
 

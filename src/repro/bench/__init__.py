@@ -1,15 +1,13 @@
-"""Benchmark harness: the paper's timing protocol, table rendering, and
-the ``repro.bench.regress`` regression gate."""
+"""Benchmark harness: the paper's timing protocol and table rendering,
+shared by the paper-table modules under ``benchmarks/``."""
 
-from .harness import Measurement, TracedMeasurement, best_of, measure, run_guarded, run_traced
+from .harness import Measurement, best_of, measure, run_guarded
 from .reporting import ReportLog, comparison_row, format_seconds, render_table
 
 __all__ = [
     "Measurement",
-    "TracedMeasurement",
     "measure",
     "run_guarded",
-    "run_traced",
     "best_of",
     "render_table",
     "comparison_row",

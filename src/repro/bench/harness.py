@@ -10,11 +10,10 @@ Table II).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from ..errors import OutOfMemoryBudgetError
-from ..obs import Span
 
 
 @dataclass
@@ -81,54 +80,3 @@ def best_of(measurements: dict) -> Optional[float]:
     """The fastest successful time among a row's engines."""
     times = [m.seconds for m in measurements.values() if m.ok]
     return min(times) if times else None
-
-
-@dataclass
-class TracedMeasurement:
-    """A timed workload plus its per-phase wall-time breakdown."""
-
-    measurement: Measurement
-    #: mean wall seconds per top-level query phase (plan_cache.lookup,
-    #: parse, ..., execute, decode) across the measured repeats.
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: the last run's full span tree.  The annotation matters: without
-    #: it this would be a plain class attribute, not a dataclass field,
-    #: and constructor assignment would silently not exist.
-    trace: Optional[Span] = None
-
-
-def run_traced(engine, sql: str, repeats: int = 7) -> TracedMeasurement:
-    """Benchmark one query with the lifecycle tracer attached.
-
-    Runs the paper's timing protocol while collecting a span tree per
-    repeat, and reports the mean wall time of each top-level phase --
-    how the total splits between plan-cache lookup, compilation,
-    execution, and decode.  Tracing adds the span bookkeeping itself to
-    the timings, so use :func:`measure` for headline numbers and this
-    for attribution.
-    """
-    phase_totals: Dict[str, float] = {}
-    runs = 0
-    last_trace = None
-
-    def traced_run():
-        nonlocal runs, last_trace
-        result = engine.query(sql, trace=True)
-        runs += 1
-        last_trace = result.trace
-        for child in result.trace.children:
-            phase_totals[child.name] = phase_totals.get(child.name, 0.0) + child.duration
-        return result
-
-    try:
-        seconds = measure(traced_run, repeats=repeats)
-        outcome = Measurement("ok", seconds=seconds)
-    except OutOfMemoryBudgetError:
-        outcome = Measurement("oom")
-    return TracedMeasurement(
-        measurement=outcome,
-        phase_seconds={
-            name: total / runs for name, total in phase_totals.items()
-        } if runs else {},
-        trace=last_trace,
-    )

@@ -20,17 +20,11 @@ parent) reaps its workers through EOF, never leaving orphans.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from typing import Optional
 
 from ..errors import ReproError
 
 __all__ = ["ShardWorker", "worker_main"]
-
-#: environment override for the multiprocessing start method (tests on
-#: platforms where spawn is slow may set ``REPRO_SHARD_START_METHOD=fork``
-#: at their own risk; the default is always safe).
-START_METHOD_ENV = "REPRO_SHARD_START_METHOD"
 
 
 def worker_main(index: int, config, conn) -> None:
@@ -73,8 +67,7 @@ class ShardWorker:
     """Parent-side handle for one worker process and its client connection."""
 
     def __init__(self, index: int, config=None, start_method: Optional[str] = None):
-        method = start_method or os.environ.get(START_METHOD_ENV, "spawn")
-        ctx = multiprocessing.get_context(method)
+        ctx = multiprocessing.get_context(start_method or "spawn")
         self.index = index
         self.host: Optional[str] = None
         self.port: Optional[int] = None

@@ -28,7 +28,6 @@ class GroupAggregator:
         agg_funcs: Sequence[str],
         memory_budget_bytes: Optional[int] = None,
         group_width: int = 0,
-        allow_degraded: bool = True,
     ):
         self.agg_funcs = tuple(agg_funcs)
         self.n_aggs = len(agg_funcs)
@@ -49,8 +48,8 @@ class GroupAggregator:
         #: columnar runs (8 bytes per cell instead of a keyed dict
         #: entry's ~64-byte overhead); ``result_arrays`` merges the runs
         #: back with a sort + segmented reduce, so results are identical
-        #: to the dense path up to row order.
-        self._allow_degraded = allow_degraded and group_width > 0
+        #: to the dense path up to row order.  Only grouped state (a
+        #: non-zero ``group_width``) has anything to spill.
         self._spilled: List[Tuple[List[np.ndarray], np.ndarray]] = []
         self._spilled_rows = 0
         #: degradations performed (mirrored into
@@ -159,7 +158,7 @@ class GroupAggregator:
         if self._budget is None:
             return
         used = self.approx_bytes()
-        if used > self._budget and self._allow_degraded:
+        if used > self._budget and self._group_width > 0:
             self._spill()
             used = self.approx_bytes()
         if used > self._budget:

@@ -121,7 +121,6 @@ class NodeExecutor:
             [a.func for a in self.aggs],
             memory_budget_bytes=self.config.memory_budget_bytes,
             group_width=len(node.walk_layout),
-            allow_degraded=self.config.allow_degraded_aggregation,
         )
 
     # -- public entry ---------------------------------------------------------

@@ -33,7 +33,7 @@ Memory-budget semantics
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, List, Optional, TypeVar
+from typing import Callable, Iterator, List, TypeVar
 
 T = TypeVar("T")
 
@@ -79,64 +79,4 @@ def parfor_chunks(
             # their next poll, so draining the futures stays bounded
             yield future.result()
             if cancel is not None and cancel.cancelled:
-                cancel.check()
-
-
-def parfor_chunks_mp(
-    worker: Callable[[slice], T],
-    total: int,
-    num_workers: int,
-    cancel=None,
-    start_method: Optional[str] = None,
-) -> Iterator[T]:
-    """Process-backed :func:`parfor_chunks` for single-node parallel LA.
-
-    The multiprocessing fallback for workloads the thread pool cannot
-    speed up: Python-level interpretation holds the GIL, so a CPU-bound
-    ``worker`` only scales across *processes*.  The contract matches
-    ``parfor_chunks`` -- same :func:`chunk_slices` decomposition, results
-    yielded in submission order, so chunk-order merges stay
-    byte-identical to the serial and threaded paths.
-
-    Two deliberate narrowings keep it safe as a *fallback*:
-
-    * ``worker`` must be picklable (a module-level function or a
-      partial over one) -- closures over live engine state, the common
-      case inside the executors, cannot cross a process boundary.  A
-      worker that fails to pickle degrades to serial in-process
-      execution rather than erroring: the caller asked for a speedup,
-      not a new failure mode.
-    * ``cancel`` tokens don't travel either; they are polled between
-      chunk results in the parent (cancellation latency is one chunk,
-      the same bound the threaded path has between polls).
-
-    Like the shard workers, the pool uses the ``spawn`` context by
-    default -- forking a threaded parent is a deadlock lottery.
-    """
-    if cancel is not None:
-        cancel.check()
-    slices = chunk_slices(total, num_workers)
-    if len(slices) <= 1:
-        for sl in slices:
-            yield worker(sl)
-        return
-    import multiprocessing
-    import pickle
-
-    try:
-        pickle.dumps(worker)
-    except Exception:
-        # unpicklable worker: serial fallback, identical results
-        for sl in slices:
-            if cancel is not None:
-                cancel.check()
-            yield worker(sl)
-        return
-    ctx = multiprocessing.get_context(start_method or "spawn")
-    with ctx.Pool(processes=len(slices)) as pool:
-        results = [pool.apply_async(worker, (sl,)) for sl in slices]
-        for result in results:
-            yield result.get()
-            if cancel is not None and cancel.cancelled:
-                pool.terminate()
                 cancel.check()

@@ -82,20 +82,6 @@ def _default_join_strategy() -> str:
     return raw
 
 
-def _default_approx() -> str:
-    """Default for ``EngineConfig.approx``: the ``REPRO_APPROX`` env toggle.
-
-    CI runs the approximate-query suite with its policy defaulted from
-    the environment, mirroring ``REPRO_PARALLEL``/``REPRO_JOIN_STRATEGY``.
-    """
-    raw = os.environ.get("REPRO_APPROX", "").strip().lower()
-    if not raw:
-        return "never"
-    if raw not in APPROX_POLICIES:
-        raise ValueError(f"REPRO_APPROX={raw!r} is not one of {APPROX_POLICIES}")
-    return raw
-
-
 @dataclass
 class EngineConfig:
     """Optimizer and executor toggles (the Table III ablations)."""
@@ -108,10 +94,6 @@ class EngineConfig:
     parallel: bool = field(default_factory=_default_parallel)
     num_threads: int = field(default_factory=_default_num_threads)
     memory_budget_bytes: Optional[int] = None
-    #: under memory-budget pressure the group aggregator may degrade
-    #: from dict-backed dense accumulation to sorted-sparse columnar
-    #: runs instead of raising ``OutOfMemoryBudgetError`` outright.
-    allow_degraded_aggregation: bool = True
     #: pin the root node's attribute order (Figure 5b/5c experiments
     #: compare explicit orders); must be a permutation of the root's
     #: attributes that keeps materialized attributes first, except for
@@ -123,17 +105,12 @@ class EngineConfig:
     #: still falls back to WCOJ for ineligible nodes, e.g. cyclic-safe
     #: ablation configs).  Defaults from ``REPRO_JOIN_STRATEGY``.
     join_strategy: str = field(default_factory=_default_join_strategy)
-    #: build filtered (selection-pushed) tries lazily: structure rows
-    #: on first probe, restricted to roots surviving the level-0
-    #: intersection.  Unfiltered tries are cached/shared and always
-    #: eager.
-    lazy_trie_build: bool = True
     #: approximate-query policy (``repro.approx``): ``"never"`` always
     #: runs exact, ``"force"`` runs on samples whenever one covers a
     #: touched table, ``"allow"`` runs exact but lets the governor
     #: degrade an admission-rejected query to approximate instead of
-    #: failing it.  Defaults from ``REPRO_APPROX``.
-    approx: str = field(default_factory=_default_approx)
+    #: failing it.
+    approx: str = "never"
 
     def __post_init__(self):
         if self.join_strategy not in JOIN_STRATEGIES:
@@ -887,7 +864,7 @@ class _JoinPlanBuilder:
             )
         # Filtered builds are per-query cost; defer them to first probe
         # so the level-0 intersection can prune what gets structured.
-        use_lazy = row_mask is not None and self.config.lazy_trie_build
+        use_lazy = row_mask is not None
         with self.tracer.span("trie.build", alias=alias) as span:
             trie = table.get_trie(
                 tuple(key_order), tuple(requests), row_mask=row_mask, lazy=use_lazy

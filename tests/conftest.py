@@ -116,6 +116,27 @@ def make_mini_tpch() -> Catalog:
     return cat
 
 
+def graph_catalog(n_nodes: int, n_edges: int, seed: int = 7) -> Catalog:
+    """A seeded random directed graph: ``edges(src, dst)`` plus a
+    ``__v`` anchor holding every node of the shared ``node`` domain."""
+    rng = np.random.default_rng(seed)
+    pairs = sorted(
+        {(int(a), int(b)) for a, b in rng.integers(0, n_nodes, size=(n_edges, 2))}
+    )
+    catalog = Catalog()
+    catalog.register(
+        Table.from_columns(Schema("__v", [key("v", domain="node")]), v=np.arange(n_nodes))
+    )
+    catalog.register(
+        Table.from_columns(
+            Schema("edges", [key("src", domain="node"), key("dst", domain="node")]),
+            src=np.array([p[0] for p in pairs]),
+            dst=np.array([p[1] for p in pairs]),
+        )
+    )
+    return catalog
+
+
 def make_matrix_catalog(entries=None, n=4) -> Catalog:
     """A catalog with one sparse 'matrix' table over a shared dim domain."""
     cat = Catalog()

@@ -37,7 +37,7 @@ from repro.optimizer.feedback import (
     measure,
     q_error,
 )
-from tests.conftest import make_mini_tpch
+from tests.conftest import graph_catalog, make_mini_tpch
 
 SKEWED_SQL = SKEWED_QUERIES["hot_regions"]
 
@@ -243,9 +243,7 @@ def test_server_hello_advertises_feedback_policy(skewed_catalog):
 @pytest.mark.parametrize("sql_name", ["Q3", "Q5", "triangle"])
 def test_reoptimized_plan_results_identical(sql_name):
     if sql_name == "triangle":
-        from repro.bench.regress import _graph_catalog
-
-        catalog, sql = _graph_catalog(60, 400, seed=3), TRIANGLE_SQL
+        catalog, sql = graph_catalog(60, 400, seed=3), TRIANGLE_SQL
     else:
         catalog = make_mini_tpch()
         sql = {"Q3": Q3_MINI, "Q5": Q5}[sql_name]

@@ -34,7 +34,7 @@ from repro import (
     retry_admission,
 )
 from repro.core.governor import Governor
-from repro.storage import Catalog, Schema, Table, key
+from tests.conftest import graph_catalog
 
 TRIANGLE_SQL = (
     "SELECT count(*) AS triangles FROM edges e1, edges e2, edges e3 "
@@ -42,25 +42,6 @@ TRIANGLE_SQL = (
 )
 
 DEGREE_SQL = "SELECT src, count(*) AS degree FROM edges GROUP BY src"
-
-
-def graph_catalog(n_nodes: int, n_edges: int, seed: int = 7) -> Catalog:
-    rng = np.random.default_rng(seed)
-    pairs = sorted(
-        {(int(a), int(b)) for a, b in rng.integers(0, n_nodes, size=(n_edges, 2))}
-    )
-    catalog = Catalog()
-    catalog.register(
-        Table.from_columns(Schema("__v", [key("v", domain="node")]), v=np.arange(n_nodes))
-    )
-    catalog.register(
-        Table.from_columns(
-            Schema("edges", [key("src", domain="node"), key("dst", domain="node")]),
-            src=np.array([p[0] for p in pairs]),
-            dst=np.array([p[1] for p in pairs]),
-        )
-    )
-    return catalog
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +215,12 @@ def test_load_shedding_rejects_non_cached_plans_first():
 def test_memory_share_oom_converts_to_retryable():
     # The governor's per-slot share (not the plan's own budget) is the
     # binding constraint, so the kill surfaces as a typed, retryable
-    # admission error rather than an unhandled OOM.
+    # admission error rather than an unhandled OOM.  The 1 000-byte share
+    # is below even the spilled footprint of the ~200 (src, count)
+    # groups, so degrading cannot rescue the query.
     engine = LevelHeadedEngine(
         graph_catalog(200, 6_000),
-        config=EngineConfig(parallel=False, allow_degraded_aggregation=False),
+        config=EngineConfig(parallel=False),
         governor=Governor(max_concurrency=2, global_memory_budget_bytes=2_000),
     )
     with pytest.raises(RetryableAdmissionError) as excinfo:
@@ -245,8 +228,7 @@ def test_memory_share_oom_converts_to_retryable():
     assert "memory share" in str(excinfo.value)
     # without a governor the same query raises nothing (no budget at all).
     free = LevelHeadedEngine(
-        graph_catalog(200, 6_000),
-        config=EngineConfig(parallel=False, allow_degraded_aggregation=False),
+        graph_catalog(200, 6_000), config=EngineConfig(parallel=False)
     )
     assert free.query(DEGREE_SQL).num_rows > 0
 
@@ -280,14 +262,16 @@ def test_degraded_aggregator_matches_dense_results():
     assert degraded.sorted_rows() == dense.sorted_rows()
 
 
-def test_degradation_disabled_raises_oom():
+def test_budget_below_spilled_footprint_raises_oom():
+    # a third of the degradation budget: 16 bytes/group is below the
+    # sorted-sparse footprint (8 + 8*(w+a) = 24 bytes/group), so the
+    # spill happens and still does not fit
     catalog = graph_catalog(400, 12_000)
     engine = LevelHeadedEngine(
         catalog,
         config=EngineConfig(
             parallel=False,
-            memory_budget_bytes=_degradation_budget(catalog),
-            allow_degraded_aggregation=False,
+            memory_budget_bytes=_degradation_budget(catalog) // 3,
         ),
     )
     with pytest.raises(OutOfMemoryBudgetError):

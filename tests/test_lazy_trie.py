@@ -1,5 +1,5 @@
 """Lazy build-on-probe tries: correctness of pruned builds, parity with
-eager builds end to end, cancellation and budget behavior inside lazy
+eager builds and with the pairwise oracle end to end, cancellation and budget behavior inside lazy
 materialization, and the parallel-invariant profiler counters."""
 
 import numpy as np
@@ -12,6 +12,7 @@ from repro import (
     OutOfMemoryBudgetError,
     QueryCancelledError,
 )
+from repro.baselines import PairwiseEngine
 from repro.core.governor import cancel_scope
 from repro.trie.builder import AnnotationSpec, build_trie
 from repro.trie.lazy import LazyTrie
@@ -147,53 +148,41 @@ def test_cancelled_build_leaves_trie_unbuilt_and_retryable():
 
 
 # ---------------------------------------------------------------------------
-# end to end: lazy vs eager engines
+# end to end: the lazy-trie engine vs the pairwise oracle
 # ---------------------------------------------------------------------------
 
 
-def _engines():
+def _wcoj_engine(catalog=None, **config):
     # join_strategy is pinned to wcoj: these tests exercise the lazy
     # *trie* path, which binary fragments bypass entirely, so the
     # module must not inherit a REPRO_JOIN_STRATEGY env default
-    catalog = make_mini_tpch()
-    lazy = LevelHeadedEngine(
-        catalog,
-        config=EngineConfig(lazy_trie_build=True, join_strategy="wcoj"),
+    return LevelHeadedEngine(
+        catalog if catalog is not None else make_mini_tpch(),
+        config=EngineConfig(join_strategy="wcoj", **config),
     )
-    eager = LevelHeadedEngine(
-        catalog,
-        config=EngineConfig(lazy_trie_build=False, join_strategy="wcoj"),
-    )
-    return lazy, eager
 
 
 def test_lazy_and_eager_engines_agree():
-    lazy, eager = _engines()
-    assert lazy.query(Q5_SQL).sorted_rows() == eager.query(Q5_SQL).sorted_rows()
+    # the oracle is the pairwise baseline: eager hash joins over raw
+    # rows, no tries at all
+    catalog = make_mini_tpch()
+    got = _wcoj_engine(catalog).query(Q5_SQL).sorted_rows()
+    want = PairwiseEngine(catalog).query(Q5_SQL).sorted_rows()
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a == pytest.approx(b)
 
 
 def test_lazy_engine_agrees_under_parallelism():
     catalog = make_mini_tpch()
-    want = LevelHeadedEngine(
-        catalog,
-        config=EngineConfig(
-            lazy_trie_build=True, join_strategy="wcoj", parallel=False
-        ),
-    ).query(Q5_SQL).sorted_rows()
+    want = _wcoj_engine(catalog, parallel=False).query(Q5_SQL).sorted_rows()
     for threads in (2, 4):
-        engine = LevelHeadedEngine(
-            catalog,
-            config=EngineConfig(
-                lazy_trie_build=True, join_strategy="wcoj",
-                parallel=True, num_threads=threads,
-            ),
-        )
+        engine = _wcoj_engine(catalog, parallel=True, num_threads=threads)
         assert engine.query(Q5_SQL).sorted_rows() == want
 
 
 def test_profiler_attributes_lazy_builds():
-    lazy, _ = _engines()
-    prof = lazy.query(Q5_SQL, profile=True).profile
+    prof = _wcoj_engine().query(Q5_SQL, profile=True).profile
     counters = prof.counters()
     assert counters["lazy_builds"] > 0
     assert counters["lazy_trie_bytes"] > 0
@@ -202,19 +191,8 @@ def test_profiler_attributes_lazy_builds():
 
 def test_lazy_profiler_counters_parallel_invariant():
     catalog = make_mini_tpch()
-    serial = LevelHeadedEngine(
-        catalog,
-        config=EngineConfig(
-            lazy_trie_build=True, join_strategy="wcoj", parallel=False
-        ),
-    )
-    parallel = LevelHeadedEngine(
-        catalog,
-        config=EngineConfig(
-            lazy_trie_build=True, join_strategy="wcoj",
-            parallel=True, num_threads=4,
-        ),
-    )
+    serial = _wcoj_engine(catalog, parallel=False)
+    parallel = _wcoj_engine(catalog, parallel=True, num_threads=4)
     s = serial.query(Q5_SQL, profile=True).profile.counters()
     p = parallel.query(Q5_SQL, profile=True).profile.counters()
     assert s["lazy_builds"] == p["lazy_builds"]
@@ -240,12 +218,7 @@ def test_lazy_query_respects_timeout_and_recovers():
             dst=np.array([p[1] for p in pairs]),
         )
     )
-    engine = LevelHeadedEngine(
-        catalog,
-        config=EngineConfig(
-            lazy_trie_build=True, join_strategy="wcoj", parallel=False
-        ),
-    )
+    engine = _wcoj_engine(catalog, parallel=False)
     sql = (
         "SELECT count(*) AS triangles FROM edges e1, edges e2, edges e3 "
         "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src"
@@ -258,23 +231,11 @@ def test_lazy_query_respects_timeout_and_recovers():
 
 
 def test_lazy_query_under_memory_budget_pressure():
-    lazy, _ = _engines()
+    lazy = _wcoj_engine()
     # a generous budget passes and matches the unbudgeted result
-    budgeted = LevelHeadedEngine(
-        make_mini_tpch(),
-        config=EngineConfig(
-            lazy_trie_build=True, join_strategy="wcoj",
-            memory_budget_bytes=50_000_000,
-        ),
-    )
+    budgeted = _wcoj_engine(memory_budget_bytes=50_000_000)
     assert budgeted.query(Q5_SQL).sorted_rows() == lazy.query(Q5_SQL).sorted_rows()
     # a starvation budget dies with the typed error, not a crash
-    starved = LevelHeadedEngine(
-        make_mini_tpch(),
-        config=EngineConfig(
-            lazy_trie_build=True, join_strategy="wcoj",
-            memory_budget_bytes=16,
-        ),
-    )
+    starved = _wcoj_engine(memory_budget_bytes=16)
     with pytest.raises(OutOfMemoryBudgetError):
         starved.query(Q5_SQL)

@@ -267,30 +267,3 @@ def test_traced_parallel_run_matches_serial_counters():
     p_exec = p.trace.find("execute").stats
     drop_cache = lambda d: {k: v for k, v in d.items() if not k.startswith("plan_cache")}
     assert drop_cache(p_exec) == drop_cache(s_exec)
-
-
-def test_bench_harness_traced_measurement():
-    from repro.bench.harness import run_traced
-
-    engine = LevelHeadedEngine(make_mini_tpch())
-    traced = run_traced(engine, Q5_SQL, repeats=3)
-    assert traced.measurement.ok
-    assert traced.measurement.seconds > 0
-    assert "execute" in traced.phase_seconds
-    assert "decode" in traced.phase_seconds
-    assert all(v >= 0 for v in traced.phase_seconds.values())
-    assert traced.trace is not None and traced.trace.name == "query"
-
-
-def test_traced_measurement_trace_is_a_real_dataclass_field():
-    """``trace`` must be an annotated dataclass field -- a bare class
-    attribute would make constructor assignment silently impossible."""
-    import dataclasses
-
-    from repro.bench.harness import TracedMeasurement
-
-    names = {f.name for f in dataclasses.fields(TracedMeasurement)}
-    assert "trace" in names
-    traced = TracedMeasurement(measurement=None, trace="sentinel")
-    assert traced.trace == "sentinel"
-    assert TracedMeasurement(measurement=None).trace is None

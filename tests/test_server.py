@@ -13,6 +13,7 @@ Pins the PR-5 wire contract:
 * ``stop()`` leaves no repro-server threads or bound sockets behind.
 """
 
+import contextlib
 import json
 import socket
 import struct
@@ -376,18 +377,21 @@ def test_midstream_disconnect_frees_governor_slots(served_engine):
 
 def test_http_metrics_and_healthz(served_engine):
     engine, server = served_engine
-    with connect(server.host, server.port) as client:
-        client.query("SELECT count(*) AS n FROM lineitem l")
+    with contextlib.ExitStack() as stack:
+        for _ in range(4):
+            client = stack.enter_context(connect(server.host, server.port))
+            client.query("SELECT count(*) AS n FROM lineitem l")
         base = f"http://{server.host}:{server.http_port}"
         body = urllib.request.urlopen(f"{base}/metrics", timeout=10).read().decode()
         assert "repro_server_queries_total" in body
-        assert "repro_server_active_connections 1" in body
+        assert "repro_server_active_connections 4" in body
         assert "repro_queries_served_total" in body
+        assert "repro_admission_admitted_total" in body
         health = json.loads(
             urllib.request.urlopen(f"{base}/healthz", timeout=10).read().decode()
         )
         assert health["status"] == "ok"
-        assert health["active_connections"] == 1
+        assert health["active_connections"] == 4
         assert health["inflight_queries"] == 0
         assert health["plan_cache"]["entries"] == 1
         assert health["plan_cache"]["capacity"] == engine.plan_cache.capacity
@@ -534,10 +538,21 @@ def test_http_debug_flight_filters_via_query_string(served_engine):
     engine, server = served_engine
     with connect(server.host, server.port) as client:
         client.query(Q1ISH)
-        client.query(Q1ISH)
+        client.query("SELECT count(*) AS n FROM lineitem l")
         with pytest.raises(repro.BindError):
             client.query("SELECT count(*) AS n FROM no_such_table t")
     base = f"http://{server.host}:{server.http_port}"
+    flight = json.loads(
+        urllib.request.urlopen(f"{base}/debug/flight", timeout=10).read()
+    )
+    ids = [e["query_id"] for e in flight["entries"]]
+    assert len(ids) == len(set(ids)) == 3
+    ok_modes = {e["mode"] for e in flight["entries"] if e["outcome"] == "ok"}
+    assert ok_modes == {"join", "scan"}
+    live = json.loads(
+        urllib.request.urlopen(f"{base}/debug/queries", timeout=10).read()
+    )
+    assert live == {"count": 0, "queries": []}
     flight = json.loads(
         urllib.request.urlopen(f"{base}/debug/flight?n=1", timeout=10).read()
     )
@@ -583,7 +598,7 @@ def test_metrics_http_lifecycle_is_idempotent_and_restartable():
 
 
 def test_stop_is_clean_and_idempotent():
-    engine = repro.connect(catalog=make_mini_tpch())
+    engine = repro.connect(catalog=make_mini_tpch(), max_concurrency=2)
     server = ReproServer(engine, port=0, http_port=0)
     host, port = server.start()
     with connect(host, port) as client:
@@ -591,6 +606,8 @@ def test_stop_is_clean_and_idempotent():
     server.stop()
     server.stop()  # idempotent
     assert _server_threads() == []
+    snap = engine.governor.snapshot()
+    assert snap["active"] == 0 and snap["sessions"] == {}
     # both ports are released and re-bindable
     for bound in (port, server.http_port):
         probe = socket.socket()

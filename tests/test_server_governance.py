@@ -37,7 +37,9 @@ from repro.datasets.tpch.queries import TPCH_QUERIES
 from repro.server import ReproServer
 from repro.storage.persist import load_catalog, save_catalog
 
-from .test_governance import DEGREE_SQL, TRIANGLE_SQL, graph_catalog
+from tests.conftest import graph_catalog
+
+from .test_governance import DEGREE_SQL, TRIANGLE_SQL
 
 MATMUL_SQL = (
     "SELECT m1.i, m2.j, sum(m1.v * m2.v) AS v FROM matrix m1, matrix m2 "
@@ -166,6 +168,11 @@ def test_wire_cancel_kills_long_scan_quickly():
         assert not worker.is_alive()
         assert "cancelled" in outcome, f"query survived cancel: {outcome}"
         assert "wire cancel test" in str(outcome["cancelled"])
+        # the wire error carries the query_id of its flight entry
+        qid = outcome["cancelled"].query_id
+        assert qid
+        cancelled = engine.debug_snapshot("flight", outcome="cancelled")
+        assert [e["query_id"] for e in cancelled["entries"]] == [qid]
         # same envelope PR-4 pins for in-process cancellation: the kill
         # lands far faster than the query's natural ~2s runtime
         assert cancel_latency < 1.0
@@ -175,6 +182,7 @@ def test_wire_cancel_kills_long_scan_quickly():
         server.stop()
     snap = engine.governor.snapshot()
     assert snap["active"] == 0 and snap["sessions"] == {}
+    assert engine.debug_snapshot("queries") == {"count": 0, "queries": []}
 
 
 def test_wire_timeout_returns_typed_error_within_envelope():

@@ -57,7 +57,6 @@ from repro.shard import (
 )
 from repro.shard.coordinator import LOCAL, SCATTER, SINGLE
 from repro.storage import AttrType, Catalog
-from repro.xcution.parfor import parfor_chunks_mp
 from tests.conftest import make_matrix_catalog, make_mini_tpch
 
 Q1_STYLE_SQL = (
@@ -575,6 +574,7 @@ def test_close_leaves_no_worker_processes():
     surface = repro.connect("shard://local?workers=2", catalog=make_mini_tpch())
     pids = [w.process.pid for w in surface.workers]
     assert all(w.alive() for w in surface.workers)
+    assert all(s["alive"] for s in surface.shard_liveness())
     surface.close()
     surface.close()  # idempotent
     for worker in surface.workers:
@@ -674,38 +674,3 @@ def test_slice_table_keeps_schema_and_rows(mini_tpch):
 def test_leading_domain(mini_tpch):
     assert leading_domain(mini_tpch.tables["lineitem"]) == "orderkey"
     assert leading_domain(mini_tpch.tables["region"]) == "regionkey"
-
-
-# ---------------------------------------------------------------------------
-# the multiprocessing parfor fallback
-# ---------------------------------------------------------------------------
-
-
-def _chunk_total(sl: slice) -> int:
-    return sum(i * i for i in range(sl.start, sl.stop))
-
-
-def test_parfor_chunks_mp_matches_serial():
-    total = 101
-    want = sum(i * i for i in range(total))
-    got = sum(parfor_chunks_mp(_chunk_total, total, 2))
-    assert got == want
-
-
-def test_parfor_chunks_mp_unpicklable_worker_degrades_to_serial():
-    acc = []
-
-    def worker(sl: slice):  # a closure: cannot cross a process boundary
-        acc.append(sl)
-        return sum(range(sl.start, sl.stop))
-
-    got = sum(parfor_chunks_mp(worker, 10, 4))
-    assert got == sum(range(10))
-    assert len(acc) == 4  # it really ran in-process
-
-
-def test_parfor_chunks_mp_honors_cancel():
-    token = CancelToken()
-    token.cancel("test")
-    with pytest.raises(QueryCancelledError):
-        list(parfor_chunks_mp(_chunk_total, 100, 2, cancel=token))
