@@ -8,9 +8,12 @@ many bytes* -- by hooking the three hot paths of execution:
 * :func:`repro.sets.ops.intersect` -- per-kernel call counts, wall
   time, operand bytes, and the set-layout dispatch mix (``bs_bs`` /
   ``bs_uint`` / ``uint_uint``);
-* :class:`repro.xcution.generic_join.NodeExecutor` -- inclusive wall
-  time per attribute position (trie level) of each GHD node, plus the
-  aggregator's approximate memory high-water;
+* :class:`repro.xcution.generic_join.NodeExecutor` -- the wall time of
+  its frontier steps per attribute position (trie level) of each GHD
+  node, one kernel call per batched probe (``bs_uint`` when a
+  direct-address table answered it, ``uint_uint`` for a binary search),
+  the ``frontier.emit`` slot gathers, and the aggregator's approximate
+  memory high-water;
 * :func:`repro.trie.build_trie` -- child-result materialization time
   and per-level trie bytes.
 
@@ -24,9 +27,9 @@ execution, not compilation.
 
 All mutating record methods take the profiler's lock -- parfor workers
 record concurrently.  The *counter* totals (call counts, bytes, layout
-mix) are parallel-invariant: chunking the outer loop changes neither
-the set of pairwise intersections nor their operands, so serial and
-parallel runs of one plan report identical :meth:`counters`.
+mix) are parallel-invariant: the frontier's windows do not depend on
+the thread count, so serial and parallel runs of one plan make the same
+probes over the same operands and report identical :meth:`counters`.
 """
 
 from __future__ import annotations
@@ -118,24 +121,20 @@ class KernelProfiler:
         self,
         label: str,
         attrs: Sequence[str],
-        inclusive_seconds: Sequence[float],
+        level_seconds: Sequence[float],
         aggregator_bytes: int,
     ) -> None:
         """Record one GHD node's per-level times and memory high-water.
 
-        ``inclusive_seconds[p]`` is the wall time spent at attribute
-        position ``p`` *and deeper*; self time per level is the
-        difference against the next level (clamped at zero -- under
-        parallel execution deeper levels accumulate thread time, which
-        can exceed any one enclosing wall measurement).
+        ``level_seconds[p]`` is the wall time of the frontier steps that
+        bound attribute position ``p`` (summed worker thread time under
+        parallel execution).
         """
-        n = len(attrs)
         with self._lock:
-            for p in range(n):
-                deeper = inclusive_seconds[p + 1] if p + 1 < n else 0.0
-                key = (label, p, attrs[p])
-                self.level_seconds[key] = self.level_seconds.get(key, 0.0) + max(
-                    0.0, inclusive_seconds[p] - deeper
+            for p, attr in enumerate(attrs):
+                key = (label, p, attr)
+                self.level_seconds[key] = (
+                    self.level_seconds.get(key, 0.0) + level_seconds[p]
                 )
             previous = self.aggregator_bytes.get(label, 0)
             self.aggregator_bytes[label] = max(previous, int(aggregator_bytes))

@@ -20,7 +20,7 @@ The ``auto`` decision rule (documented in docs/hybrid.md):
 
 1. fragments whose total input is **small** (< ``MIN_BINARY_INPUT_ROWS``
    rows) run WCOJ -- vectorized hash-join setup cost dominates tiny
-   inputs, and the interpreter is already cheap there;
+   inputs, and the generic join is already cheap there;
 2. otherwise the fragment runs **binary** iff the estimated sum of
    pairwise intermediates does not exceed a factor times the input the
    trie build would have to scan anyway

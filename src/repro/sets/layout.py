@@ -41,6 +41,21 @@ DENSITY_FACTOR = 16
 MIN_BITSET_CARDINALITY = 8
 
 
+#: A table indexed by code (a join's build side, a column's value range,
+#: a trie level's child ids) is used only while the code domain is at
+#: most this multiple of the rows involved, plus a small floor so tiny
+#: inputs over a mid-sized domain still get one: table memory is bounded
+#: by input size, never by the catalog.
+TABLE_ROWS_MULTIPLE = 4
+TABLE_FLOOR = 1 << 16
+
+
+def fits_table(domain_size: int, n_rows: int) -> bool:
+    """True when a direct-address table over ``domain_size`` codes pays
+    for itself against ``n_rows`` rows."""
+    return domain_size <= max(TABLE_ROWS_MULTIPLE * n_rows, TABLE_FLOOR)
+
+
 def choose_layout(cardinality: int, min_value: int, max_value: int) -> Layout:
     """Pick the storage layout for a set with the given shape.
 

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..sets import BitSet, Layout, Set, UintSet
+from ..sets.layout import fits_table
 from .dictionary import Dictionary
 
 
@@ -33,7 +34,9 @@ class TrieLevel:
     bitset), with bitsets cached after first construction.
     """
 
-    __slots__ = ("flat_values", "offsets", "layouts", "_dense_cache", "_batch_composite")
+    __slots__ = (
+        "flat_values", "offsets", "layouts", "_dense_cache", "_batch_composite", "_direct"
+    )
 
     def __init__(self, flat_values: np.ndarray, offsets: np.ndarray, layouts: np.ndarray):
         self.flat_values = flat_values
@@ -41,6 +44,9 @@ class TrieLevel:
         self.layouts = layouts
         self._dense_cache: Dict[int, BitSet] = {}
         self._batch_composite: Optional[np.ndarray] = None
+        #: child-id table indexed by ``parent * domain + value`` (-1 where
+        #: absent); an empty array once the level proved too sparse for one.
+        self._direct: Optional[np.ndarray] = None
 
     @property
     def n_parents(self) -> int:
@@ -74,27 +80,58 @@ class TrieLevel:
         """First child node id at the next level for ``parent``'s slice."""
         return int(self.offsets[parent])
 
-    def batch_child_ids(self, parents: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Vectorized node-id lookup for many (parent, value) pairs.
+    def _parent_of_node(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_parents, dtype=np.int64), np.diff(self.offsets))
 
-        All pairs must exist in the level.  Uses the fact that nodes are
-        ordered by (parent, value), so a single binary search over a
-        composite key resolves every pair.
+    def direct_table(self) -> Optional[np.ndarray]:
+        """The level's child ids as a direct-address table, or None.
+
+        Built (and cached) only while ``parents x domain`` is small next
+        to the level -- the rule ``codes.join_indices`` uses for its
+        build side.
         """
+        table = self._direct
+        if table is None:
+            table = np.empty(0, dtype=np.int64)
+            if self.n_nodes:
+                domain = int(self.flat_values.max()) + 1
+                if fits_table(self.n_parents * domain, self.n_nodes):
+                    table = np.full(self.n_parents * domain, -1, dtype=np.int64)
+                    table[self._parent_of_node() * domain + self.flat_values] = np.arange(
+                        self.n_nodes, dtype=np.int64
+                    )
+            self._direct = table
+        return table if table.size else None
+
+    def batch_child_ids(
+        self, parents: Optional[np.ndarray], values: np.ndarray
+    ) -> np.ndarray:
+        """Node ids of many (parent, value) pairs; -1 where a pair is absent.
+
+        ``parents=None`` looks every value up under parent 0 (a root
+        level).  Small levels answer from :meth:`direct_table`; larger
+        ones binary-search one composite key, using the fact that nodes
+        are ordered by (parent, value).
+        """
+        values = np.asarray(values).astype(np.int64, copy=False)
+        if not self.n_nodes:
+            return np.full(values.size, -1, dtype=np.int64)
+        table = self.direct_table()
+        if table is not None:
+            domain = table.size // self.n_parents
+            key = values if parents is None else parents * domain + values
+            inside = values < domain
+            return np.where(inside, table[np.where(inside, key, 0)], -1)
         composite = self._batch_composite
         if composite is None:
-            counts = np.diff(self.offsets)
-            parent_of_node = np.repeat(
-                np.arange(self.n_parents, dtype=np.int64), counts
-            )
-            composite = (parent_of_node << np.int64(32)) | self.flat_values.astype(
+            composite = (self._parent_of_node() << np.int64(32)) | self.flat_values.astype(
                 np.int64
             )
             self._batch_composite = composite
-        probe = (np.asarray(parents, dtype=np.int64) << np.int64(32)) | np.asarray(
-            values, dtype=np.int64
-        )
-        return np.searchsorted(composite, probe).astype(np.int64)
+        probe = values if parents is None else (parents << np.int64(32)) | values
+        position = np.searchsorted(composite, probe)
+        found = composite[np.minimum(position, composite.size - 1)] == probe
+        return np.where(found, position, -1)
 
 
 @dataclass
@@ -177,21 +214,16 @@ class Trie:
     def lookup_nodes_batch(self, code_columns: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized :meth:`lookup_node` over parallel code columns.
 
-        Every row's key prefix must exist in the trie (the deferred
-        group-annotation decode guarantees this: output key values were
-        intersected with this relation's sets during the join).
+        Returns one node id per row, -1 where the row's key prefix is
+        absent from the trie.
         """
-        n = int(np.asarray(code_columns[0]).size)
-        nodes = np.zeros(n, dtype=np.int64)
+        nodes = None
         for depth, codes in enumerate(code_columns):
-            level = self.levels[depth]
-            if depth == 0:
-                root = level.set_for(0)
-                nodes = level.child_base(0) + root.rank_many(
-                    np.asarray(codes, dtype=np.uint32)
-                )
-            else:
-                nodes = level.batch_child_ids(nodes, codes)
+            parents = None if nodes is None else np.maximum(nodes, 0)
+            found = self.levels[depth].batch_child_ids(parents, codes)
+            if nodes is not None:
+                found[nodes < 0] = -1
+            nodes = found
         return nodes
 
     def tuples(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Execution engine: physical plans, the generic WCOJ interpreter,
+"""Execution engine: physical plans, the generic WCOJ executor,
 Yannakakis-style plan-tree execution, the scan path, and BLAS routing.
 
 (The package is named ``xcution`` because ``exec`` is a Python keyword.)

@@ -1,10 +1,10 @@
 """Pairwise hash/merge-join execution over columnar frames.
 
 The hybrid optimizer (:mod:`repro.optimizer.strategy`) sends acyclic,
-selective GHD nodes here instead of the generic WCOJ interpreter: on
+selective GHD nodes here instead of the generic WCOJ executor: on
 TPC-H-shaped fragments a Selinger-ordered sequence of vectorized binary
-joins beats the per-value trie walk, exactly the trade-off Free Join
-(arXiv 2301.10841) formalizes.
+joins skips the trie builds and per-attribute steps a generic join
+pays, exactly the trade-off Free Join (arXiv 2301.10841) formalizes.
 
 A :class:`RelationFrame` is the binary engine's input: the *raw
 filtered rows* of one relation occurrence, with key columns holding the

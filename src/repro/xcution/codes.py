@@ -31,23 +31,11 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..obs import profile as _profile
+from ..sets.layout import fits_table
 
 #: packed keys stay below this so ``key * cardinality + code`` cannot
 #: overflow int64 before the next overflow check.
 _PACK_LIMIT = 1 << 62
-
-#: a table indexed by code (a join's build side, a column's value range)
-#: is used only while the code domain is at most this multiple of the
-#: rows involved (plus a small floor, so tiny inputs over a mid-sized
-#: domain still skip the sort): table memory is bounded by input size,
-#: never by the catalog.
-_TABLE_ROWS_MULTIPLE = 4
-_TABLE_FLOOR = 1 << 16
-
-
-def _fits_table(domain_size: int, n_rows: int) -> bool:
-    return domain_size <= max(_TABLE_ROWS_MULTIPLE * n_rows, _TABLE_FLOOR)
-
 
 _REDUCERS = {"min": np.minimum, "max": np.maximum}
 
@@ -88,7 +76,7 @@ def column_codes(column: np.ndarray) -> Tuple[np.ndarray, int]:
     if column.dtype.kind in "iub" and column.size:
         low, high = int(column.min()), int(column.max())
         span = high - low + 1
-        if _fits_table(span, column.size):
+        if fits_table(span, column.size):
             if column.dtype == np.uint64:  # may not fit int64 before the shift
                 return (column - np.uint64(low)).astype(np.int64), span
             return column.astype(np.int64) - low, span
@@ -233,6 +221,26 @@ def segmented_reduce(
     return matrix
 
 
+def reduce_groups(
+    agg_funcs: Sequence[str],
+    key_columns: Sequence[np.ndarray],
+    value_columns: Iterable[np.ndarray],
+    n_rows: int,
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """One row per distinct key tuple: ``(key columns, aggregate matrix)``.
+
+    Groups ascend lexicographically (as :func:`group_runs` orders them),
+    each reduced over its rows in input order.
+    """
+    if not key_columns:
+        order, starts = whole_run(n_rows)
+        return [], segmented_reduce(agg_funcs, value_columns, order, starts)
+    order, starts = group_runs(key_columns)
+    first = order[starts]
+    keys = [column[first] for column in key_columns]
+    return keys, segmented_reduce(agg_funcs, value_columns, order, starts)
+
+
 def _expand_matches(
     counts: np.ndarray, first: np.ndarray, order_r: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -260,7 +268,7 @@ def join_indices(
     left row's matches ascend by right row index.
     """
     start = time.perf_counter()
-    if not _fits_table(domain_size, lkey.size + rkey.size):
+    if not fits_table(domain_size, lkey.size + rkey.size):
         # key space too sparse for a table: radix-sort both sides and
         # merge (probes in key order walk the build side sequentially)
         order_l = stable_order(lkey, domain_size)

@@ -2,22 +2,23 @@
 
 LevelHeaded parallelizes the generic WCOJ algorithm by naively
 splitting the outermost ``for`` over set values across cores
-(Section III-D).  In this pure-Python reproduction the workers are
-threads (numpy kernels release the GIL; Python-level interpretation
-does not), so ``parallel=True`` is about exercising the execution
-structure, not about wall-clock speedups -- see DESIGN.md.
+(Section III-D).  Here the unit of work is a window of the generic
+join's level-1 frontier: the executor cuts the windows by row count
+alone and hands contiguous runs of them to worker threads (numpy
+kernels release the GIL; Python-level dispatch does not), so
+``parallel=True`` is about exercising the execution structure, not
+about wall-clock speedups -- see DESIGN.md.
 
 Stats semantics
     Workers never share mutable state: each parfor worker accumulates
     into a **private** ``ExecutionStats`` and a **private** aggregator,
     and the parent merges both in chunk order after every future has
     resolved (``parfor_chunks`` yields results in submission order).
-    Repeated parallel runs of the same plan therefore produce
-    byte-identical counters, equal to the serial run's: per-value
-    counters (``loop_values``, ``intersections``, ``fetches``) sum
-    across chunks to the serial totals, and kernel-invocation counters
-    (``tail_batches``, ``relaxed_unions``) are normalized so a kernel
-    chunked across workers still counts as one logical application.
+    Every window runs the same steps whichever thread takes it, so
+    repeated parallel runs of the same plan produce byte-identical
+    counters (``loop_values``, ``intersections``, ``fetches``,
+    ``cancel_checks``, ...), equal to the serial run's, and hand the
+    aggregator the same batches in the same order.
 
 Memory-budget semantics
     ``memory_budget_bytes`` bounds the *global* aggregate state, not

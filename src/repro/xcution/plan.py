@@ -175,7 +175,7 @@ class AggregateRuntime:
 
 @dataclass
 class NodePlan:
-    """One GHD node ready for the generic WCOJ interpreter."""
+    """One GHD node ready for the generic WCOJ executor."""
 
     attrs: Tuple[str, ...]
     materialized: Tuple[str, ...]  # subset of attrs (attr order), output keys
@@ -766,7 +766,7 @@ class _JoinPlanBuilder:
             self.config.enable_attribute_elimination
             and self.config.enable_attribute_ordering
         ):
-            eligible, why = False, "ablation config pins the WCOJ interpreter"
+            eligible, why = False, "ablation config pins the generic join"
         elif is_root and self.config.forced_root_order is not None:
             eligible, why = False, "forced root order pins the WCOJ walk"
         elif any(getattr(e, "fully_dense", False) for e in node.edges):

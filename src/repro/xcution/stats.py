@@ -1,10 +1,9 @@
-"""Execution statistics: what the interpreter actually did.
+"""Execution statistics: what the executors actually did.
 
 Wall-clock comparisons are noisy and substrate-dependent; these
 counters let tests and EXPLAIN ANALYZE make *structural* claims --
-"the relaxed order visits fewer loop values", "SMV ran through the
-flat kernel", "the bad order intersects 100x more elements" -- that
-hold deterministically.
+"the relaxed order binds fewer prefixes", "the bad order intersects
+100x more elements" -- that hold deterministically.
 """
 
 from __future__ import annotations
@@ -31,30 +30,27 @@ class ExecutionStats:
     #: engine at admission; empty for stats built outside a query run).
     query_id: str = ""
     nodes_executed: int = 0
-    #: pairwise set intersections performed (Algorithm 1's bottleneck op).
+    #: pairwise set intersections of Algorithm 1 (Table I's bottleneck
+    #: op): one per participant beyond the first, per key prefix that
+    #: reaches an attribute -- batched, but counted per prefix.
     intersections: int = 0
     #: total elements produced by intersections (the work icost models).
     intersection_output: int = 0
-    #: set values iterated through Python-level loops (the interpreter's
-    #: real bottleneck; vectorized tails and kernels bypass this).
+    #: frontier rows a further walk step extends: rows bound at a
+    #: non-final attribute, plus rows at the final one when a group
+    #: annotation is fetched there (the Fig. 5b order-quality measure).
     loop_values: int = 0
-    #: vectorized tail invocations (last-attribute batches).
-    tail_batches: int = 0
-    #: relaxed-order 1-attribute-union kernel invocations.
-    relaxed_unions: int = 0
-    #: flat two-attribute kernel runs (whole node, zero per-tuple work).
-    flat_kernels: int = 0
-    #: group-annotation fetch requests issued during the walk.  Requests
-    #: are counted (rather than cache misses) so the value is identical
-    #: under serial and parallel execution: parfor workers keep private
-    #: fetch caches, so miss counts would depend on the chunking.
+    #: group-annotation fetch requests issued during the walk, one per
+    #: frontier row at the fetcher's attribute.
     fetches: int = 0
     #: output groups produced.
     groups_emitted: int = 0
-    #: cooperative cancellation polls issued by the executors.  Counted
-    #: per *value iterated* (not per clock read), so the total is
-    #: deterministic and identical under serial and parallel execution
-    #: -- the governance differential tests assert exactly that.
+    #: cooperative cancellation polls issued by the executors (one per
+    #: frontier step in a generic-join node, one per pairwise join in a
+    #: binary one).  Neither depends on the thread count, so the total
+    #: is deterministic and identical under serial and parallel
+    #: execution -- the governance differential tests assert exactly
+    #: that.
     cancel_checks: int = 0
     #: pairwise hash/merge joins executed by binary-strategy nodes.
     #: Binary nodes run single-threaded over vectorized kernels, so both
@@ -63,8 +59,8 @@ class ExecutionStats:
     #: total intermediate rows produced by those joins (the quantity the
     #: strategy chooser's ``binary_cost`` estimates).
     binary_rows: int = 0
-    #: aggregator degradations: dict-backed group state spilled to a
-    #: sorted-sparse columnar run under memory-budget pressure.  Spill
+    #: aggregator degradations: live group batches reduced into one
+    #: lean columnar run under memory-budget pressure.  Spill
     #: opportunities depend on the per-worker budget split, so this
     #: counter is *not* parallel-invariant (unlike the ones above).
     aggregator_spills: int = 0

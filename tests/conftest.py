@@ -117,12 +117,12 @@ def make_mini_tpch() -> Catalog:
 
 
 def graph_catalog(n_nodes: int, n_edges: int, seed: int = 7) -> Catalog:
-    """A seeded random directed graph: ``edges(src, dst)`` plus a
-    ``__v`` anchor holding every node of the shared ``node`` domain."""
+    """A seeded random directed graph: ``edges(src, dst)`` (``n_edges``
+    draws, duplicates dropped, sorted) plus a ``__v`` anchor holding
+    every node of the shared ``node`` domain."""
     rng = np.random.default_rng(seed)
-    pairs = sorted(
-        {(int(a), int(b)) for a, b in rng.integers(0, n_nodes, size=(n_edges, 2))}
-    )
+    pairs = rng.integers(0, n_nodes, size=(n_edges, 2))
+    flat = np.unique(pairs[:, 0] * n_nodes + pairs[:, 1])
     catalog = Catalog()
     catalog.register(
         Table.from_columns(Schema("__v", [key("v", domain="node")]), v=np.arange(n_nodes))
@@ -130,11 +130,26 @@ def graph_catalog(n_nodes: int, n_edges: int, seed: int = 7) -> Catalog:
     catalog.register(
         Table.from_columns(
             Schema("edges", [key("src", domain="node"), key("dst", domain="node")]),
-            src=np.array([p[0] for p in pairs]),
-            dst=np.array([p[1] for p in pairs]),
+            src=flat // n_nodes,
+            dst=flat % n_nodes,
         )
     )
     return catalog
+
+
+#: counts directed 4-cycles: a cyclic join whose frontier stays wide for
+#: four attributes, so it does far more work per input edge than a
+#: triangle count.
+CYCLE4_SQL = (
+    "SELECT count(*) AS cycles FROM edges e1, edges e2, edges e3, edges e4 "
+    "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e4.src "
+    "AND e4.dst = e1.src"
+)
+
+#: ``graph_catalog(*SLOW_GRAPH)``: its ``CYCLE4_SQL`` count runs about
+#: 3 s on one thread (an x86 container core) and compiles in ~40 ms, at
+#: least 10x every deadline or cancel delay the governance tests use.
+SLOW_GRAPH = (600, 30_000)
 
 
 def make_matrix_catalog(entries=None, n=4) -> Catalog:

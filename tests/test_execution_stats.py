@@ -41,33 +41,50 @@ def test_stats_merge_and_describe():
     assert a.as_dict()["fetches"] == 1
 
 
-def test_smv_runs_through_flat_kernel():
+def _matrix_shape(engine):
+    table = engine.catalog.table("m")
+    return len(np.unique(table.column("i"))), table.num_rows
+
+
+def test_smv_binds_each_row_once():
+    # order [i, k]: one frontier row per matrix row, then every entry of
+    # that row meets the dense vector in one batched probe
     engine = _sparse_setup()
     _plan, result, stats = _stats_for(engine, matvec_sql("m", "x"))
-    assert result.num_rows > 0
-    assert stats.flat_kernels == 1
-    assert stats.loop_values == 0  # zero per-tuple Python work
+    rows, nnz = _matrix_shape(engine)
+    assert result.num_rows == rows
+    assert stats.loop_values == rows
+    assert stats.intersections == rows
+    assert stats.intersection_output == nnz
 
 
-def test_smm_relaxed_order_uses_union_kernel():
+def test_smm_relaxed_order_binds_two_levels():
+    # relaxed order [i, k, j]: prefixes are bound at i and (i, k) only;
+    # j is a single-relation expansion the reduce groups with i
     engine = _sparse_setup()
-    _plan, result, stats = _stats_for(engine, matmul_sql("m"))
+    plan, result, stats = _stats_for(engine, matmul_sql("m"))
+    rows, _nnz = _matrix_shape(engine)
+    assert plan.root.relaxed
     assert result.num_rows > 0
-    assert stats.relaxed_unions > 0
+    assert stats.intersections == rows
+    assert stats.loop_values == rows + stats.intersection_output
+    assert stats.groups_emitted == result.num_rows
 
 
 def test_smm_worst_order_does_far_more_loop_work():
     engine = _sparse_setup(n=300, nnz=4000, seed=6)
     sql = matmul_sql("m")
-    _p1, _r1, good = _stats_for(engine, sql)
+    good_plan, _r1, good = _stats_for(engine, sql)
     bad_engine = LevelHeadedEngine(
         engine.catalog,
         config=EngineConfig(enable_attribute_ordering=False, enable_relaxation=False),
     )
-    _p2, _r2, bad = _stats_for(bad_engine, sql)
-    # the cost-based order turns per-tuple loops into vectorized unions
-    assert good.relaxed_unions > 0 and bad.relaxed_unions == 0
+    bad_plan, _r2, bad = _stats_for(bad_engine, sql)
+    # [i, j, k] binds every (i, j) pair before intersecting on k; the
+    # relaxed order only ever binds i and the (i, k) entries
+    assert good_plan.root.relaxed and not bad_plan.root.relaxed
     assert bad.loop_values > 10 * max(1, good.loop_values)
+    assert bad.intersections > 10 * max(1, good.intersections)
 
 
 def test_q5_stats_counts_nodes_and_fetches(mini_tpch):

@@ -2,8 +2,8 @@
 
 Pins the PR-4 contract end to end:
 
-* a deadline kills an adversarial triangle count within 1.5x the
-  requested ``timeout_ms``, carrying partial stats and a span tree, and
+* a deadline kills an adversarial cyclic join (a 4-cycle count) within
+  1.5x the requested ``timeout_ms``, carrying partial stats and a span tree, and
   the engine serves the next query normally;
 * ``QueryHandle.cancel()`` fires cross-thread cooperative cancellation;
 * eight concurrent sessions behind one two-slot governor all complete
@@ -34,7 +34,7 @@ from repro import (
     retry_admission,
 )
 from repro.core.governor import Governor
-from tests.conftest import graph_catalog
+from tests.conftest import CYCLE4_SQL, SLOW_GRAPH, graph_catalog
 
 TRIANGLE_SQL = (
     "SELECT count(*) AS triangles FROM edges e1, edges e2, edges e3 "
@@ -49,14 +49,14 @@ DEGREE_SQL = "SELECT src, count(*) AS degree FROM edges GROUP BY src"
 # ---------------------------------------------------------------------------
 
 
-def test_timeout_kills_adversarial_triangle_within_budget():
-    # ~2s of serial work; the 150ms deadline must kill it within 1.5x.
+def test_timeout_kills_adversarial_cycle_count_within_budget():
+    # ~3s of serial work; the 150ms deadline must kill it within 1.5x.
     engine = LevelHeadedEngine(
-        graph_catalog(500, 20_000), config=EngineConfig(parallel=False)
+        graph_catalog(*SLOW_GRAPH), config=EngineConfig(parallel=False)
     )
     start = time.perf_counter()
     with pytest.raises(QueryTimeoutError) as excinfo:
-        engine.query(TRIANGLE_SQL, timeout_ms=150)
+        engine.query(CYCLE4_SQL, timeout_ms=150)
     elapsed_ms = (time.perf_counter() - start) * 1000
     assert elapsed_ms <= 1.5 * 150, f"kill took {elapsed_ms:.1f}ms"
 
@@ -73,16 +73,16 @@ def test_timeout_kills_adversarial_triangle_within_budget():
 
 
 def test_connect_default_timeout_applies_to_every_query():
-    engine = repro.connect(catalog=graph_catalog(500, 20_000), timeout_ms=100)
+    engine = repro.connect(catalog=graph_catalog(*SLOW_GRAPH), timeout_ms=100)
     with pytest.raises(QueryTimeoutError):
-        engine.query(TRIANGLE_SQL)
+        engine.query(CYCLE4_SQL)
     # per-call override beats the session default.
     assert engine.query(DEGREE_SQL, timeout_ms=60_000).num_rows > 0
 
 
 def test_timeout_error_reaches_prepared_statements():
-    engine = LevelHeadedEngine(graph_catalog(500, 20_000))
-    stmt = engine.prepare(TRIANGLE_SQL)
+    engine = LevelHeadedEngine(graph_catalog(*SLOW_GRAPH))
+    stmt = engine.prepare(CYCLE4_SQL)
     with pytest.raises(QueryTimeoutError) as excinfo:
         stmt.execute(timeout_ms=100)
     assert excinfo.value.partial_stats is not None
@@ -91,8 +91,8 @@ def test_timeout_error_reaches_prepared_statements():
 def test_timeout_through_execute_carries_the_span_tree():
     # one lifecycle, one tracer rule: a deadlined run is always traced,
     # whichever front door it came through
-    engine = LevelHeadedEngine(graph_catalog(500, 20_000))
-    plan = engine.compile(TRIANGLE_SQL)
+    engine = LevelHeadedEngine(graph_catalog(*SLOW_GRAPH))
+    plan = engine.compile(CYCLE4_SQL)
     with pytest.raises(QueryTimeoutError) as excinfo:
         engine.execute(plan, timeout_ms=100)
     assert excinfo.value.partial_stats is not None
@@ -105,10 +105,21 @@ def test_timeout_through_execute_carries_the_span_tree():
 # ---------------------------------------------------------------------------
 
 
+def _wait_for_execute(engine):
+    """Block until a query of ``engine`` is past compile, in its join."""
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        if any(q["phase"] == "execute" for q in engine.inflight.snapshot()):
+            return
+        time.sleep(0.005)
+    pytest.fail("query never reached the execute phase")
+
+
 def test_cross_thread_cancel_via_query_handle():
-    engine = LevelHeadedEngine(graph_catalog(500, 20_000))
-    handle = engine.submit(TRIANGLE_SQL)
-    time.sleep(0.05)  # let the worker get into the join loops
+    engine = LevelHeadedEngine(graph_catalog(*SLOW_GRAPH))
+    handle = engine.submit(CYCLE4_SQL)
+    _wait_for_execute(engine)  # partial stats exist once execution began
+    time.sleep(0.05)  # let the worker get into the join
     assert handle.cancel("operator hit the red button")
     with pytest.raises(QueryCancelledError) as excinfo:
         handle.result(timeout=30)
@@ -119,18 +130,19 @@ def test_cross_thread_cancel_via_query_handle():
 
 
 def test_cancel_token_shared_across_threads():
-    engine = LevelHeadedEngine(graph_catalog(500, 20_000))
+    engine = LevelHeadedEngine(graph_catalog(*SLOW_GRAPH))
     token = repro.CancelToken()
     errors = []
 
     def run():
         try:
-            engine.query(TRIANGLE_SQL, cancel_token=token)
+            engine.query(CYCLE4_SQL, cancel_token=token)
         except QueryCancelledError as exc:
             errors.append(exc)
 
     thread = threading.Thread(target=run)
     thread.start()
+    _wait_for_execute(engine)
     time.sleep(0.05)
     token.cancel("shutdown")
     thread.join(timeout=30)
@@ -384,11 +396,11 @@ def test_abandoned_handle_releases_its_governor_slot():
 
     governor = Governor(max_concurrency=1)
     engine = LevelHeadedEngine(
-        graph_catalog(500, 20_000),
+        graph_catalog(*SLOW_GRAPH),
         config=EngineConfig(parallel=False),
         governor=governor,
     )
-    handle = engine.submit(TRIANGLE_SQL)
+    handle = engine.submit(CYCLE4_SQL)
     deadline = time.time() + 10
     while governor.snapshot()["active"] == 0 and time.time() < deadline:
         time.sleep(0.005)  # wait for the slot grant
@@ -408,11 +420,11 @@ def test_abandoned_handle_releases_its_governor_slot():
 def test_handle_close_cancels_and_reclaims_slot():
     governor = Governor(max_concurrency=1)
     engine = LevelHeadedEngine(
-        graph_catalog(500, 20_000),
+        graph_catalog(*SLOW_GRAPH),
         config=EngineConfig(parallel=False),
         governor=governor,
     )
-    with engine.submit(TRIANGLE_SQL) as handle:
+    with engine.submit(CYCLE4_SQL) as handle:
         pass  # __exit__ closes: cancel + wait for the slot
     assert handle.done
     assert isinstance(handle.exception(), QueryCancelledError)

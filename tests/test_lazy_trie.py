@@ -16,7 +16,7 @@ from repro.baselines import PairwiseEngine
 from repro.core.governor import cancel_scope
 from repro.trie.builder import AnnotationSpec, build_trie
 from repro.trie.lazy import LazyTrie
-from tests.conftest import make_mini_tpch
+from tests.conftest import CYCLE4_SQL, make_mini_tpch
 from tests.test_engine import Q5_SQL
 
 
@@ -219,14 +219,11 @@ def test_lazy_query_respects_timeout_and_recovers():
         )
     )
     engine = _wcoj_engine(catalog, parallel=False)
-    sql = (
-        "SELECT count(*) AS triangles FROM edges e1, edges e2, edges e3 "
-        "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src"
-    )
     from repro.errors import QueryKilledError
 
+    # the 4-cycle count runs ~1 s serially, 20x the deadline
     with pytest.raises(QueryKilledError):
-        engine.query(sql, timeout_ms=50)
+        engine.query(CYCLE4_SQL, timeout_ms=50)
     assert engine.query("SELECT count(*) AS n FROM edges").single_value() > 0
 
 

@@ -37,9 +37,9 @@ from repro.datasets.tpch.queries import TPCH_QUERIES
 from repro.server import ReproServer
 from repro.storage.persist import load_catalog, save_catalog
 
-from tests.conftest import graph_catalog
+from tests.conftest import CYCLE4_SQL, SLOW_GRAPH, graph_catalog
 
-from .test_governance import DEGREE_SQL, TRIANGLE_SQL
+from .test_governance import DEGREE_SQL
 
 MATMUL_SQL = (
     "SELECT m1.i, m2.j, sum(m1.v * m2.v) AS v FROM matrix m1, matrix m2 "
@@ -136,9 +136,9 @@ def test_concurrent_clients_fair_admission_two_slots():
 
 
 def test_wire_cancel_kills_long_scan_quickly():
-    # ~2s of serial work; the wire-level cancel must kill it fast.
+    # ~3s of serial work; the wire-level cancel must kill it fast.
     engine = LevelHeadedEngine(
-        graph_catalog(500, 20_000),
+        graph_catalog(*SLOW_GRAPH),
         config=repro.EngineConfig(parallel=False),
         governor=Governor(max_concurrency=2),
     )
@@ -149,7 +149,7 @@ def test_wire_cancel_kills_long_scan_quickly():
 
     def run():
         try:
-            client.query(TRIANGLE_SQL)
+            client.query(CYCLE4_SQL)
             outcome["finished"] = True
         except repro.QueryCancelledError as exc:
             outcome["cancelled"] = exc
@@ -174,7 +174,7 @@ def test_wire_cancel_kills_long_scan_quickly():
         cancelled = engine.debug_snapshot("flight", outcome="cancelled")
         assert [e["query_id"] for e in cancelled["entries"]] == [qid]
         # same envelope PR-4 pins for in-process cancellation: the kill
-        # lands far faster than the query's natural ~2s runtime
+        # lands far faster than the query's natural ~3s runtime
         assert cancel_latency < 1.0
         assert engine.metrics.counter("server_cancel_frames") == 1
     finally:
@@ -187,7 +187,7 @@ def test_wire_cancel_kills_long_scan_quickly():
 
 def test_wire_timeout_returns_typed_error_within_envelope():
     engine = LevelHeadedEngine(
-        graph_catalog(500, 20_000),
+        graph_catalog(*SLOW_GRAPH),
         config=repro.EngineConfig(parallel=False),
         governor=Governor(max_concurrency=2),
     )
@@ -197,7 +197,7 @@ def test_wire_timeout_returns_typed_error_within_envelope():
         with connect(server.host, server.port) as client:
             start = time.perf_counter()
             with pytest.raises(repro.QueryTimeoutError) as excinfo:
-                client.query(TRIANGLE_SQL, timeout_ms=150)
+                client.query(CYCLE4_SQL, timeout_ms=150)
             elapsed_ms = (time.perf_counter() - start) * 1000
         assert excinfo.value.timeout_ms == 150
         # 1.5x the PR-4 envelope, plus generous wire slack

@@ -439,9 +439,9 @@ def test_metrics_prometheus_aggregates_worker_counters():
 
 
 def make_slow_catalog(parts=4, nodes=500, edges=20_000) -> Catalog:
-    """One random graph per partition key: counting triangles inside each
-    partition is cyclic, so every worker walks the generic-join
-    interpreter for seconds (about 1 s per partition) -- slow because of
+    """One random graph per partition key: counting 4-cycles inside each
+    partition is cyclic, so every worker walks the generic join for
+    seconds (about 1.4 s per partition on one core) -- slow because of
     the work, whatever the host or the kernels do."""
     rng = np.random.default_rng(7)
     square = nodes * nodes
@@ -471,9 +471,9 @@ def make_slow_catalog(parts=4, nodes=500, edges=20_000) -> Catalog:
 
 
 SLOW_SQL = (
-    "SELECT count(*) AS triangles FROM pedges e1, pedges e2, pedges e3 "
-    "WHERE e1.p = e2.p AND e2.p = e3.p "
-    "AND e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src"
+    "SELECT count(*) AS cycles FROM pedges e1, pedges e2, pedges e3, pedges e4 "
+    "WHERE e1.p = e2.p AND e2.p = e3.p AND e3.p = e4.p "
+    "AND e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e4.src AND e4.dst = e1.src"
 )
 
 

@@ -17,36 +17,36 @@ from tests.test_engine import MATMUL_SQL, Q5_SQL
 
 def test_aggregator_sum_accumulates():
     agg = GroupAggregator(["sum", "count"], group_width=1)
-    agg.add(("a",), np.array([1.0, 1.0]))
-    agg.add(("a",), np.array([2.0, 1.0]))
-    agg.add(("b",), np.array([5.0, 1.0]))
+    agg.add_batch([np.array(["a", "b"])], np.array([[1.0, 1.0], [5.0, 1.0]]))
+    agg.add_batch([np.array(["a"])], np.array([[2.0, 1.0]]))
     keys, matrix = agg.result_arrays()
     got = {k: tuple(v) for k, v in zip(keys[0], matrix)}
-    assert got["a"] == (3.0, 2.0)
-    assert got["b"] == (5.0, 1.0)
+    assert got == {"a": (3.0, 2.0), "b": (5.0, 1.0)}
 
 
 def test_aggregator_min_max_combine():
     agg = GroupAggregator(["min", "max", "sum"], group_width=0)
-    agg.add((), np.array([5.0, 5.0, 5.0]))
-    agg.add((), np.array([3.0, 7.0, 1.0]))
+    agg.add_batch([], np.array([[5.0, 5.0, 5.0]]))
+    agg.add_batch([], np.array([[3.0, 7.0, 1.0]]))
     _keys, matrix = agg.result_arrays()
     assert list(matrix[0]) == [3.0, 7.0, 6.0]
 
 
-def test_aggregator_batch_unique_and_dict_mix():
+def test_aggregator_consolidates_shared_groups_in_key_order():
     agg = GroupAggregator(["sum"], group_width=2)
-    agg.add((1, 10), np.array([1.0]))
-    agg.add_batch_unique((2,), np.array([20, 21]), np.array([[2.0], [3.0]]))
-    assert len(agg) == 3
+    agg.add_batch([np.array([2, 2]), np.array([20, 21])], np.array([[2.0], [3.0]]))
+    agg.add_batch([np.array([1, 2]), np.array([10, 20])], np.array([[1.0], [4.0]]))
+    assert len(agg) == 4  # a group in two batches counts once per batch...
+    agg.consolidate()
+    assert len(agg) == 3  # ...until the batches are reduced
     keys, matrix = agg.result_arrays()
-    rows = sorted(zip(keys[0].tolist(), keys[1].tolist(), matrix[:, 0].tolist()))
-    assert rows == [(1, 10, 1.0), (2, 20, 2.0), (2, 21, 3.0)]
+    rows = list(zip(keys[0].tolist(), keys[1].tolist(), matrix[:, 0].tolist()))
+    assert rows == [(1, 10, 1.0), (2, 20, 6.0), (2, 21, 3.0)]
 
 
 def test_aggregator_empty_batch_ignored():
     agg = GroupAggregator(["sum"], group_width=1)
-    agg.add_batch_unique((), np.empty(0, dtype=np.int64), np.zeros((0, 1)))
+    agg.add_batch([np.empty(0, dtype=np.int64)], np.zeros((0, 1)))
     assert len(agg) == 0
     keys, matrix = agg.result_arrays()
     assert matrix.shape == (0, 1)
@@ -55,9 +55,8 @@ def test_aggregator_empty_batch_ignored():
 def test_aggregator_merge():
     a = GroupAggregator(["sum"], group_width=1)
     b = GroupAggregator(["sum"], group_width=1)
-    a.add((1,), np.array([1.0]))
-    b.add((1,), np.array([2.0]))
-    b.add_batch_unique((), np.array([9]), np.array([[4.0]]))
+    a.add_batch([np.array([1])], np.array([[1.0]]))
+    b.add_batch([np.array([1, 9])], np.array([[2.0], [4.0]]))
     a.merge(b)
     keys, matrix = a.result_arrays()
     rows = dict(zip(keys[0].tolist(), matrix[:, 0].tolist()))
@@ -74,7 +73,7 @@ def test_aggregator_budget_enforced():
     try:
         with pytest.raises(OutOfMemoryBudgetError):
             for i in range(1000):
-                agg.add((i,), np.array([1.0]))
+                agg.add_batch([np.array([i])], np.array([[1.0]]))
     finally:
         agg_mod._BUDGET_CHECK_EVERY = old
 
