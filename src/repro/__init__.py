@@ -103,7 +103,6 @@ def connect(
     max_concurrency=None,
     global_memory_budget=None,
     governor=None,
-    join_strategy=None,
     config=None,
     approx=None,
 ):
@@ -122,11 +121,8 @@ def connect(
     ``config=`` keyword is the explicit spelling.
 
     Local and shard surfaces take the full engine setup: ``config`` is
-    an optional :class:`EngineConfig` of optimizer toggles, ``catalog``
-    lets several engines share registered tables, and ``join_strategy``
-    (``"auto"`` | ``"wcoj"`` | ``"binary"``) picks the per-node
-    execution engine (overriding both the ``REPRO_JOIN_STRATEGY``
-    environment default and ``config``'s own setting).  ``timeout_ms``
+    an optional :class:`EngineConfig` of optimizer toggles, and
+    ``catalog`` lets several engines share registered tables.  ``timeout_ms``
     sets a default deadline for every query; ``max_concurrency`` and
     ``global_memory_budget`` (bytes) seed a
     :class:`~repro.core.governor.Governor` gating admission (pass an
@@ -167,7 +163,6 @@ def connect(
             "max_concurrency": max_concurrency,
             "global_memory_budget": global_memory_budget,
             "governor": governor,
-            "join_strategy": join_strategy,
         }
         for option, value in refused.items():
             if value is not None:
@@ -189,11 +184,6 @@ def connect(
             client.default_approx = normalize_policy(policy, default=None)
         return client
 
-    if join_strategy is not None:
-        from dataclasses import replace
-
-        base = config if config is not None else EngineConfig()
-        config = replace(base, join_strategy=join_strategy)
     policy = approx if approx is not None else options.pop("approx", None)
     if policy is not None:
         if scheme == "shard":

@@ -2,7 +2,7 @@
 
 Operates on the parsed :class:`~repro.sql.ast.SelectStmt`, *before*
 binding, so the whole downstream pipeline (binder, translator, GHD
-planner, hybrid executor, BLAS routing) is reused unchanged -- the
+planner, generic-join executor, BLAS routing) is reused unchanged -- the
 rewritten statement is just another query over catalog tables:
 
 1. every ``FROM`` table with a usable catalog sample is swapped for the

@@ -29,11 +29,9 @@ its per-trie-level kernel profile (collapsed-stack flamegraph text),
 ``\\metrics`` prints the engine's cumulative serving metrics,
 ``\\feedback`` prints the per-cached-plan q-error drift records,
 ``\\timeout [ms|off]`` shows or sets the session's default query
-deadline, ``\\strategy [auto|wcoj|binary]`` shows or sets the session's
-join strategy (per-GHD-node engine choice), ``\\governor [shed on|off]``
-shows the admission governor's state (or toggles load shedding),
-``\\top`` shows the queries in flight right now plus the governor
-gauges, ``\\last [n]`` shows the newest entries of the engine's flight
+deadline, ``\\governor [shed on|off]`` shows the admission governor's
+state (or toggles load shedding), ``\\top`` shows the queries in flight
+right now plus the governor gauges, ``\\last [n]`` shows the newest entries of the engine's flight
 recorder (default 10, with error-bar summaries for approximate runs),
 ``\\approx [on|off|force]`` shows or sets the session's
 approximate-query policy (``on`` lets the governor degrade overloaded
@@ -55,15 +53,6 @@ from typing import List, Optional
 from .core.engine import LevelHeadedEngine
 from .errors import ReproError
 from .storage.persist import load_catalog
-
-
-def _cli_config(join_strategy: Optional[str]):
-    """An EngineConfig honoring ``--join-strategy`` (None: env/default)."""
-    if join_strategy is None:
-        return None
-    from .xcution.plan import EngineConfig
-
-    return EngineConfig(join_strategy=join_strategy)
 
 
 def _describe_tables(engine: LevelHeadedEngine) -> str:
@@ -138,24 +127,6 @@ def _handle_timeout(engine: LevelHeadedEngine, arg: str) -> str:
         return "error: \\timeout expects a positive number of milliseconds"
     engine.default_timeout_ms = ms
     return f"default timeout: {ms:g}ms"
-
-
-def _handle_strategy(engine: LevelHeadedEngine, arg: str) -> str:
-    """Show or set the join strategy (``\\strategy [auto|wcoj|binary]``)."""
-    from .optimizer.strategy import JOIN_STRATEGIES
-
-    if not arg:
-        return f"join strategy: {engine.config.join_strategy}"
-    if arg not in JOIN_STRATEGIES:
-        return (f"error: \\strategy expects one of "
-                f"{', '.join(JOIN_STRATEGIES)}, got {arg!r}")
-    from dataclasses import replace
-
-    try:
-        engine.config = replace(engine.config, join_strategy=arg)
-    except ReproError as exc:  # e.g. fixed config on a shard surface
-        return f"error: {exc}"
-    return f"join strategy: {arg}"
 
 
 def _handle_feedback(engine: LevelHeadedEngine) -> str:
@@ -310,8 +281,6 @@ def _handle_line(engine: LevelHeadedEngine, line: str) -> Optional[str]:
         return _handle_feedback(engine)
     if stripped == "\\timeout" or stripped.startswith("\\timeout "):
         return _handle_timeout(engine, stripped[len("\\timeout"):].strip())
-    if stripped == "\\strategy" or stripped.startswith("\\strategy "):
-        return _handle_strategy(engine, stripped[len("\\strategy"):].strip())
     if stripped == "\\governor" or stripped.startswith("\\governor "):
         return _handle_governor(engine, stripped[len("\\governor"):].strip())
     if stripped == "\\approx" or stripped.startswith("\\approx "):
@@ -477,10 +446,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--memory-budget", type=int, default=None)
     parser.add_argument("--timeout-ms", type=float, default=None)
     parser.add_argument(
-        "--join-strategy", choices=("auto", "wcoj", "binary"), default=None,
-        help="per-GHD-node engine choice (default: REPRO_JOIN_STRATEGY or auto)",
-    )
-    parser.add_argument(
         "--batch-rows", type=int, default=DEFAULT_BATCH_ROWS,
         help="rows per result batch frame",
     )
@@ -504,7 +469,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         engine = repro.connect(
             args.engine,
             catalog=load_catalog(args.load),
-            config=_cli_config(args.join_strategy),
             timeout_ms=args.timeout_ms,
             max_concurrency=args.max_concurrency,
             global_memory_budget=args.memory_budget,
@@ -578,10 +542,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="global memory budget in bytes shared across admitted queries",
     )
     parser.add_argument(
-        "--join-strategy", choices=("auto", "wcoj", "binary"), default=None,
-        help="per-GHD-node engine choice (default: REPRO_JOIN_STRATEGY or auto)",
-    )
-    parser.add_argument(
         "--approx", choices=("on", "off", "force"), default=None,
         help="approximate-query policy: on lets the governor degrade to "
              "samples under load, force runs aggregates on samples "
@@ -608,7 +568,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         engine = repro.connect(
             dsn,
             catalog=load_catalog(args.data_dir),
-            config=_cli_config(args.join_strategy),
             timeout_ms=args.timeout_ms,
             max_concurrency=args.max_concurrency,
             global_memory_budget=args.memory_budget,

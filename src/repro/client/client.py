@@ -170,8 +170,6 @@ class ReproClient:
         self.session: Optional[str] = None
         self.batch_rows: Optional[int] = None
         self.server: Optional[str] = None
-        #: the serving engine's configured join strategy (from hello).
-        self.join_strategy: Optional[str] = None
         #: the serving engine's q-error feedback policy (from hello):
         #: ``{"q_error_threshold": ..., "drift_runs": ...}``.
         self.feedback: Optional[Dict] = None
@@ -438,7 +436,6 @@ class ReproClient:
         self.session = frame.get("session")
         self.batch_rows = frame.get("batch_rows")
         self.server = frame.get("server")
-        self.join_strategy = frame.get("join_strategy")
         self.feedback = frame.get("feedback")
 
     def _run(

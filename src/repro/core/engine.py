@@ -93,8 +93,10 @@ from .prepared import PreparedStatement
 from .result import ResultTable
 
 #: explain(format="json") schema: 2 added the top-level ``approx`` block
-#: (schema 1 was the unversioned dict without this key).
-EXPLAIN_SCHEMA_VERSION = 2
+#: (schema 1 was the unversioned dict without this key); 3 replaced each
+#: ``plan_nodes`` entry's ``strategy`` block with flat ``est_rows`` and
+#: ``corrected`` fields.
+EXPLAIN_SCHEMA_VERSION = 3
 
 #: the textual APPROXIMATE prefix ("APPROXIMATE SELECT ...") -- detected
 #: before parsing so the plan-cache key and config reflect the policy.
@@ -831,10 +833,9 @@ class LevelHeadedEngine:
         """The record of a finished query: flight entry, query-log event.
 
         Every flight record carries an ``annotations`` block with the
-        ``strategy`` and ``feedback`` sub-blocks *uniformly present*
-        (empty on admission rejections and compile failures, where no
-        ``run`` exists) -- ``/debug/flight`` consumers never need
-        per-outcome key guards.  The approximate-execution annotation
+        ``feedback`` sub-block *uniformly present* (empty on admission
+        rejections and compile failures, where no ``run`` exists) --
+        ``/debug/flight`` consumers never need per-outcome key guards.  The approximate-execution annotation
         (``approx``) joins the block only when the query ran on samples.
 
         A query that reached its run (served or killed) also appends one
@@ -872,7 +873,6 @@ class LevelHeadedEngine:
             {
                 "node": summary.get("node_key"),
                 "order": list(summary.get("attrs") or ()),
-                "strategy": (summary.get("strategy") or {}).get("choice"),
             }
             for summary in (plan.node_summaries() if plan is not None else [])
         ]
@@ -882,9 +882,6 @@ class LevelHeadedEngine:
             else None
         )
         block: Dict[str, object] = dict(annotations or {})
-        block["strategy"] = [
-            {"node": node["node"], "choice": node["strategy"]} for node in nodes
-        ]
         block["feedback"] = {"q_error_max": q_error_max, "drifted": bool(drifted)}
         record: Dict[str, object] = {
             "query_id": entry.query_id,

@@ -149,8 +149,8 @@ def generate_skewed(
     the hot-region filter keeps most of the supplier domain while the
     region table's post-filter row count collapses to ``n_hot``.  The
     default sizes put the supp/region child's *observed* cardinality
-    above every base table, so the feedback-corrected recompile both
-    re-ranks the root attribute order and revisits its join strategy.
+    above every base table, so the feedback-corrected recompile
+    re-ranks the root attribute order.
     """
     if not 0 < n_hot <= n_regions:
         raise ValueError("n_hot must be in 1..n_regions")

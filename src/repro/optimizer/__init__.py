@@ -17,17 +17,11 @@ from .feedback import (
     measure,
     q_error,
 )
-from .strategy import (
-    BINARY_COST_FACTOR,
-    JOIN_STRATEGIES,
-    MIN_BINARY_INPUT_ROWS,
-    STRATEGY_SCHEMA_VERSION,
+from .cardinality import (
     EdgeStats,
-    StrategyDecision,
-    decide_strategy,
+    RowEstimate,
+    estimate_node,
     estimate_output_rows,
-    is_acyclic,
-    pairwise_cost,
     pairwise_plan,
 )
 from .icost import (
@@ -54,16 +48,10 @@ __all__ = [
     "candidate_orders",
     "choose_order",
     "order_cost",
-    "BINARY_COST_FACTOR",
-    "JOIN_STRATEGIES",
-    "MIN_BINARY_INPUT_ROWS",
-    "STRATEGY_SCHEMA_VERSION",
     "EdgeStats",
-    "StrategyDecision",
-    "decide_strategy",
+    "RowEstimate",
+    "estimate_node",
     "estimate_output_rows",
-    "is_acyclic",
-    "pairwise_cost",
     "pairwise_plan",
     "DRIFT_CONSECUTIVE_RUNS",
     "Q_ERROR_DRIFT_THRESHOLD",

@@ -1,10 +1,10 @@
 """The q-error feedback loop: measure estimate error, re-rank bad plans.
 
-The optimizer routes every GHD node on *estimates* -- the icost x
-weight WCOJ score, the System-R pairwise estimate, and the output-row
-estimate in :class:`~repro.optimizer.strategy.StrategyDecision` -- but
-estimates built from independence and containment assumptions are
-exactly wrong on skewed data.  This module closes the loop
+The optimizer plans every GHD node on *estimates* -- the icost x
+weight order score and the output-row estimate in
+:class:`~repro.optimizer.cardinality.RowEstimate` -- but estimates
+built from independence and containment assumptions are exactly wrong
+on skewed data.  This module closes the loop
 (ROADMAP's "Feedback-driven optimizer"):
 
 * after each execution, the engine pairs every plan node's
@@ -21,8 +21,8 @@ exactly wrong on skewed data.  This module closes the loop
   **feedback-corrected cardinalities**: the observed per-node actuals
   (:meth:`PlanFeedback.corrections`) override the catalog /
   independence estimates during attribute-order search (child
-  pseudo-edge cardinalities feed the relation-score weights) and
-  strategy scoring (``est_rows`` is pinned to the observation).
+  pseudo-edge cardinalities feed the relation-score weights) and the
+  node's ``est_rows`` is pinned to the observation.
 
 Thresholds follow the q-error literature's convention that factor-of-k
 misestimates under ~4 rarely change plan choice, while persistent
@@ -110,12 +110,12 @@ def measure(plan, node_rows: Mapping[str, int]) -> Optional[QueryFeedback]:
     while stack:
         node = stack.pop()
         stack.extend(node.children)
-        sd = node.strategy_decision
         actual = node_rows.get(node.node_key)
-        if sd is None or actual is None:
+        if actual is None:
             continue
-        qe = q_error(sd.est_rows, actual)
-        nodes.append(NodeFeedback(node.node_key, float(sd.est_rows), int(actual), qe))
+        est_rows = node.estimate.est_rows
+        qe = q_error(est_rows, actual)
+        nodes.append(NodeFeedback(node.node_key, float(est_rows), int(actual), qe))
         if node is root:
             root_q = qe
     if not nodes:

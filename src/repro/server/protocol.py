@@ -26,7 +26,7 @@ Request types (client -> server)::
 
 Response types (server -> client)::
 
-    hello         {version, server, session, batch_rows, join_strategy}
+    hello         {version, server, session, batch_rows, feedback}
     result_header {qid, names, dtypes}
     batch         {qid, rows}                   -- row-major, <= batch_rows
     done          {qid, rows, elapsed_ms, query_id?, approx?, stats?, trace?}

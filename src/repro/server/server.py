@@ -147,7 +147,6 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                 "server": server.server_name,
                 "session": session.id,
                 "batch_rows": server.batch_rows,
-                "join_strategy": server.engine.config.join_strategy,
                 "feedback": {
                     "q_error_threshold": cache.q_error_threshold,
                     "drift_runs": cache.drift_runs,

@@ -28,8 +28,8 @@ Set = Union[UintSet, BitSet]
 def make_set(values: np.ndarray, force_layout: Layout | None = None) -> Set:
     """Build a set from sorted, duplicate-free values, choosing a layout.
 
-    ``force_layout`` overrides the density heuristic; the trie builder
-    uses it when a caller pins a layout (e.g. tests and ablations).
+    ``force_layout`` overrides the density heuristic (the intersection
+    micro-benchmarks and tests pin a layout pair with it).
     """
     arr = np.asarray(values, dtype=np.uint32)
     if arr.size == 0:

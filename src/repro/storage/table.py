@@ -17,7 +17,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SchemaError
-from ..sets.layout import Layout
 from ..trie import AnnotationSpec, Dictionary, Trie, build_trie
 from .schema import AttrType, Kind, Schema
 
@@ -178,9 +177,7 @@ class Table:
         Returns ``(key_columns, domain_sizes, specs)``: dictionary-coded
         key columns (row-masked), per-level domain sizes, and
         :class:`AnnotationSpec` objects whose values are the raw
-        per-row arrays (string columns dictionary-encoded).  Shared by
-        trie construction and the hybrid executor's columnar frames, so
-        both engines see byte-identical codes.
+        per-row arrays (string columns dictionary-encoded).
         """
         key_order = tuple(key_order)
         for attr_name in key_order:
@@ -217,7 +214,6 @@ class Table:
         key_order: Sequence[str],
         annotations: Sequence[AnnotationRequest] = (),
         row_mask: Optional[np.ndarray] = None,
-        force_layout: Optional[Layout] = None,
         lazy: bool = False,
     ) -> Trie:
         """Build (or fetch from cache) a trie over ``key_order``.
@@ -239,7 +235,7 @@ class Table:
             for attr_name in key_order:
                 if self.schema.attribute(attr_name).kind is not Kind.KEY:
                     raise SchemaError(f"'{attr_name}' is not a key attribute")
-            token = (key_order, tuple(a.cache_token() for a in annotations), force_layout)
+            token = (key_order, tuple(a.cache_token() for a in annotations))
             versions = tuple(self._domain_version(a) for a in key_order)
             if token in self._trie_cache and self._cache_domain_versions.get(token) == versions:
                 return self._trie_cache[token]
@@ -252,7 +248,6 @@ class Table:
             key_order,
             specs,
             domain_sizes=domain_sizes,
-            force_layout=force_layout,
             lazy=lazy and not cacheable,
             prunable=lazy and not cacheable,
         )

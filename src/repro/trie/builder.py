@@ -1,12 +1,13 @@
 """Trie construction from encoded key columns and annotation columns.
 
-The builder sorts rows lexicographically by the key attributes, derives
-the distinct-prefix structure of every level in vectorized passes, picks
-a physical layout per set, and pre-aggregates annotation values over
-duplicate key prefixes with a per-annotation combine function (the
-semiring-sum pre-aggregation that makes aggregate-join queries over
-annotated relations correct when eliminated key attributes collapse
-duplicates -- Sections II-C and IV-A).
+The builder orders rows lexicographically by the key attributes (a
+radix order over packed dictionary codes,
+:func:`repro.xcution.codes.row_order`), derives the distinct-prefix
+structure of every level in vectorized passes, and pre-aggregates
+annotation values over duplicate key prefixes with a per-annotation
+combine function (the semiring-sum pre-aggregation that makes
+aggregate-join queries over annotated relations correct when eliminated
+key attributes collapse duplicates -- Sections II-C and IV-A).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from ..errors import SchemaError
 from ..obs import profile as _profile
-from ..sets.layout import DENSITY_FACTOR, MIN_BITSET_CARDINALITY, Layout
 from .dictionary import Dictionary
 from .trie import Annotation, Trie, TrieLevel
 
@@ -52,21 +52,6 @@ class AnnotationSpec:
             raise SchemaError(f"annotation '{self.name}' has no values")
 
 
-def _choose_layouts(flat_values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Vectorized per-parent layout choice (density heuristic)."""
-    counts = np.diff(offsets)
-    layouts = np.zeros(counts.size, dtype=np.uint8)
-    nonempty = counts > 0
-    if not nonempty.any():
-        return layouts
-    first = flat_values[offsets[:-1][nonempty]].astype(np.int64)
-    last = flat_values[(offsets[1:][nonempty] - 1)].astype(np.int64)
-    card = counts[nonempty]
-    dense = (card >= MIN_BITSET_CARDINALITY) & ((last - first + 1) <= card * DENSITY_FACTOR)
-    layouts[nonempty] = dense.astype(np.uint8)
-    return layouts
-
-
 def _combine_groups(values: np.ndarray, starts: np.ndarray, n_rows: int, combine: str) -> np.ndarray:
     """Collapse sorted rows into one value per group (group starts given)."""
     if combine == "first":
@@ -93,7 +78,6 @@ def build_trie(
     key_attrs: Sequence[str],
     annotations: Sequence[AnnotationSpec] = (),
     domain_sizes: Sequence[int] | None = None,
-    force_layout: Layout | None = None,
     lazy: bool = False,
     prunable: bool = False,
 ):
@@ -102,7 +86,8 @@ def build_trie(
     ``key_columns`` are parallel arrays of dictionary codes, one per key
     attribute in trie-level order.  ``domain_sizes`` (dictionary sizes
     per level) enable the completely-dense-level detection used by the
-    optimizer's icost-0 rule and the BLAS routing.
+    optimizer's icost-0 rule and the BLAS routing, and declare the code
+    range the row ordering packs.
 
     With ``lazy=True`` no structuring happens here: the returned
     :class:`repro.trie.lazy.LazyTrie` materializes its root level on
@@ -124,24 +109,18 @@ def build_trie(
             key_attrs,
             annotations,
             domain_sizes=domain_sizes,
-            force_layout=force_layout,
             prunable=prunable,
         )
     prof = _profile.ACTIVE
     if prof is None:
-        return _build_trie_impl(
-            key_columns, key_attrs, annotations, domain_sizes, force_layout
-        )
+        return _build_trie_impl(key_columns, key_attrs, annotations, domain_sizes)
     start = time.perf_counter()
-    trie = _build_trie_impl(
-        key_columns, key_attrs, annotations, domain_sizes, force_layout
-    )
+    trie = _build_trie_impl(key_columns, key_attrs, annotations, domain_sizes)
     prof.record_trie_build(
         attrs=key_attrs,
         tuples=trie.num_tuples,
         level_bytes=[
-            level.flat_values.nbytes + level.offsets.nbytes + level.layouts.nbytes
-            for level in trie.levels
+            level.flat_values.nbytes + level.offsets.nbytes for level in trie.levels
         ],
         seconds=time.perf_counter() - start,
     )
@@ -153,7 +132,6 @@ def _build_trie_impl(
     key_attrs: Sequence[str],
     annotations: Sequence[AnnotationSpec] = (),
     domain_sizes: Sequence[int] | None = None,
-    force_layout: Layout | None = None,
 ) -> Trie:
     if not key_columns:
         raise SchemaError("a trie needs at least one key attribute")
@@ -175,53 +153,40 @@ def _build_trie_impl(
 
     # Builds can dominate compile time for large relations; poll the
     # ambient cancel token (set by the engine's ``cancel_scope``) once
-    # per level pass so deadlines fire during compilation too.  Imported
-    # lazily: ``repro.core`` imports the engine, which imports this
-    # module.
+    # per level pass so deadlines fire during compilation too.  Both
+    # imported lazily: ``repro.core`` imports the engine and
+    # ``repro.xcution`` the planner, which import this module.
     from ..core.governor import current_cancel
+    from ..xcution.codes import row_order
 
     cancel = current_cancel()
     if cancel is not None:
         cancel.check()
 
-    order = np.lexsort(tuple(reversed(cols)))
+    order = row_order(cols, domain_sizes)[0]
     cols = [c[order] for c in cols]
 
-    # new_prefix[i] marks rows starting a new distinct prefix of length i+1.
+    # new_prefix[i] marks rows starting a new distinct prefix of length
+    # depth+1; a parent's first row starts its first child, so a level's
+    # offsets are the positions of the parents' starts among its own.
     levels: list[TrieLevel] = []
     dense_flags: list[bool] = []
     new_prefix = np.zeros(n_rows, dtype=bool)
     new_prefix[0] = True
-    parent_ids = np.zeros(n_rows, dtype=np.int64)  # node id at previous level
-    n_parents = 1
     starts_per_level: list[np.ndarray] = []
-    node_ids_per_level: list[np.ndarray] = []
     for depth, col in enumerate(cols):
         if cancel is not None:
             cancel.check()
-        changed = np.zeros(n_rows, dtype=bool)
-        changed[0] = True
-        changed[1:] = col[1:] != col[:-1]
-        new_prefix = new_prefix | changed
+        parent_prefix = new_prefix.copy()
+        np.logical_or(new_prefix[1:], col[1:] != col[:-1], out=new_prefix[1:])
         starts = np.flatnonzero(new_prefix)
         flat_values = col[starts]
-        parents_of_nodes = parent_ids[starts]
-        counts = np.bincount(parents_of_nodes, minlength=n_parents)
-        offsets = np.zeros(n_parents + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        if force_layout is not None:
-            layouts = np.full(n_parents, 1 if force_layout is Layout.BITSET else 0, np.uint8)
-        else:
-            layouts = _choose_layouts(flat_values, offsets)
-        levels.append(TrieLevel(flat_values, offsets, layouts))
+        offsets = np.append(np.flatnonzero(parent_prefix[starts]), starts.size)
+        levels.append(TrieLevel(flat_values, offsets))
         dense_flags.append(
             _level_is_complete(flat_values, offsets, None if domain_sizes is None else domain_sizes[depth])
         )
-        node_ids = np.cumsum(new_prefix) - 1  # node id at this level, per row
         starts_per_level.append(starts)
-        node_ids_per_level.append(node_ids)
-        parent_ids = node_ids
-        n_parents = int(flat_values.size)
 
     built_annotations = {}
     for spec in annotations:
@@ -261,7 +226,6 @@ def _empty_trie(key_attrs, annotations, domain_sizes, arity) -> Trie:
         TrieLevel(
             np.empty(0, dtype=np.uint32),
             np.zeros(2 if depth == 0 else 1, dtype=np.int64),
-            np.zeros(1 if depth == 0 else 0, dtype=np.uint8),
         )
         for depth in range(arity)
     ]

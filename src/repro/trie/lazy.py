@@ -36,19 +36,13 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..errors import SchemaError
 from ..obs import profile as _profile
-from ..sets import Layout, Set
-from .builder import (
-    AnnotationSpec,
-    _build_trie_impl,
-    _choose_layouts,
-    _level_is_complete,
-)
+from .builder import AnnotationSpec, _build_trie_impl, _level_is_complete
 from .trie import Annotation, Trie, TrieLevel
 
 
@@ -68,7 +62,6 @@ class LazyTrie:
         key_attrs: Sequence[str],
         annotations: Sequence[AnnotationSpec] = (),
         domain_sizes: Sequence[int] | None = None,
-        force_layout: Optional[Layout] = None,
         prunable: bool = False,
     ):
         if not key_columns:
@@ -88,7 +81,6 @@ class LazyTrie:
         self._lazy_domain_sizes = (
             tuple(domain_sizes) if domain_sizes is not None else None
         )
-        self._force_layout = force_layout
         self.prunable = bool(prunable)
         #: True once a pruned (probe-restricted) materialization happened.
         self.pruned = False
@@ -113,15 +105,6 @@ class LazyTrie:
             return self._built.domain_sizes
         return self._lazy_domain_sizes or ()
 
-    def materialized_levels(self) -> List[TrieLevel]:
-        """Levels structured so far -- observability hooks use this so
-        tracing a governed query never forces materialization."""
-        if self._built is not None:
-            return list(self._built.levels)
-        if self._root is not None:
-            return [self._root]
-        return []
-
     # -- the Trie surface -----------------------------------------------------
 
     @property
@@ -144,9 +127,6 @@ class LazyTrie:
     def is_fully_dense(self) -> bool:
         return self._materialize().is_fully_dense
 
-    def root_set(self) -> Set:
-        return self.level(0).set_for(0)
-
     def level(self, i: int) -> TrieLevel:
         if self._built is not None:
             return self._built.levels[i]
@@ -156,9 +136,6 @@ class LazyTrie:
 
     def annotation(self, name: str) -> Annotation:
         return self._materialize().annotations[name]
-
-    def lookup_node(self, key_prefix: Sequence[int]) -> Optional[int]:
-        return self._materialize().lookup_node(key_prefix)
 
     def lookup_nodes_batch(self, code_columns: Sequence[np.ndarray]) -> np.ndarray:
         return self._materialize().lookup_nodes_batch(code_columns)
@@ -195,13 +172,7 @@ class LazyTrie:
                     start = time.perf_counter()
                     uniq = np.unique(self._cols[0])
                     offsets = np.array([0, uniq.size], dtype=np.int64)
-                    if self._force_layout is not None:
-                        layouts = np.full(
-                            1, 1 if self._force_layout is Layout.BITSET else 0, np.uint8
-                        )
-                    else:
-                        layouts = _choose_layouts(uniq, offsets)
-                    self._root = TrieLevel(uniq, offsets, layouts)
+                    self._root = TrieLevel(uniq, offsets)
                     prof = _profile.ACTIVE
                     if prof is not None:
                         prof.add_category(
@@ -229,25 +200,22 @@ class LazyTrie:
         pruned = False
         if probed is None or self._n_rows == 0 or self.arity <= 1:
             trie = _build_trie_impl(
-                self._cols,
-                self.key_attrs,
-                self._specs,
-                self._lazy_domain_sizes,
-                self._force_layout,
+                self._cols, self.key_attrs, self._specs, self._lazy_domain_sizes
             )
         else:
             trie, pruned = self._build_pruned(probed)
         self.pruned = pruned
         self._built = trie
         self._root = trie.levels[0]
+        # a cached plan keeps this trie: drop the row copies it was built from
+        self._cols = self._specs = None
         prof = _profile.ACTIVE
         if prof is not None:
             prof.record_lazy_build(
                 attrs=self.key_attrs,
                 tuples=trie.num_tuples,
                 level_bytes=[
-                    lvl.flat_values.nbytes + lvl.offsets.nbytes + lvl.layouts.nbytes
-                    for lvl in trie.levels
+                    lvl.flat_values.nbytes + lvl.offsets.nbytes for lvl in trie.levels
                 ],
                 seconds=time.perf_counter() - start,
                 pruned=pruned,
@@ -266,11 +234,7 @@ class LazyTrie:
         probed = probed[valid]
         if probed.size >= uniq0.size:
             trie = _build_trie_impl(
-                self._cols,
-                self.key_attrs,
-                self._specs,
-                self._lazy_domain_sizes,
-                self._force_layout,
+                self._cols, self.key_attrs, self._specs, self._lazy_domain_sizes
             )
             return trie, False
         mask = np.isin(self._cols[0], probed)
@@ -286,11 +250,7 @@ class LazyTrie:
             for s in self._specs
         ]
         sub = _build_trie_impl(
-            sub_cols,
-            self.key_attrs,
-            sub_specs,
-            self._lazy_domain_sizes,
-            self._force_layout,
+            sub_cols, self.key_attrs, sub_specs, self._lazy_domain_sizes
         )
         return self._widen(root, sub), True
 
@@ -316,9 +276,7 @@ class LazyTrie:
         counts_full[pos] = np.diff(sub_l1.offsets)
         offsets_full = np.zeros(n_roots + 1, dtype=np.int64)
         np.cumsum(counts_full, out=offsets_full[1:])
-        layouts_full = np.zeros(n_roots, dtype=np.uint8)
-        layouts_full[pos] = sub_l1.layouts
-        level1 = TrieLevel(sub_l1.flat_values, offsets_full, layouts_full)
+        level1 = TrieLevel(sub_l1.flat_values, offsets_full)
 
         annotations: Dict[str, Annotation] = {}
         for name, ann in sub.annotations.items():

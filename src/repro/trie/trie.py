@@ -20,7 +20,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sets import BitSet, Layout, Set, UintSet
 from ..sets.layout import fits_table
 from .dictionary import Dictionary
 
@@ -29,20 +28,15 @@ class TrieLevel:
     """One level of a trie: the sets of one key attribute.
 
     Values for all parents live in one flat buffer; ``offsets[p]`` /
-    ``offsets[p+1]`` bound parent ``p``'s slice.  Each parent's set is
-    materialized lazily in its chosen layout (sparse uint array or dense
-    bitset), with bitsets cached after first construction.
+    ``offsets[p+1]`` bound parent ``p``'s slice.  Executors probe whole
+    batches of (parent, value) pairs at once (:meth:`batch_child_ids`).
     """
 
-    __slots__ = (
-        "flat_values", "offsets", "layouts", "_dense_cache", "_batch_composite", "_direct"
-    )
+    __slots__ = ("flat_values", "offsets", "_batch_composite", "_direct")
 
-    def __init__(self, flat_values: np.ndarray, offsets: np.ndarray, layouts: np.ndarray):
+    def __init__(self, flat_values: np.ndarray, offsets: np.ndarray):
         self.flat_values = flat_values
         self.offsets = offsets
-        self.layouts = layouts
-        self._dense_cache: Dict[int, BitSet] = {}
         self._batch_composite: Optional[np.ndarray] = None
         #: child-id table indexed by ``parent * domain + value`` (-1 where
         #: absent); an empty array once the level proved too sparse for one.
@@ -63,19 +57,6 @@ class TrieLevel:
         """The sorted distinct values under ``parent`` (zero-copy view)."""
         return self.flat_values[self.offsets[parent] : self.offsets[parent + 1]]
 
-    def set_for(self, parent: int) -> Set:
-        """The set object for ``parent`` in its chosen physical layout."""
-        if self.layouts[parent]:
-            cached = self._dense_cache.get(parent)
-            if cached is None:
-                cached = BitSet.from_values(self.values_for(parent))
-                self._dense_cache[parent] = cached
-            return cached
-        return UintSet(self.values_for(parent))
-
-    def layout_for(self, parent: int) -> Layout:
-        return Layout.BITSET if self.layouts[parent] else Layout.UINT
-
     def child_base(self, parent: int) -> int:
         """First child node id at the next level for ``parent``'s slice."""
         return int(self.offsets[parent])
@@ -87,8 +68,7 @@ class TrieLevel:
         """The level's child ids as a direct-address table, or None.
 
         Built (and cached) only while ``parents x domain`` is small next
-        to the level -- the rule ``codes.join_indices`` uses for its
-        build side.
+        to the level (:func:`repro.sets.layout.fits_table`).
         """
         table = self._direct
         if table is None:
@@ -186,36 +166,17 @@ class Trie:
         """True when every level is a complete range (dense matrix)."""
         return bool(self.dense_levels) and all(self.dense_levels)
 
-    def root_set(self) -> Set:
-        return self.levels[0].set_for(0)
-
     def level(self, i: int) -> TrieLevel:
         return self.levels[i]
 
     def annotation(self, name: str) -> Annotation:
         return self.annotations[name]
 
-    def lookup_node(self, key_prefix: Sequence[int]) -> Optional[int]:
-        """Walk the trie along ``key_prefix``; return the node id reached.
-
-        Returns None when the prefix is absent.  This is the ``R[t]``
-        tuple-matching accessor of Table I, used mainly by tests and the
-        Python front-end; the executor tracks node ids incrementally.
-        """
-        node = 0
-        for depth, value in enumerate(key_prefix):
-            level = self.levels[depth]
-            s = level.set_for(node)
-            if not s.contains(int(value)):
-                return None
-            node = level.child_base(node) + s.rank(int(value))
-        return node
-
     def lookup_nodes_batch(self, code_columns: Sequence[np.ndarray]) -> np.ndarray:
-        """Vectorized :meth:`lookup_node` over parallel code columns.
+        """Walk the trie along each row of parallel code columns.
 
-        Returns one node id per row, -1 where the row's key prefix is
-        absent from the trie.
+        The ``R[t]`` tuple-matching accessor of Table I, batched: returns
+        one node id per row, -1 where the row's key prefix is absent.
         """
         nodes = None
         for depth, codes in enumerate(code_columns):

@@ -1,25 +1,20 @@
 """Sort-free relational kernels over dense integer codes.
 
 Order-preserving dictionary codes (Section III-B) make grouping and
-equi-joining array work: every relational "sort" in the engine goes
-through this module, which never comparison-sorts a record array.
+trie construction array work: every relational "sort" in the engine
+goes through this module, which never comparison-sorts a record array.
 
 * :func:`group_runs` turns GROUP BY columns into per-column dense codes,
   packs them mixed-radix into one integer and orders rows with a stable
   LSD radix sort (16-bit ``lexsort`` digits), so groups come out in
   lexicographic column order with input row order kept inside each
   group -- the order ``np.unique`` over a record view used to give.
+  :func:`row_order` is that ordering step alone (the trie builder's).
 * :func:`segmented_reduce` / :func:`row_values` are the one copy of the
   coefficient x slot product loop and the sum/min/max ``reduceat`` loop.
-* :func:`join_indices` probes a direct-address table when the build
-  side is unique on the key (every FK->PK join), a counting-sort CSR
-  when it is not, and sort-merges only when the key space is too sparse
-  for a table.  Pairs come out left-major with right matches in row
-  order -- what the sort-merge join emits -- whichever branch ran.
 
 Kernel time is attributed to the active :class:`KernelProfiler` under
-``group.order``, ``group.reduce``, ``binary.join_direct`` and
-``binary.join_sorted``.
+``group.order`` and ``group.reduce``.
 """
 
 from __future__ import annotations
@@ -39,30 +34,11 @@ _PACK_LIMIT = 1 << 62
 
 _REDUCERS = {"min": np.minimum, "max": np.maximum}
 
-#: profiler categories this module's kernels record their time under.
-KERNEL_CATEGORIES = (
-    "group.order",
-    "group.reduce",
-    "binary.join_direct",
-    "binary.join_sorted",
-)
-
 
 def _profiled(category: str, start: float) -> None:
     profiler = _profile.ACTIVE
     if profiler is not None:
         profiler.add_category(category, time.perf_counter() - start)
-
-
-def kernel_seconds(profiler) -> float:
-    """Seconds ``profiler`` has attributed to this module's kernels.
-
-    Callers that time a span containing kernel calls subtract the
-    difference, so category times stay disjoint.
-    """
-    return sum(
-        profiler.category_seconds.get(name, 0.0) for name in KERNEL_CATEGORIES
-    )
 
 
 def column_codes(column: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -120,6 +96,29 @@ def stable_order(key: np.ndarray, cardinality: int) -> np.ndarray:
     return np.lexsort(digits)
 
 
+def row_order(
+    columns: Sequence[np.ndarray],
+    cardinalities: Optional[Sequence[Optional[int]]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic row order of ``columns``: ``(order, key)``.
+
+    ``order`` is the permutation ``np.lexsort(columns[::-1])`` gives
+    (first column most significant, ties in input order); ``key`` is the
+    packed per-row key it sorts.  ``cardinalities`` declare code columns
+    as in :func:`group_runs`.  Unprofiled: callers book the time.
+    """
+    coded: List[np.ndarray] = []
+    cards: List[int] = []
+    for i, column in enumerate(columns):
+        declared = cardinalities[i] if cardinalities is not None else None
+        if declared is None:
+            column, declared = column_codes(column)
+        coded.append(column)
+        cards.append(declared)
+    key, cardinality = pack(coded, cards)
+    return stable_order(key, cardinality), key
+
+
 def group_runs(
     columns: Sequence[np.ndarray],
     cardinalities: Optional[Sequence[Optional[int]]] = None,
@@ -139,16 +138,7 @@ def group_runs(
     if n_rows == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    coded: List[np.ndarray] = []
-    cards: List[int] = []
-    for i, column in enumerate(columns):
-        declared = cardinalities[i] if cardinalities is not None else None
-        if declared is None:
-            column, declared = column_codes(column)
-        coded.append(column)
-        cards.append(declared)
-    key, cardinality = pack(coded, cards)
-    order = stable_order(key, cardinality)
+    order, key = row_order(columns, cardinalities)
     ordered = key[order]
     boundary = np.empty(n_rows, dtype=bool)
     boundary[0] = True
@@ -239,60 +229,3 @@ def reduce_groups(
     first = order[starts]
     keys = [column[first] for column in key_columns]
     return keys, segmented_reduce(agg_funcs, value_columns, order, starts)
-
-
-def _expand_matches(
-    counts: np.ndarray, first: np.ndarray, order_r: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Left-major index pairs from per-left-row match counts.
-
-    Left row ``i`` matches ``order_r[first[i] : first[i] + counts[i]]``.
-    """
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    left_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    bases = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(bases, counts)
-    right_idx = order_r[np.repeat(first, counts) + within]
-    return left_idx, right_idx
-
-
-def join_indices(
-    lkey: np.ndarray, rkey: np.ndarray, domain_size: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-index pairs of the equi-join ``lkey = rkey``.
-
-    Keys are codes in ``[0, domain_size)``.  Pairs are left-major; a
-    left row's matches ascend by right row index.
-    """
-    start = time.perf_counter()
-    if not fits_table(domain_size, lkey.size + rkey.size):
-        # key space too sparse for a table: radix-sort both sides and
-        # merge (probes in key order walk the build side sequentially)
-        order_l = stable_order(lkey, domain_size)
-        order_r = stable_order(rkey, domain_size)
-        lsorted, rsorted = lkey[order_l], rkey[order_r]
-        low = np.empty(lkey.size, dtype=np.int64)
-        high = np.empty(lkey.size, dtype=np.int64)
-        low[order_l] = np.searchsorted(rsorted, lsorted, side="left")
-        high[order_l] = np.searchsorted(rsorted, lsorted, side="right")
-        pairs = _expand_matches(high - low, low, order_r)
-        _profiled("binary.join_sorted", start)
-        return pairs
-    counts = np.bincount(rkey, minlength=domain_size)
-    if counts.max(initial=0) <= 1:
-        # unique build side: the table is the whole index
-        position = np.full(domain_size, -1, dtype=np.int64)
-        position[rkey] = np.arange(rkey.size, dtype=np.int64)
-        hit = position[lkey]
-        left_idx = np.flatnonzero(hit >= 0)
-        pairs = left_idx, hit[left_idx]
-    else:
-        # counting-sort CSR: offsets by key, rows in stable key order
-        offsets = np.cumsum(counts) - counts
-        order_r = stable_order(rkey, domain_size)
-        pairs = _expand_matches(counts[lkey], offsets[lkey], order_r)
-    _profiled("binary.join_direct", start)
-    return pairs

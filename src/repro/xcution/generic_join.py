@@ -20,7 +20,7 @@ attribute is one step:
 After the last attribute the annotation slots are gathered by node id,
 and rows reduce per group through :mod:`repro.xcution.codes`
 (``row_values`` + ``group_runs`` + ``segmented_reduce``), the kernels the
-scan and binary executors use.  A projected-away attribute (Section
+scan executor uses.  A projected-away attribute (Section
 V-A2's relaxed order included) is simply a column the reduce ignores.
 
 The frontier is walked depth first in windows of at most

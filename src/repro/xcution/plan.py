@@ -20,12 +20,11 @@ from ..approx.rewrite import APPROX_POLICIES
 from ..errors import PlanningError, UnsupportedQueryError
 from ..obs import NULL_TRACER
 from ..optimizer import (
-    JOIN_STRATEGIES,
     EdgeStats,
     OrderDecision,
-    StrategyDecision,
+    RowEstimate,
     choose_order,
-    decide_strategy,
+    estimate_node,
 )
 from ..query.decompose import choose_ghd, single_node_ghd
 from ..query.ghd import GHD, GHDNode
@@ -65,23 +64,6 @@ def _default_num_threads() -> int:
     return 4
 
 
-def _default_join_strategy() -> str:
-    """Default for ``EngineConfig.join_strategy``: ``REPRO_JOIN_STRATEGY``.
-
-    CI runs a join-strategy matrix (auto/wcoj/binary) over the suite via
-    this env toggle so both engines -- and the hybrid dispatcher -- stay
-    differentially correct without every test constructing configs.
-    """
-    raw = os.environ.get("REPRO_JOIN_STRATEGY", "").strip().lower()
-    if not raw:
-        return "auto"
-    if raw not in JOIN_STRATEGIES:
-        raise ValueError(
-            f"REPRO_JOIN_STRATEGY={raw!r} is not one of {JOIN_STRATEGIES}"
-        )
-    return raw
-
-
 @dataclass
 class EngineConfig:
     """Optimizer and executor toggles (the Table III ablations)."""
@@ -99,12 +81,6 @@ class EngineConfig:
     #: attributes that keeps materialized attributes first, except for
     #: the single relaxed swap of Section V-A2.
     forced_root_order: Optional[Tuple[str, ...]] = None
-    #: per-node engine choice: ``"auto"`` scores each GHD node with both
-    #: the WCOJ icost x weight estimate and a Selinger pairwise cost and
-    #: picks per node; ``"wcoj"``/``"binary"`` pin one engine (binary
-    #: still falls back to WCOJ for ineligible nodes, e.g. cyclic-safe
-    #: ablation configs).  Defaults from ``REPRO_JOIN_STRATEGY``.
-    join_strategy: str = field(default_factory=_default_join_strategy)
     #: approximate-query policy (``repro.approx``): ``"never"`` always
     #: runs exact, ``"force"`` runs on samples whenever one covers a
     #: touched table, ``"allow"`` runs exact but lets the governor
@@ -113,11 +89,6 @@ class EngineConfig:
     approx: str = "never"
 
     def __post_init__(self):
-        if self.join_strategy not in JOIN_STRATEGIES:
-            raise ValueError(
-                f"join_strategy={self.join_strategy!r} is not one of "
-                f"{JOIN_STRATEGIES}"
-            )
         if self.approx not in APPROX_POLICIES:
             raise ValueError(
                 f"approx={self.approx!r} is not one of {APPROX_POLICIES}"
@@ -136,19 +107,13 @@ class EngineConfig:
 
 @dataclass
 class RelationBinding:
-    """One relation occurrence inside a node.
-
-    WCOJ nodes bind a trie in node attribute order; binary nodes bind a
-    columnar :class:`~repro.xcution.binary_join.RelationFrame` (raw
-    filtered rows, same dictionary codes) and leave ``trie`` unset.
-    """
+    """One relation occurrence inside a node: a trie in node attribute order."""
 
     alias: str
-    trie: Optional[Trie]
+    trie: Trie
     vertices: Tuple[str, ...]  # node attrs restricted to this relation
     slot_ids: Tuple[str, ...] = ()  # annotations to read at the last level
     is_child_result: bool = False
-    frame: Optional[object] = None  # RelationFrame for binary nodes
 
 
 @dataclass
@@ -184,11 +149,8 @@ class NodePlan:
     decision: OrderDecision
     bag: frozenset
     children: List["NodePlan"] = field(default_factory=list)
-    #: per-node engine: ``"wcoj"`` (generic join over tries) or
-    #: ``"binary"`` (pairwise hash joins over columnar frames).
-    strategy: str = "wcoj"
-    #: both cost estimates plus the decision rationale (explain output).
-    strategy_decision: Optional[StrategyDecision] = None
+    #: the node's output-row estimate (what the q-error loop scores).
+    estimate: RowEstimate = field(default_factory=RowEstimate)
     #: slot id under which this node's aggregated annotation is exposed
     #: to its parent (None for the root).
     result_slot: Optional[str] = None
@@ -287,23 +249,14 @@ class PhysicalPlan:
         if self.root is not None:
             for node, depth in _walk_plans(self.root):
                 indent = "  " * depth
+                corrected = " [feedback-corrected]" if node.estimate.corrected else ""
                 lines.append(f"{indent}node attrs={list(node.attrs)} "
                              f"materialized={list(node.materialized)} "
-                             f"relaxed={node.relaxed} cost={node.decision.cost}")
-                sd = node.strategy_decision
-                if sd is not None:
-                    corrected = " [feedback-corrected]" if sd.corrected else ""
-                    lines.append(
-                        f"{indent}  strategy={node.strategy} "
-                        f"wcoj_cost={sd.wcoj_cost:.1f} "
-                        f"binary_cost={sd.binary_cost:.1f} "
-                        f"input_rows={sd.input_rows:.0f} "
-                        f"est_rows={sd.est_rows:.0f}{corrected} ({sd.reason})"
-                    )
+                             f"relaxed={node.relaxed} cost={node.decision.cost} "
+                             f"est_rows={node.estimate.est_rows:.0f}{corrected}")
                 for binding in node.bindings:
-                    physical = "frame" if binding.frame is not None else "trie"
                     lines.append(
-                        f"{indent}  {binding.alias}: {physical}{list(binding.vertices)} "
+                        f"{indent}  {binding.alias}: trie{list(binding.vertices)} "
                         f"slots={list(binding.slot_ids)}"
                     )
         if self.blas is not None:
@@ -315,22 +268,14 @@ class PhysicalPlan:
     def node_summaries(self) -> List[Dict]:
         """Structured per-node summaries for ``explain(format="json")``.
 
-        Each entry carries the chosen engine plus both cost estimates
-        under a versioned ``"strategy"`` block
-        (:data:`repro.optimizer.STRATEGY_SCHEMA_VERSION`).
+        Each entry carries the node's order cost and its output-row
+        estimate (``est_rows``, ``corrected``: whether that estimate was
+        pinned by the q-error feedback loop).
         """
-        from ..optimizer import STRATEGY_SCHEMA_VERSION
-
         out: List[Dict] = []
         if self.root is None:
             return out
         for node, depth in _walk_plans(self.root):
-            sd = node.strategy_decision
-            strategy = (
-                sd.as_dict()
-                if sd is not None
-                else {"version": STRATEGY_SCHEMA_VERSION, "choice": node.strategy}
-            )
             out.append(
                 {
                     "depth": depth,
@@ -339,12 +284,12 @@ class PhysicalPlan:
                     "materialized": list(node.materialized),
                     "relaxed": node.relaxed,
                     "order_cost": float(node.decision.cost),
-                    "strategy": strategy,
+                    "est_rows": float(node.estimate.est_rows),
+                    "corrected": node.estimate.corrected,
                     "result_slot": node.result_slot,
                     "bindings": [
                         {
                             "alias": b.alias,
-                            "physical": "frame" if b.frame is not None else "trie",
                             "vertices": list(b.vertices),
                             "slots": list(b.slot_ids),
                         }
@@ -380,8 +325,8 @@ def build_plan(
     ``NodePlan.node_key`` to observed actual row counts from a drifted
     cached plan: observations override the catalog/independence
     estimates during attribute-order search (child pseudo-edge
-    cardinalities feed the relation-score weights) and strategy scoring
-    (``est_rows`` is pinned to the observation).
+    cardinalities feed the relation-score weights) and pin each node's
+    ``est_rows``.
     """
     config = config or EngineConfig()
     tracer = tracer or NULL_TRACER
@@ -518,7 +463,7 @@ class _JoinPlanBuilder:
         # Observed child actuals (feedback from a drifted cached plan)
         # override the static estimate: the corrected cardinality flows
         # into the relation-score weights of the attribute-order search
-        # and the strategy chooser's input/binary costs -- the re-rank.
+        # -- the re-rank.
         child_edges = [
             Hyperedge(
                 alias=f"__childedge{i}",
@@ -584,18 +529,14 @@ class _JoinPlanBuilder:
         if is_root:
             self._root_order = decision.order
 
-        with self.tracer.span("strategy.choose") as span:
-            strategy_decision = self._decide_node_strategy(
-                node, local_edges, decision, is_root, materialized_pool, node_key
+        with self.tracer.span("cardinality.estimate") as span:
+            estimate = estimate_node(
+                [self._edge_stats(edge) for edge in local_edges],
+                materialized=tuple(materialized_pool),
+                observed_rows=self.feedback.get(node_key),
             )
             if self.tracer.active:
-                span.set(
-                    choice=strategy_decision.choice,
-                    wcoj_cost=strategy_decision.wcoj_cost,
-                    binary_cost=strategy_decision.binary_cost,
-                    est_rows=strategy_decision.est_rows,
-                    reason=strategy_decision.reason,
-                )
+                span.set(est_rows=estimate.est_rows, corrected=estimate.corrected)
 
         child_plans = [
             self._build_node(
@@ -607,8 +548,7 @@ class _JoinPlanBuilder:
             for i, child in enumerate(node.children)
         ]
         bindings = [
-            self._build_binding(edge, decision.order, is_root, strategy_decision.choice)
-            for edge in node.edges
+            self._build_binding(edge, decision.order, is_root) for edge in node.edges
         ]
         # -Attr.Elim: unused key attributes remain as trailing trie
         # levels; surface them as extra aggregated attributes so the
@@ -627,8 +567,7 @@ class _JoinPlanBuilder:
             decision=decision,
             bag=node.bag,
             children=child_plans,
-            strategy=strategy_decision.choice,
-            strategy_decision=strategy_decision,
+            estimate=estimate,
             node_key=node_key,
         )
         if is_root:
@@ -727,9 +666,8 @@ class _JoinPlanBuilder:
 
         Edge cardinalities are *post-filter*: a pushed-down selection
         that narrows a relation narrows everything joined against it,
-        and judging binary eligibility (or attribute weights) on raw
-        catalog cardinalities would mis-cost exactly the selective
-        fragments the hybrid planner exists for.
+        and weighting attributes by raw catalog cardinalities would
+        mis-cost exactly the selective fragments.
         """
         cards = []
         for member, _ in child.walk():
@@ -748,39 +686,7 @@ class _JoinPlanBuilder:
         mask = self._filter_mask(edge.alias)
         return int(mask.sum()) if mask is not None else int(table.num_rows)
 
-    # -- engine strategy ---------------------------------------------------------
-
-    def _decide_node_strategy(
-        self,
-        node: GHDNode,
-        local_edges: List[Hyperedge],
-        decision: OrderDecision,
-        is_root: bool,
-        materialized_pool: Sequence[str],
-        node_key: str,
-    ) -> StrategyDecision:
-        eligible, why = True, ""
-        if len(local_edges) < 2:
-            eligible, why = False, "single-edge fragment has nothing to pairwise-join"
-        elif not (
-            self.config.enable_attribute_elimination
-            and self.config.enable_attribute_ordering
-        ):
-            eligible, why = False, "ablation config pins the generic join"
-        elif is_root and self.config.forced_root_order is not None:
-            eligible, why = False, "forced root order pins the WCOJ walk"
-        elif any(getattr(e, "fully_dense", False) for e in node.edges):
-            eligible, why = False, "dense LA fragment: flat/BLAS kernels win"
-        stats = [self._edge_stats(edge) for edge in local_edges]
-        return decide_strategy(
-            self.config.join_strategy,
-            stats,
-            decision.cost,
-            eligible=eligible,
-            ineligible_reason=why,
-            materialized=tuple(materialized_pool),
-            observed_rows=self.feedback.get(node_key),
-        )
+    # -- cardinality estimates ------------------------------------------------
 
     def _edge_stats(self, edge: Hyperedge) -> EdgeStats:
         alias = edge.alias
@@ -805,7 +711,7 @@ class _JoinPlanBuilder:
     # -- bindings ---------------------------------------------------------------
 
     def _build_binding(
-        self, edge: Hyperedge, order: Sequence[str], is_root: bool, strategy: str
+        self, edge: Hyperedge, order: Sequence[str], is_root: bool
     ) -> RelationBinding:
         alias = edge.alias
         table = self.bound.tables[alias]
@@ -846,22 +752,6 @@ class _JoinPlanBuilder:
                     )
 
         row_mask = self._filter_mask(alias)
-        if strategy == "binary":
-            from .binary_join import build_frame
-
-            with self.tracer.span("frame.build", alias=alias) as span:
-                frame = build_frame(
-                    table, vertices, tuple(key_order), tuple(requests), row_mask
-                )
-                if self.tracer.active:
-                    span.set(key_order=list(key_order), rows=frame.num_rows)
-            return RelationBinding(
-                alias=alias,
-                trie=None,
-                vertices=vertices,
-                slot_ids=tuple(slot_ids),
-                frame=frame,
-            )
         # Filtered builds are per-query cost; defer them to first probe
         # so the level-0 intersection can prune what gets structured.
         use_lazy = row_mask is not None

@@ -45,19 +45,14 @@ class ExecutionStats:
     fetches: int = 0
     #: output groups produced.
     groups_emitted: int = 0
-    #: cooperative cancellation polls issued by the executors (one per
-    #: frontier step in a generic-join node, one per pairwise join in a
-    #: binary one).  Neither depends on the thread count, so the total
-    #: is deterministic and identical under serial and parallel
-    #: execution -- the governance differential tests assert exactly
-    #: that.
+    #: cooperative cancellation polls issued by the executor (one per
+    #: frontier step of a generic-join node).  That does not depend on
+    #: the thread count, so the total is deterministic and identical
+    #: under serial and parallel execution -- the governance
+    #: differential tests assert exactly that.
     cancel_checks: int = 0
-    #: pairwise hash/merge joins executed by binary-strategy nodes.
-    #: Binary nodes run single-threaded over vectorized kernels, so both
-    #: binary counters are parallel-invariant by construction.
-    binary_joins: int = 0
-    #: total intermediate rows produced by those joins (the quantity the
-    #: strategy chooser's ``binary_cost`` estimates).
+    #: always 0 (no binary join executor); kept because the benchmark
+    #: harness (``benchmarks/e2e/layers.py``) reads it by name.
     binary_rows: int = 0
     #: aggregator degradations: live group batches reduced into one
     #: lean columnar run under memory-budget pressure.  Spill

@@ -74,8 +74,7 @@ def execute_plan(
     ``stats`` (optional) accumulates executor counters for
     EXPLAIN ANALYZE; scan and BLAS plans leave it untouched.
     ``tracer`` (optional, a :class:`repro.obs.Tracer`) records one span
-    per GHD node with its scoped counters, chosen order, and set-layout
-    mix.  ``profiler`` (optional, a :class:`repro.obs.KernelProfiler`)
+    per GHD node with its scoped counters and chosen order.  ``profiler`` (optional, a :class:`repro.obs.KernelProfiler`)
     attributes join execution per trie level and kernel; the caller is
     responsible for also activating it (``repro.obs.activate``) so the
     set/trie hot-path hooks see it.  ``cancel`` (optional, a
@@ -166,8 +165,6 @@ def _execute_node(
     profiler=None,
     cancel=None,
 ):
-    if node.strategy == "binary":
-        return _execute_binary_node(node, config, stats, tracer, profiler, cancel)
     child_bindings = [
         _materialize_child(child, config, stats, tracer, profiler, cancel)
         for child in node.children
@@ -199,117 +196,11 @@ def _execute_node(
                 materialized=list(node.materialized),
                 relaxed=node.relaxed,
                 order_cost=node.decision.cost,
-                strategy=node.strategy,
                 groups=len(aggregator),
-                layout_mix=_layout_mix(executor.bindings),
             )
             if snapshot is not None:
                 span.stats = stats.delta_since(snapshot)
     return aggregator
-
-
-def _execute_binary_node(
-    node: NodePlan,
-    config: EngineConfig,
-    stats: Optional[ExecutionStats] = None,
-    tracer=NULL_TRACER,
-    profiler=None,
-    cancel=None,
-):
-    """Run a binary-strategy node: children first, then pairwise joins.
-
-    Children execute through the normal dispatch (each with its own
-    strategy) and their grouped results are wrapped as frames directly
-    -- no trie build sits between a child and a binary parent.
-    """
-    from .binary_join import execute_binary_node
-
-    child_frames = [
-        _materialize_child_frame(child, config, stats, tracer, profiler, cancel)
-        for child in node.children
-    ]
-    if cancel is not None:
-        cancel.check()
-    with tracer.span("node.execute") as span:
-        snapshot = stats.snapshot() if (tracer.active and stats is not None) else None
-        frames = [b.frame for b in node.bindings] + child_frames
-        result = execute_binary_node(
-            node,
-            frames,
-            config,
-            stats=stats,
-            tracer=tracer,
-            profiler=profiler,
-            cancel=cancel,
-        )
-        if stats is not None:
-            stats.note_node_rows(node.node_key, len(result))
-        if tracer.active:
-            span.set(
-                attrs=list(node.attrs),
-                materialized=list(node.materialized),
-                relaxed=node.relaxed,
-                order_cost=node.decision.cost,
-                strategy="binary",
-                groups=len(result),
-            )
-            if snapshot is not None:
-                span.stats = stats.delta_since(snapshot)
-    return result
-
-
-def _materialize_child_frame(
-    child: NodePlan,
-    config: EngineConfig,
-    stats: Optional[ExecutionStats] = None,
-    tracer=NULL_TRACER,
-    profiler=None,
-    cancel=None,
-):
-    """Run a child node and wrap its grouped result as a columnar frame."""
-    from .binary_join import RelationFrame
-
-    if not child.materialized:
-        raise ExecutionError(
-            "child GHD node shares no vertex with its parent (disconnected plan)"
-        )
-    aggregator = _execute_node(child, config, stats, tracer, profiler, cancel)
-    if cancel is not None:
-        cancel.check()
-    start = time.perf_counter() if profiler is not None else 0.0
-    key_columns, matrix = aggregator.result_arrays()
-    if profiler is not None:
-        profiler.add_category("finalize", time.perf_counter() - start)
-    values = matrix[:, 0] if matrix.size else np.empty(0)
-    return RelationFrame(
-        alias=f"__result_{child.result_slot}",
-        vertices=tuple(child.materialized),
-        key_columns=[np.asarray(col, dtype=np.uint32) for col in key_columns],
-        slot_columns={child.result_slot: np.asarray(values, dtype=np.float64)},
-    )
-
-
-def _layout_mix(bindings) -> dict:
-    """Count bitset vs uint parent sets across a node's binding tries.
-
-    Frame-backed bindings have no trie; lazy tries report only the
-    levels they actually materialized (observability must not force a
-    build).
-    """
-    dense = sparse = 0
-    for binding in bindings:
-        trie = binding.trie
-        if trie is None:
-            continue
-        if hasattr(trie, "materialized_levels"):
-            levels = trie.materialized_levels()
-        else:
-            levels = trie.levels
-        for level in levels:
-            chosen = int(np.count_nonzero(level.layouts))
-            dense += chosen
-            sparse += int(level.layouts.size) - chosen
-    return {"bitset": dense, "uint": sparse}
 
 
 def _materialize_child(

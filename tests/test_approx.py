@@ -294,7 +294,7 @@ def test_explain_json_schema_version_and_approx_block():
     engine = LevelHeadedEngine(make_mini_tpch())
     engine.create_sample("lineitem", 0.5, seed=1)
     exact = engine.explain(Q1ISH_SQL, format="json")
-    assert exact["schema_version"] == EXPLAIN_SCHEMA_VERSION == 2
+    assert exact["schema_version"] == EXPLAIN_SCHEMA_VERSION == 3
     assert exact["approx"] is None
     approx = engine.explain("APPROXIMATE " + Q1ISH_SQL, format="json")
     assert approx["approx"]["fraction"] == 0.5

@@ -155,7 +155,6 @@ def test_rejected_and_killed_events_carry_annotations_uniformly():
         governor.release(held)
     rejected = engine.flight.snapshot(outcome="rejected")[0]
     assert rejected["annotations"] == {
-        "strategy": [],
         "feedback": {"q_error_max": None, "drifted": False},
     }
     # a killed_query log event carries the block too, empty when unused

@@ -1,12 +1,9 @@
 """The dense-code kernels against the comparison sorts they replaced.
 
-``group_runs`` and ``join_indices`` must reproduce the old
-implementations' outputs *exactly* -- the same ``(order, starts)``, the
-same index pairs in the same order -- because row order inside a group
-fixes float summation order and pair order fixes downstream group
-order.  The references below are test-local copies of the removed code:
-``np.unique`` over a record view, and the ``argsort`` + two
-``searchsorted`` merge join.
+``group_runs`` must reproduce the old implementation's output *exactly*
+-- the same ``(order, starts)`` -- because row order inside a group
+fixes float summation order.  The reference below is a test-local copy
+of the removed code: ``np.unique`` over a record view.
 """
 
 import numpy as np
@@ -14,11 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import EngineConfig, LevelHeadedEngine
-from repro.datasets.tpch import TPCH_QUERIES, generate_tpch
 from repro.xcution.codes import (
     group_runs,
-    join_indices,
     pack,
     row_values,
     segmented_reduce,
@@ -40,34 +34,11 @@ def reference_group_runs(columns):
     return order, starts
 
 
-def reference_merge_join(lkey, rkey):
-    order_r = np.argsort(rkey, kind="stable")
-    rsorted = rkey[order_r]
-    lo = np.searchsorted(rsorted, lkey, side="left")
-    hi = np.searchsorted(rsorted, lkey, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    left_idx = np.repeat(np.arange(lkey.size, dtype=np.int64), counts)
-    bases = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(bases, counts)
-    return left_idx, order_r[np.repeat(lo, counts) + within]
-
-
 def assert_same_runs(columns, cardinalities=None):
     order, starts = group_runs(columns, cardinalities)
     want_order, want_starts = reference_group_runs(columns)
     assert np.array_equal(order, want_order)
     assert np.array_equal(starts, want_starts)
-
-
-def assert_same_pairs(lkey, rkey, domain_size):
-    left, right = join_indices(lkey, rkey, domain_size)
-    want_left, want_right = reference_merge_join(lkey, rkey)
-    assert np.array_equal(left, want_left)
-    assert np.array_equal(right, want_right)
 
 
 # ---------------------------------------------------------------------------
@@ -203,94 +174,3 @@ def test_row_values_multiplies_narrow_slots_in_float64():
     wide = {name: column.astype(np.float64) for name, column in slots.items()}
     assert total.dtype == np.float64
     assert np.array_equal(total, 3.0 * wide["v"] * wide["w"] + 0.5)
-
-
-# ---------------------------------------------------------------------------
-# join_indices
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 12).flatmap(
-        lambda domain: st.tuples(
-            st.just(domain),
-            st.lists(st.integers(0, domain - 1), max_size=30),
-            st.lists(st.integers(0, domain - 1), max_size=30),
-        )
-    ),
-    st.sampled_from([np.uint32, np.int64]),
-)
-def test_join_indices_matches_merge_join(case, dtype):
-    domain, left, right = case
-    assert_same_pairs(np.array(left, dtype=dtype), np.array(right, dtype=dtype), domain)
-
-
-def test_join_indices_unique_build_side_with_absent_keys():
-    rng = np.random.default_rng(4)
-    rkey = rng.permutation(5000)[:3000].astype(np.uint32)  # a primary key, 40% missing
-    lkey = rng.integers(0, 5000, 20_000).astype(np.uint32)
-    assert_same_pairs(lkey, rkey, 5000)
-    left, right = join_indices(lkey, rkey, 5000)
-    assert 0 < left.size < lkey.size
-    assert np.array_equal(lkey[left], rkey[right])
-
-
-def test_join_indices_duplicate_build_side():
-    rng = np.random.default_rng(5)
-    rkey = rng.integers(0, 300, 20_000).astype(np.uint32)
-    lkey = rng.integers(0, 400, 500).astype(np.uint32)  # keys 300.. match nothing
-    assert_same_pairs(lkey, rkey, 400)
-
-
-def test_join_indices_sparse_key_space_falls_back_to_sort_merge():
-    rng = np.random.default_rng(6)
-    domain = 2**40  # far past any table bound for 2500 rows
-    pool = rng.integers(0, domain, 700)
-    lkey = pool[rng.integers(0, 700, 2000)]
-    rkey = np.concatenate([pool[rng.integers(0, 400, 480)], rng.integers(0, domain, 20)])
-    assert_same_pairs(lkey, rkey, domain)
-    assert join_indices(lkey, rkey, domain)[0].size > 0
-    # dictionary codes arrive as uint32
-    narrow = [(key % 2**31).astype(np.uint32) for key in (lkey, rkey)]
-    assert_same_pairs(*narrow, 2**31)
-
-
-@pytest.mark.parametrize("domain", [10, 2**40])
-def test_join_indices_empty_sides_and_no_matches(domain):
-    keys = np.array([1, 2, 3], dtype=np.int64)
-    none = np.empty(0, dtype=np.int64)
-    for lkey, rkey in [(none, keys), (keys, none), (none, none), (keys, keys + 4)]:
-        left, right = join_indices(lkey, rkey, domain)
-        assert left.size == 0 and right.size == 0
-        assert left.dtype == np.int64 and right.dtype == np.int64
-
-
-# ---------------------------------------------------------------------------
-# engine-level pin: the kernels agree with the generic join
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def tpch():
-    return generate_tpch(scale_factor=0.005, seed=7)
-
-
-def _sorted_columns(result):
-    rows = result.sorted_rows()
-    return [np.array(column) for column in zip(*rows)]
-
-
-@pytest.mark.parametrize("name", ["Q1", "Q3", "Q5", "Q8", "Q9", "Q10"])
-@pytest.mark.parametrize("strategy", ["auto", "binary"])
-def test_tpch_columns_match_the_generic_join(tpch, name, strategy):
-    sql = TPCH_QUERIES[name]
-    want = LevelHeadedEngine(tpch, config=EngineConfig(join_strategy="wcoj")).query(sql)
-    got = LevelHeadedEngine(tpch, config=EngineConfig(join_strategy=strategy)).query(sql)
-    assert got.names == want.names and got.num_rows == want.num_rows > 0
-    for column_name, g, w in zip(want.names, _sorted_columns(got), _sorted_columns(want)):
-        integer_valued = w.dtype.kind != "f" or bool(np.all(w == np.rint(w)))
-        if integer_valued:
-            assert np.array_equal(g, w), column_name
-        else:
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=column_name)

@@ -9,8 +9,8 @@ The loop under test (``repro.optimizer.feedback``):
    runs drifts; its next lookup recompiles with the observed
    cardinalities overriding the static estimates (``reoptimized``);
 3. on the Zipf-skewed workload the corrected recompile genuinely
-   re-ranks the plan (different root attribute order and strategy)
-   with strictly lower measured q-error and identical results.
+   re-ranks the plan (different root attribute order) with strictly
+   lower measured q-error and identical results.
 
 Also covered here: the counters the loop depends on being truthful --
 the governor's one-rejection-one-count rule, the plan cache's
@@ -177,9 +177,8 @@ def test_corrections_rerank_the_attribute_order(skewed_catalog):
     corr_orders = [tuple(n["attrs"]) for n in corrected.node_summaries()]
     assert base_orders != corr_orders
     # the corrected node advertises itself
-    corr_root = corrected.node_summaries()[0]["strategy"]
-    assert corr_root["corrected"] is True
-    assert base.node_summaries()[0]["strategy"]["corrected"] is False
+    assert corrected.node_summaries()[0]["corrected"] is True
+    assert base.node_summaries()[0]["corrected"] is False
 
 
 def test_explain_analyze_reports_per_node_q_error(skewed_catalog):
@@ -407,15 +406,24 @@ def test_memory_pressure_metric_still_counts_shed_entries(skewed_catalog):
 
 def test_child_estimate_uses_post_filter_rows(skewed_catalog):
     """The supp/region child is bounded by the *filtered* region rows."""
-    engine = LevelHeadedEngine(skewed_catalog)
-    doc = engine.explain(SKEWED_SQL, format="json")
-    root = doc["plan_nodes"][0]
-    n_base = sum(
-        skewed_catalog.table(t).num_rows for t in ("fact", "link", "deal")
-    )
-    # pseudo-edge cardinality = post-filter region rows (2 hot regions),
-    # not the raw 40-row region table or the 400-row supp table
-    assert root["strategy"]["input_rows"] == float(n_base + 2)
+    from repro.query.translate import translate
+    from repro.sql.binder import bind
+    from repro.sql.parser import parse
+    from repro.xcution.plan import build_plan
+
+    config = LevelHeadedEngine(skewed_catalog).config
+    compiled = translate(bind(parse(SKEWED_SQL), skewed_catalog))
+
+    def root(feedback=None):
+        summary = build_plan(compiled, config, feedback=feedback).node_summaries()[0]
+        return summary["attrs"], summary["order_cost"], summary["est_rows"]
+
+    # the static root plans exactly as if the child had been observed at
+    # the post-filter region rows (2 hot regions) -- not at the raw
+    # 40-row region table or the 400-row supp table
+    assert root() == root({"n0.0": 2})
+    assert root() != root({"n0.0": 40})
+    assert root() != root({"n0.0": 400})
 
 
 def test_selective_filter_flips_the_root_decision(skewed_catalog):
@@ -423,18 +431,13 @@ def test_selective_filter_flips_the_root_decision(skewed_catalog):
 
     With ``r_hot = 1`` the child collapses to 2 estimated rows and the
     root sees a cheap selective fragment; without it the child estimate
-    is the 40-row region table and the root re-ranks.  Raw (pre-filter)
-    estimates would make both queries plan identically.
+    is the 40-row region table and the root's order cost and output
+    estimate both rise.  Raw (pre-filter) estimates would make both
+    queries plan identically.
     """
     engine = LevelHeadedEngine(skewed_catalog)
     filtered = engine.explain(SKEWED_SQL, format="json")["plan_nodes"][0]
     unfiltered_sql = SKEWED_SQL.replace("AND r_hot = 1", "")
     unfiltered = engine.explain(unfiltered_sql, format="json")["plan_nodes"][0]
-    assert filtered["strategy"]["input_rows"] != unfiltered["strategy"]["input_rows"]
-    assert (
-        filtered["strategy"]["choice"],
-        filtered["strategy"]["reason"],
-    ) != (
-        unfiltered["strategy"]["choice"],
-        unfiltered["strategy"]["reason"],
-    )
+    assert filtered["est_rows"] < unfiltered["est_rows"]
+    assert filtered["order_cost"] < unfiltered["order_cost"]

@@ -73,7 +73,6 @@ SHAPES = {
 
 def _config(threads, **extra):
     return EngineConfig(
-        join_strategy="wcoj",
         enable_blas=False,
         parallel=threads > 1,
         num_threads=threads,

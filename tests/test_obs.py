@@ -189,7 +189,7 @@ def test_query_trace_covers_the_lifecycle(engine):
     assert exec_span.stats["nodes_executed"] == 2
     node_spans = root.find_all("node.execute")
     assert len(node_spans) == 2
-    assert all("layout_mix" in s.payload for s in node_spans)
+    assert all("order_cost" in s.payload for s in node_spans)
     assert sum(s.stats["groups_emitted"] for s in node_spans) == \
         exec_span.stats["groups_emitted"]
 

@@ -1,10 +1,15 @@
 """Targeted tests for planner details: BLAS routing conditions,
-slot-edge pinning, result-clause primitives, and config interactions."""
+slot-edge pinning, explain's per-node estimates, result-clause
+primitives, and config interactions."""
+
+import json
 
 import numpy as np
 import pytest
 
 from repro import EngineConfig, LevelHeadedEngine, Schema, annotation, key
+from repro.core.engine import EXPLAIN_SCHEMA_VERSION
+from repro.datasets.tpch import TPCH_QUERIES, generate_tpch
 from repro.la import matmul_sql, matvec_sql
 from repro.sql.ast import ColumnRef
 from repro.sql.result_clauses import _sort_codes, make_result_resolver, result_row_index
@@ -95,6 +100,61 @@ def test_every_node_has_bindings(mini_tpch):
             walk(child)
 
     walk(plan.root)
+
+
+# ---------------------------------------------------------------------------
+# explain: per-node row estimates, text and versioned JSON
+# ---------------------------------------------------------------------------
+
+#: keys of one ``plan_nodes`` entry of ``explain(format="json")``.
+PLAN_NODE_KEYS = {
+    "depth",
+    "node_key",
+    "attrs",
+    "materialized",
+    "relaxed",
+    "order_cost",
+    "est_rows",
+    "corrected",
+    "result_slot",
+    "bindings",
+}
+
+
+@pytest.fixture(scope="module")
+def tpch():
+    return generate_tpch(scale_factor=0.005, seed=7)
+
+
+def test_explain_text_shows_node_estimates(tpch):
+    text = LevelHeadedEngine(tpch).explain(TPCH_QUERIES["Q3"])
+    node_lines = [line for line in text.splitlines() if "node attrs=" in line]
+    assert node_lines and all("est_rows=" in line for line in node_lines)
+
+
+def test_explain_json_plan_node_schema_golden(tpch):
+    """Pins the per-node entries of the versioned explain JSON."""
+    doc = LevelHeadedEngine(tpch).explain(TPCH_QUERIES["Q3"], format="json")
+    json.dumps(doc)  # everything must be JSON-serializable
+    assert doc["schema_version"] == EXPLAIN_SCHEMA_VERSION == 3
+    nodes = doc["plan_nodes"]
+    assert nodes, "expected at least one plan node"
+    for node in nodes:
+        assert set(node) == PLAN_NODE_KEYS
+        assert isinstance(node["order_cost"], float)
+        assert isinstance(node["est_rows"], float) and node["est_rows"] >= 1.0
+        assert node["corrected"] is False
+        for binding in node["bindings"]:
+            assert set(binding) == {"alias", "vertices", "slots"}
+
+
+def test_blas_mode_explain_has_no_join_nodes():
+    rng = np.random.default_rng(2)
+    engine = LevelHeadedEngine()
+    engine.register_matrix("m", rng.normal(size=(6, 6)), domain="dim")
+    doc = engine.explain(matmul_sql("m"), format="json")
+    assert doc["mode"] == "blas"
+    assert doc["plan_nodes"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -122,11 +122,15 @@ Q1ISH = (
 )
 
 
-def test_hello_announces_join_strategy(served_engine):
+def test_hello_announces_session_and_feedback_policy(served_engine):
     engine, server = served_engine
     with connect(server.host, server.port) as client:
-        assert client.join_strategy == engine.config.join_strategy
-        assert client.join_strategy in ("auto", "wcoj", "binary")
+        assert client.session and client.server
+        assert client.batch_rows == server.batch_rows
+        assert client.feedback == {
+            "q_error_threshold": engine.plan_cache.q_error_threshold,
+            "drift_runs": engine.plan_cache.drift_runs,
+        }
 
 
 def test_served_query_matches_in_process(served_engine):

@@ -34,6 +34,7 @@ import repro
 from repro import (
     CancelToken,
     EngineConfig,
+    Governor,
     LevelHeadedEngine,
     QuerySurface,
     Schema,
@@ -210,9 +211,9 @@ def test_connect_local_returns_engine():
 
 
 def test_connect_accepts_positional_config_for_back_compat():
-    engine = repro.connect(EngineConfig(join_strategy="wcoj"))
+    engine = repro.connect(EngineConfig(parallel=True))
     assert isinstance(engine, LevelHeadedEngine)
-    assert engine.config.join_strategy == "wcoj"
+    assert engine.config.parallel is True
     with pytest.raises(ReproError):
         repro.connect(EngineConfig(), config=EngineConfig())
 
@@ -224,7 +225,7 @@ def test_connect_accepts_positional_config_for_back_compat():
         ("config", EngineConfig()),
         ("max_concurrency", 4),
         ("global_memory_budget", 1 << 20),
-        ("join_strategy", "wcoj"),
+        ("governor", Governor(max_concurrency=1)),
     ],
 )
 def test_connect_tcp_rejects_engine_options(option, value):
@@ -481,7 +482,6 @@ def test_cancel_fans_out_to_every_worker_and_frees_slots():
     surface = repro.connect(
         "shard://local?workers=2",
         catalog=make_slow_catalog(),
-        join_strategy="wcoj",
         max_concurrency=2,
     )
     try:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError
-from repro.sets import Layout
 from repro.storage import (
     AnnotationRequest,
     AttrType,
@@ -127,7 +126,9 @@ def test_get_trie_basic_and_cache():
     trie2 = t.get_trie(("i", "j"), [AnnotationRequest("v", "v", 1, "sum")])
     assert trie1 is trie2  # cached
     assert trie1.num_tuples == 4
-    node = trie1.lookup_node([trie_code(t, "i", 0), trie_code(t, "j", 2)])
+    (node,) = trie1.lookup_nodes_batch(
+        [np.array([trie_code(t, "i", 0)]), np.array([trie_code(t, "j", 2)])]
+    )
     assert trie1.annotation("v").values[node] == pytest.approx(0.4)
 
 
@@ -175,12 +176,6 @@ def test_get_trie_string_annotation_dictionary():
     assert list(decoded) == ["BRAZIL", "ASIA", "CANADA"]
 
 
-def test_get_trie_force_layout():
-    t = _matrix_table()
-    trie = t.get_trie(("i",), force_layout=Layout.BITSET)
-    assert trie.level(0).layout_for(0) is Layout.BITSET
-
-
 def test_get_trie_precomputed_expression_values():
     t = _matrix_table()
     expr_values = t.column("v") * 2.0
@@ -188,7 +183,9 @@ def test_get_trie_precomputed_expression_values():
         ("i", "j"),
         [AnnotationRequest("v2", "v*2", 1, "sum", values=expr_values)],
     )
-    node = trie.lookup_node([trie_code(t, "i", 1), trie_code(t, "j", 0)])
+    (node,) = trie.lookup_nodes_batch(
+        [np.array([trie_code(t, "i", 1)]), np.array([trie_code(t, "j", 0)])]
+    )
     assert trie.annotation("v2").values[node] == pytest.approx(0.2)
 
 
@@ -216,8 +213,8 @@ def test_catalog_shares_domains_across_tables():
     # both tables encode through the shared dictionary
     ct = customer.get_trie(("c_custkey",))
     ot = orders.get_trie(("o_custkey",))
-    assert list(ct.root_set().to_array()) == [0, 1, 2]
-    assert list(ot.root_set().to_array()) == [1, 3]
+    assert list(ct.level(0).values_for(0)) == [0, 1, 2]
+    assert list(ot.level(0).values_for(0)) == [1, 3]
 
 
 def test_catalog_register_extends_and_invalidates():
@@ -233,7 +230,7 @@ def test_catalog_register_extends_and_invalidates():
     cat.register(b)  # extends 'shared' with 0, re-coding 1 and 2
     trie_after = a.get_trie(("x",))
     assert trie_before is not trie_after
-    assert list(trie_after.root_set().to_array()) == [1, 2]  # codes shifted by 0
+    assert list(trie_after.level(0).values_for(0)) == [1, 2]  # codes shifted by 0
 
 
 def test_catalog_duplicate_registration_rejected():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
-from repro.sets import Layout
 from repro.trie import AnnotationSpec, Dictionary, build_trie
 
 # ---------------------------------------------------------------------------
@@ -87,11 +86,17 @@ def _matrix_trie():
     )
 
 
+def _lookup(trie, key):
+    """The node id reached along ``key`` (None when absent)."""
+    node = int(trie.lookup_nodes_batch([np.array([k]) for k in key])[0])
+    return None if node < 0 else node
+
+
 def test_trie_structure_matches_figure3():
     t = _matrix_trie()
     assert t.arity == 2
     assert t.num_tuples == 4
-    assert list(t.root_set().to_array()) == [0, 1, 3]
+    assert list(t.level(0).values_for(0)) == [0, 1, 3]
     # children of i=0 are {0, 2}; of i=1 {0}; of i=3 {1}
     assert list(t.level(1).values_for(0)) == [0, 2]
     assert list(t.level(1).values_for(1)) == [0]
@@ -100,11 +105,11 @@ def test_trie_structure_matches_figure3():
 
 def test_trie_lookup_node_and_annotation():
     t = _matrix_trie()
-    node = t.lookup_node([0, 2])
+    node = _lookup(t, [0, 2])
     assert node is not None
     assert t.annotation("v").values[node] == pytest.approx(0.4)
-    assert t.lookup_node([2, 0]) is None
-    assert t.lookup_node([0, 1]) is None
+    assert _lookup(t, [2, 0]) is None
+    assert _lookup(t, [0, 1]) is None
 
 
 def test_trie_tuples_roundtrip():
@@ -121,7 +126,7 @@ def test_trie_duplicate_keys_presum():
     v = np.array([1.0, 2.0, 5.0])
     t = build_trie([i, j], ["i", "j"], [AnnotationSpec("v", v, 1, "sum")])
     assert t.num_tuples == 2
-    node = t.lookup_node([1, 1])
+    node = _lookup(t, [1, 1])
     assert t.annotation("v").values[node] == pytest.approx(3.0)
 
 
@@ -159,8 +164,8 @@ def test_trie_unsorted_input_rows():
     j = np.array([1, 2, 0, 0], dtype=np.uint32)
     v = np.array([0.3, 0.4, 0.1, 0.2])
     t = build_trie([i, j], ["i", "j"], [AnnotationSpec("v", v, 1, "sum")])
-    assert t.annotation("v").values[t.lookup_node([0, 0])] == pytest.approx(0.2)
-    assert t.annotation("v").values[t.lookup_node([3, 1])] == pytest.approx(0.3)
+    assert t.annotation("v").values[_lookup(t, [0, 0])] == pytest.approx(0.2)
+    assert t.annotation("v").values[_lookup(t, [3, 1])] == pytest.approx(0.3)
 
 
 def test_trie_dense_level_detection():
@@ -180,35 +185,12 @@ def test_trie_sparse_level_not_dense():
     assert t.dense_levels == (False,)
 
 
-def test_trie_layout_choice_per_set():
-    # a dense run of 64 values -> bitset; 3 scattered values -> uint
-    dense_parent = np.zeros(64, dtype=np.uint32)
-    dense_child = np.arange(64, dtype=np.uint32)
-    sparse_parent = np.ones(3, dtype=np.uint32)
-    sparse_child = np.array([0, 1000, 2000], dtype=np.uint32)
-    t = build_trie(
-        [
-            np.concatenate([dense_parent, sparse_parent]),
-            np.concatenate([dense_child, sparse_child]),
-        ],
-        ["a", "b"],
-    )
-    assert t.level(1).layout_for(0) is Layout.BITSET
-    assert t.level(1).layout_for(1) is Layout.UINT
-
-
-def test_trie_force_layout():
-    i = np.array([0, 1000], dtype=np.uint32)
-    t = build_trie([i], ["i"], force_layout=Layout.BITSET)
-    assert t.level(0).layout_for(0) is Layout.BITSET
-
-
 def test_trie_empty_input():
     t = build_trie(
         [np.empty(0, dtype=np.uint32)], ["i"], [AnnotationSpec("v", np.empty(0), 0, "sum")]
     )
     assert t.num_tuples == 0
-    assert len(t.root_set()) == 0
+    assert t.level(0).values_for(0).size == 0
 
 
 def test_trie_validation_errors():
@@ -268,8 +250,87 @@ def test_property_trie_matches_model(rows):
     assert t.num_tuples == len(model)
     ann = t.annotation("v").values
     for (a, b), expect in model.items():
-        node = t.lookup_node([a, b])
+        node = _lookup(t, [a, b])
         assert node is not None
         assert ann[node] == pytest.approx(expect, abs=1e-9)
     # absent tuples stay absent
-    assert t.lookup_node([41, 0]) is None
+    assert _lookup(t, [41, 0]) is None
+
+
+# ---------------------------------------------------------------------------
+# property-based: the radix row order builds what a lexsort build did
+# ---------------------------------------------------------------------------
+
+
+def _lexsort_reference(cols, values):
+    """Levels and annotations of a build that orders rows by ``np.lexsort``."""
+    n_rows = cols[0].size
+    order = np.lexsort(tuple(reversed(cols)))
+    cols = [c[order] for c in cols]
+    values = values[order]
+    levels = []
+    new_prefix = np.zeros(n_rows, dtype=bool)
+    parent_ids = np.zeros(n_rows, dtype=np.int64)
+    n_parents = 1
+    for col in cols:
+        changed = np.ones(n_rows, dtype=bool)
+        changed[1:] = col[1:] != col[:-1]
+        new_prefix = new_prefix | changed
+        starts = np.flatnonzero(new_prefix)
+        counts = np.bincount(parent_ids[starts], minlength=n_parents)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        levels.append((col[starts], offsets, starts))
+        parent_ids = np.cumsum(new_prefix) - 1
+        n_parents = starts.size
+    sums = np.add.reduceat(values, levels[-1][2]) if n_rows else values
+    firsts = values[levels[0][2]]
+    return levels, sums, firsts
+
+
+trie_rows = st.integers(min_value=1, max_value=3).flatmap(
+    lambda arity: st.tuples(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(0, 12)] * arity),
+                st.floats(min_value=-10, max_value=10, allow_nan=False),
+            ),
+            max_size=80,
+        ),
+        st.none() | st.lists(
+            st.sampled_from([0, 3, 2**31 - 13]), min_size=arity, max_size=arity
+        ),
+        st.just(arity),
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(trie_rows)
+def test_property_trie_build_matches_lexsort_reference(case):
+    rows, extra, arity = case
+    cols = [
+        np.array([key[d] for key, _ in rows], dtype=np.uint32) for d in range(arity)
+    ]
+    values = np.array([v for _, v in rows], dtype=np.float64)
+    # declared domains cover every code (13 values) plus some slack,
+    # up to 2**31 per column so the packed key overflows and re-encodes
+    domain_sizes = None if extra is None else [13 + e for e in extra]
+    t = build_trie(
+        cols,
+        [f"a{d}" for d in range(arity)],
+        [
+            AnnotationSpec("s", values, arity - 1, "sum"),
+            AnnotationSpec("f", values, 0, "first"),
+        ],
+        domain_sizes=domain_sizes,
+    )
+    levels, sums, firsts = _lexsort_reference(cols, values)
+    if not rows:
+        assert t.num_tuples == 0
+        assert t.annotation("s").values.size == t.annotation("f").values.size == 0
+        return
+    for level, (flat_values, offsets, _starts) in zip(t.levels, levels):
+        np.testing.assert_array_equal(level.flat_values, flat_values)
+        np.testing.assert_array_equal(level.offsets, offsets)
+    np.testing.assert_array_equal(t.annotation("s").values, sums)
+    np.testing.assert_array_equal(t.annotation("f").values, firsts)

@@ -194,10 +194,13 @@ def test_walk_fetchers_used_when_keys_aggregated(mini_tpch):
     assert not plan.root.deferred_fetchers
 
 
-def test_trie_batch_lookup_matches_scalar(mini_tpch):
+def test_trie_batch_lookup_finds_every_tuple(mini_tpch):
     table = mini_tpch.table("lineitem")
     trie = table.get_trie(("l_orderkey", "l_suppkey"))
     tuples = trie.tuples()
     nodes = trie.lookup_nodes_batch([tuples[:, 0], tuples[:, 1]])
-    expected = [trie.lookup_node(row) for row in tuples]
-    assert nodes.tolist() == expected
+    # tuples() lists the last level's nodes in id order
+    assert nodes.tolist() == list(range(len(tuples)))
+    absent = tuples[:, 1].max() + 1
+    missing = trie.lookup_nodes_batch([tuples[:1, 0], np.array([absent])])
+    assert missing.tolist() == [-1]
