@@ -8,14 +8,19 @@ yields the fractional edge cover *number* used as a GHD node's width.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
 from ..errors import PlanningError
 from .hypergraph import Hyperedge, Hypergraph
+
+# distinct bag shapes whose widths stay memoized; a TPC-H compile
+# touches a dozen or so, so this covers every shape a workload reuses
+WIDTH_CACHE_SIZE = 4096
 
 
 def fractional_cover(
@@ -63,8 +68,29 @@ def fractional_cover(
 
 
 def fractional_cover_number(vertices: Sequence[str], edges: Sequence[Hyperedge]) -> float:
-    """The width contribution of one GHD bag (unit-weight LP value)."""
-    value, _ = fractional_cover(vertices, edges)
+    """The width contribution of one GHD bag (unit-weight LP value).
+
+    The unit-weight LP depends only on which vertex sets the edges have,
+    so the value is memoized per bag shape for the whole process: the
+    key drops aliases, relations, cardinalities and duplicate shapes
+    (a self-join's second copy adds a column identical to the first,
+    which leaves the optimum unchanged).
+    """
+    shapes = frozenset(e.vertex_set for e in edges)
+    return _cover_number_of_shape(frozenset(vertices), shapes)
+
+
+@functools.lru_cache(maxsize=WIDTH_CACHE_SIZE)
+def _cover_number_of_shape(
+    bag: FrozenSet[str], shapes: FrozenSet[FrozenSet[str]]
+) -> float:
+    # solved once per key in a canonical order, so the cached value does
+    # not depend on which query's edge order filled it
+    edges = [
+        Hyperedge(f"e{i}", "", vertices)
+        for i, vertices in enumerate(sorted(tuple(sorted(s)) for s in shapes))
+    ]
+    value, _ = fractional_cover(sorted(bag), edges)
     return value
 
 

@@ -9,6 +9,7 @@ this structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 
@@ -28,8 +29,10 @@ class Hyperedge:
     has_equality_selection: bool = False
     fully_dense: bool = False
 
-    @property
+    @cached_property
     def vertex_set(self) -> FrozenSet[str]:
+        # computed once per edge (the compiler asks thousands of times);
+        # not a field, so equality and hashing ignore it
         return frozenset(self.vertices)
 
     def __str__(self) -> str:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Sequence, Tuple
 
 from ..errors import ParseError
+
+# recently lexed statements kept; a statement is lexed twice back to
+# back (plan-cache key, then parse), so a small cache suffices
+TOKEN_CACHE_SIZE = 64
 
 KEYWORDS = frozenset(
     """
@@ -40,8 +45,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize(sql: str) -> List[Token]:
-    """Tokenize SQL text; raises :class:`ParseError` on unknown input."""
+@functools.lru_cache(maxsize=TOKEN_CACHE_SIZE)
+def tokenize(sql: str) -> Tuple[Token, ...]:
+    """Tokenize SQL text; raises :class:`ParseError` on unknown input.
+
+    Memoized on the exact text, so the plan-cache key
+    (``normalize_sql``) and the parser lex a statement once between
+    them; the result is an immutable tuple of frozen tokens.
+    """
     tokens: List[Token] = []
     pos = 0
     while pos < len(sql):
@@ -70,13 +81,13 @@ def tokenize(sql: str) -> List[Token]:
             tokens.append(Token("OP", text, pos))
         pos = match.end()
     tokens.append(Token("EOF", "", len(sql)))
-    return tokens
+    return tuple(tokens)
 
 
 class TokenStream:
-    """Cursor over a token list with the usual peek/expect helpers."""
+    """Cursor over a token sequence with the usual peek/expect helpers."""
 
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: Sequence[Token]):
         self._tokens = tokens
         self._index = 0
 

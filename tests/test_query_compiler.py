@@ -1,12 +1,13 @@
 """Tests for hypergraphs, the AGM bound, GHDs, and SQL->AJAR translation."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import UnsupportedQueryError
+from repro.errors import PlanningError, UnsupportedQueryError
 from repro.query import (
     GHD,
     GHDNode,
@@ -20,6 +21,7 @@ from repro.query import (
     check_semiring_axioms,
     choose_ghd,
     enumerate_ghds,
+    fractional_cover,
     fractional_cover_number,
     single_node_ghd,
     translate,
@@ -62,6 +64,15 @@ def test_hypergraph_components():
     comps = h.connected_components()
     sizes = sorted(len(c) for c in comps)
     assert sizes == [1, 2]
+
+
+def test_hyperedge_vertex_set_is_not_part_of_identity():
+    edge = Hyperedge("r", "r", ("a", "b"), 100)
+    assert edge.vertex_set is edge.vertex_set == frozenset({"a", "b"})
+    fresh = Hyperedge("r", "r", ("a", "b"), 100)
+    assert edge == fresh and hash(edge) == hash(fresh)
+    copy = pickle.loads(pickle.dumps(edge))
+    assert copy == edge and copy.vertex_set == edge.vertex_set
 
 
 def test_hypergraph_induced():
@@ -203,23 +214,29 @@ def test_ghd_describe_smoke():
     assert "orderkey" in text
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.sampled_from("abcdef"), min_size=1, max_size=3, unique=True),
-        min_size=1,
-        max_size=5,
-    )
+#: random hypergraphs as per-edge vertex lists over six vertex names
+EDGE_VERTEX_LISTS = st.lists(
+    st.lists(st.sampled_from("abcdef"), min_size=1, max_size=3, unique=True),
+    min_size=1,
+    max_size=5,
 )
-def test_property_enumerated_ghds_are_valid(edge_vertex_lists):
-    """Every enumerated decomposition of a random hypergraph is valid,
-    and the chosen one never exceeds the trivial single-node width."""
+
+
+def _random_hypergraph_edges(edge_vertex_lists):
     vertices = sorted({v for vs in edge_vertex_lists for v in vs})
     edges = [
         Hyperedge(f"e{i}", f"e{i}", tuple(vs), 10 + i)
         for i, vs in enumerate(edge_vertex_lists)
     ]
-    h = Hypergraph(vertices, edges)
+    return vertices, edges
+
+
+@settings(max_examples=30, deadline=None)
+@given(EDGE_VERTEX_LISTS)
+def test_property_enumerated_ghds_are_valid(edge_vertex_lists):
+    """Every enumerated decomposition of a random hypergraph is valid,
+    and the chosen one never exceeds the trivial single-node width."""
+    h = Hypergraph(*_random_hypergraph_edges(edge_vertex_lists))
     ghds = enumerate_ghds(h)
     assert ghds, "enumeration must always produce at least the fallback"
     for ghd in ghds:
@@ -227,6 +244,68 @@ def test_property_enumerated_ghds_are_valid(edge_vertex_lists):
     chosen = choose_ghd(h)
     assert chosen.is_valid()
     assert chosen.fhw() <= single_node_ghd(h).fhw() + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# bag widths memoized per shape
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(EDGE_VERTEX_LISTS, st.randoms(use_true_random=False))
+def test_property_memoized_width_equals_fresh_lp(edge_vertex_lists, rnd):
+    """The memoized width equals an uncached solve, whatever the edge
+    order and with a duplicated (self-join) edge shape."""
+    vertices, edges = _random_hypergraph_edges(edge_vertex_lists)
+    fresh, _ = fractional_cover(vertices, edges)
+    permuted = edges[:]
+    rnd.shuffle(permuted)
+    duplicated = permuted + [
+        Hyperedge("dup", "dup", tuple(reversed(permuted[0].vertices)))
+    ]
+    for variant in (edges, permuted, duplicated):
+        assert fractional_cover_number(vertices, variant) == pytest.approx(
+            fresh, abs=1e-9
+        )
+
+
+def test_width_memo_separates_shapes_over_same_vertices():
+    h = _triangle()
+    assert fractional_cover_number(h.vertices, h.edges) == pytest.approx(1.5)
+    path = [Hyperedge("r", "r", ("a", "b")), Hyperedge("s", "s", ("b", "c"))]
+    assert fractional_cover_number(["a", "b", "c"], path) == pytest.approx(2.0)
+
+
+def test_width_memo_does_not_cache_uncovered_vertex_error():
+    edges = [Hyperedge("r", "r", ("a", "b"))]
+    for _ in range(2):
+        with pytest.raises(PlanningError):
+            fractional_cover_number(["a", "b", "z"], edges)
+
+
+def test_recompiling_a_shape_solves_no_lp(mini_tpch, monkeypatch):
+    """A second Q5 compile with a different literal reuses every bag
+    width: the LP solver is not called at all."""
+    from repro.core.engine import LevelHeadedEngine
+    from repro.query import agm
+
+    solves = []
+
+    def counting_linprog(*args, **kwargs):
+        solves.append(1)
+        return real_linprog(*args, **kwargs)
+
+    real_linprog = agm.linprog
+    agm._cover_number_of_shape.cache_clear()
+    monkeypatch.setattr(agm, "linprog", counting_linprog)
+    engine = LevelHeadedEngine(mini_tpch)
+
+    asia = engine.compile(Q5_SQL)
+    first = len(solves)
+    europe = engine.compile(Q5_SQL.replace("'ASIA'", "'EUROPE'"))
+    assert first > 0
+    assert len(solves) == first
+    assert europe.ghd.describe() == asia.ghd.describe()
 
 
 # ---------------------------------------------------------------------------

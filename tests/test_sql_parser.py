@@ -50,8 +50,17 @@ def test_tokenize_comments_skipped():
 
 
 def test_tokenize_unknown_character():
-    with pytest.raises(ParseError):
-        tokenize("select @")
+    # lexing is memoized per text; the error must not be, so it raises
+    # on every call
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            tokenize("select @")
+
+
+def test_tokenize_returns_an_immutable_shared_result():
+    first = tokenize("select a from t")
+    assert isinstance(first, tuple)
+    assert tokenize("select a from t") is first
 
 
 # ---------------------------------------------------------------------------
