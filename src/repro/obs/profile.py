@@ -10,8 +10,9 @@ many bytes* -- by hooking the three hot paths of execution:
   ``bs_uint`` / ``uint_uint``);
 * :class:`repro.xcution.generic_join.NodeExecutor` -- the wall time of
   its frontier steps per attribute position (trie level) of each GHD
-  node, one kernel call per batched probe (``bs_uint`` when a
-  direct-address table answered it, ``uint_uint`` for a binary search),
+  node, one kernel call per batched probe (``bs_uint`` when the level's
+  direct-address table or presence bitmap answered it, ``uint_uint``
+  for a binary search of its composite keys),
   the ``frontier.emit`` slot gathers, and the aggregator's approximate
   memory high-water;
 * :func:`repro.trie.build_trie` -- child-result materialization time

@@ -1,9 +1,16 @@
 """Set layouts and intersection kernels (Sections III-B and V-A).
 
-LevelHeaded tries store each level's sets either as sorted uint arrays
-(sparse) or packed bitsets (dense); the cost model in
-:mod:`repro.optimizer.icost` is derived from the relative speeds of the
-three intersection kernels implemented here.
+LevelHeaded stores sets either as sorted uint arrays (sparse) or packed
+bitsets (dense).  The engine's frontier probes a whole trie level at a
+time, so the layout it uses is per level (:mod:`.layout`): a level whose
+(parent, value) cells fit holds one :class:`BitSet` over its composite
+keys, built by :meth:`BitSet.from_values` and probed by
+:meth:`BitSet.rank_present` -- the bitmap kernel of
+:meth:`repro.trie.trie.TrieLevel.batch_child_ids`.
+
+The pairwise kernels of :mod:`.ops` (uint∩uint, bs∩uint, bs∩bs) are the
+ones Fig. 5a times and :mod:`repro.optimizer.icost`'s constants derive
+from; no engine path calls them.
 """
 
 from .bitset import BitSet, popcount64

@@ -1,4 +1,10 @@
-"""Dense set layout: a packed 64-bit-word bit vector over a value range."""
+"""Dense set layout: a packed 64-bit-word bit vector over a value range.
+
+:class:`BitSet` is also the generic join's bitmap kernel: a trie level
+whose (parent, value) cells fit the byte allowance keeps one over its
+composite keys and answers each batched frontier probe with
+:meth:`BitSet.rank_present`.
+"""
 
 from __future__ import annotations
 
@@ -6,31 +12,28 @@ import numpy as np
 
 from .layout import Layout
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
+#: probes per block of :meth:`BitSet.rank_present`: 8 Ki int64 values
+#: keep every temporary at 64 KiB, below the allocator's mmap threshold,
+#: so a probe of any size reuses the same heap pages instead of faulting
+#: fresh ones in for each call.
+PROBE_BLOCK = 1 << 13
 
 
 def popcount64(words: np.ndarray) -> np.ndarray:
     """Vectorized population count for an array of ``uint64`` words."""
-    x = words.copy()
-    x -= (x >> np.uint64(1)) & _M1
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    # The multiply intentionally wraps modulo 2**64 (SWAR horizontal sum).
-    with np.errstate(over="ignore"):
-        return (x * _H01) >> np.uint64(56)
+    return np.bitwise_count(words)
 
 
 class BitSet:
     """An immutable dense set stored as a bit vector.
 
     ``base`` is the value of bit 0 (always 64-aligned) and ``words`` holds
-    the packed membership bits.  Dense trie levels use this layout; the
-    bs/bs and bs/uint intersections it enables are respectively ~50x and
-    ~5x cheaper than uint/uint at equal cardinality, which is the origin
-    of the paper's icost constants (Figure 5a, Section V-A1).
+    the packed membership bits.  Trie levels whose (parent, value) cells
+    fit keep one over their composite keys for probing
+    (:meth:`rank_present`); the bs/bs and bs/uint intersections the
+    layout enables are respectively ~50x and ~5x cheaper than uint/uint
+    at equal cardinality, which is the origin of the paper's icost
+    constants (Figure 5a, Section V-A1).
     """
 
     __slots__ = ("base", "words", "_cardinality", "_rank_prefix")
@@ -49,17 +52,23 @@ class BitSet:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "BitSet":
-        """Build a bitset from a sorted, duplicate-free ``uint32`` array."""
+        """Build a bitset from sorted, duplicate-free non-negative integers.
+
+        Sorted input makes each word's members one contiguous run, so the
+        words are one ``bitwise_or.reduceat`` over those runs.
+        """
         arr = np.asarray(values, dtype=np.uint64)
         if arr.size == 0:
             return cls(0, np.zeros(0, dtype=np.uint64), 0)
         base = int(arr[0]) & ~63
         offsets = arr - np.uint64(base)
-        n_words = (int(offsets[-1]) >> 6) + 1
-        words = np.zeros(n_words, dtype=np.uint64)
-        word_idx = (offsets >> np.uint64(6)).astype(np.int64)
-        bit_idx = offsets & np.uint64(63)
-        np.bitwise_or.at(words, word_idx, np.uint64(1) << bit_idx)
+        word_idx = offsets >> np.uint64(6)
+        runs = np.flatnonzero(word_idx[1:] != word_idx[:-1]) + 1
+        runs = np.concatenate(([0], runs))
+        words = np.zeros(int(word_idx[-1]) + 1, dtype=np.uint64)
+        words[word_idx[runs]] = np.bitwise_or.reduceat(
+            np.uint64(1) << (offsets & np.uint64(63)), runs
+        )
         return cls(base, words, int(arr.size))
 
     @classmethod
@@ -187,8 +196,9 @@ class BitSet:
         out[in_range] = hit.astype(bool)
         return out
 
-    def _prefix(self) -> np.ndarray:
-        """Exclusive prefix sum of per-word popcounts (rank support)."""
+    def rank_directory(self) -> np.ndarray:
+        """Exclusive prefix sum of per-word popcounts (rank support),
+        built on first use and cached: one int64 per word."""
         if self._rank_prefix is None:
             counts = popcount64(self.words)
             prefix = np.zeros(self.words.size, dtype=np.int64)
@@ -203,15 +213,63 @@ class BitSet:
         off = int(value) - self.base
         word, bit = off >> 6, off & 63
         low = int(self.words[word]) & ((1 << bit) - 1)
-        return int(self._prefix()[word]) + low.bit_count()
+        return int(self.rank_directory()[word]) + low.bit_count()
 
-    def rank_many(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`rank`; all ``values`` must be members."""
-        off = np.asarray(values, dtype=np.int64) - self.base
-        word = off >> 6
-        bit = (off & 63).astype(np.uint64)
-        low = self.words[word] & ((np.uint64(1) << bit) - np.uint64(1))
-        return self._prefix()[word] + popcount64(low).astype(np.int64)
+    def rank_present(
+        self, values: np.ndarray, parents: np.ndarray | None = None, width: int = 0
+    ) -> np.ndarray:
+        """Vectorized present-and-rank: each probe's 0-based rank in the
+        set, -1 where it is absent.
+
+        ``values`` (and ``parents``) are non-negative integers of any
+        width; a probe may lie below :attr:`base` or past the last word.
+        With ``parents`` the set is read as a row-major grid ``width``
+        cells wide: probe ``i`` is the member ``parents[i] * width +
+        values[i]``, and a value ``>= width`` is absent (it would alias
+        the next row).
+
+        The rank of a member at word ``w``, bit ``b`` is
+        ``rank_directory()[w]`` plus the members below it in its word.
+        Shifting the word left by ``63 - b`` keeps exactly bits ``0..b``,
+        with the probed bit on top, so one popcount gives the rank plus
+        the presence bit.
+        """
+        values = np.asarray(values)
+        out = np.empty(values.size, dtype=np.int64)
+        if not self.words.size:
+            out.fill(-1)
+            return out
+        words, prefix = self.words, self.rank_directory()
+        span = np.uint64(words.size << 6)
+        for lo in range(0, values.size, PROBE_BLOCK):
+            hi = lo + PROBE_BLOCK
+            # values are widened block by block: a whole-array int64 copy
+            # of a uint32 probe would be a fresh, page-faulting temporary
+            column = values[lo:hi].astype(np.int64, copy=False)
+            if parents is None:
+                offset = column - self.base
+                inside = offset.view(np.uint64) < span
+            else:
+                offset = parents[lo:hi].astype(np.int64)
+                offset *= width
+                offset += column
+                offset -= self.base
+                inside = offset.view(np.uint64) < span
+                inside &= column < width
+            offset *= inside  # an absent probe reads word 0, then is masked
+            word = offset >> 6
+            offset &= 63
+            np.subtract(63, offset, out=offset)
+            held = words[word]
+            held <<= offset.view(np.uint64)
+            held *= inside
+            rank = out[lo:hi]
+            np.take(prefix, word, out=rank)
+            rank += popcount64(held)
+            held >>= np.uint64(63)  # the probed bit: 1 present, 0 absent
+            rank *= held.view(np.int64)
+            rank -= 1
+        return out
 
     def select(self, mask: np.ndarray) -> "BitSet":
         """Return the subset of members where ``mask`` (aligned) is True."""

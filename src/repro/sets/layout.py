@@ -6,10 +6,16 @@ LevelHeaded stores each trie-level set in one of two physical layouts
 * ``UINT`` -- a sorted array of unsigned integers, used for sparse sets.
 * ``BITSET`` -- a packed bit vector over a value range, used for dense sets.
 
-The layout is chosen per set at ingestion time based on the set's density
-(cardinality relative to its value range).  The intersection algorithms --
-and therefore their costs, which drive the cost-based optimizer of
-Section V -- differ per layout pair.
+:func:`choose_layout` picks one per set from its density (cardinality
+relative to its value range), and the cost-based optimizer of Section V
+prices each intersection by its layout pair (:mod:`repro.optimizer.icost`).
+
+The generic join probes a whole trie level per frontier step, so its
+layout choice is per level, over the level's (parent, value) cells:
+an int64 direct table while :func:`fits_table` holds, a presence
+bitmap with a rank directory (a :class:`~repro.sets.bitset.BitSet`
+over composite keys) while :func:`fits_bitmap` holds, and a search of
+the sorted composite keys for the sparse rest.
 """
 
 from __future__ import annotations
@@ -54,6 +60,17 @@ def fits_table(domain_size: int, n_rows: int) -> bool:
     """True when a direct-address table over ``domain_size`` codes pays
     for itself against ``n_rows`` rows."""
     return domain_size <= max(TABLE_ROWS_MULTIPLE * n_rows, TABLE_FLOOR)
+
+
+def fits_bitmap(n_cells: int, n_rows: int) -> bool:
+    """True when a presence bitmap with a rank directory over ``n_cells``
+    fits the byte allowance :func:`fits_table` grants an int64 table.
+
+    The table spends 64 bits per cell; the bitmap spends two (its own bit
+    plus a 64th of the int64 rank prefix each 64-bit word carries), so it
+    covers 32x the cells in the same bytes.
+    """
+    return n_cells <= 32 * max(TABLE_ROWS_MULTIPLE * n_rows, TABLE_FLOOR)
 
 
 def choose_layout(cardinality: int, min_value: int, max_value: int) -> Layout:

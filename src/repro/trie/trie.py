@@ -11,6 +11,15 @@ be attached to (and reached from) *any* level, not just the last.
 Node identifiers are positional: the nodes of level ``i`` are numbered
 in lexicographic key order, so the child of node ``p`` via the value of
 rank ``r`` in ``p``'s set is simply ``offsets[p] + r``.
+
+The same order makes a level's node ids the ranks of its composite keys
+``parent * domain + value``.  A batched probe
+(:meth:`TrieLevel.batch_child_ids`) therefore needs only one structure
+per level, picked by how many ``parents x domain`` cells the level has
+next to its node count: a direct child-id table for small levels, the
+paper's dense bitset layout -- a presence bitmap whose popcount rank
+directory turns a present cell into its node id -- for denser ones, and
+a binary search of the sorted keys for the sparse rest.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sets.layout import fits_table
+from ..sets.bitset import BitSet
+from ..sets.layout import fits_bitmap, fits_table
 from .dictionary import Dictionary
 
 
@@ -32,15 +42,14 @@ class TrieLevel:
     batches of (parent, value) pairs at once (:meth:`batch_child_ids`).
     """
 
-    __slots__ = ("flat_values", "offsets", "_batch_composite", "_direct")
+    __slots__ = ("flat_values", "offsets", "_probe_index")
 
     def __init__(self, flat_values: np.ndarray, offsets: np.ndarray):
         self.flat_values = flat_values
         self.offsets = offsets
-        self._batch_composite: Optional[np.ndarray] = None
-        #: child-id table indexed by ``parent * domain + value`` (-1 where
-        #: absent); an empty array once the level proved too sparse for one.
-        self._direct: Optional[np.ndarray] = None
+        #: ``(kind, structure, domain)`` answering :meth:`batch_child_ids`,
+        #: built on the first probe (:meth:`probe_index`).
+        self._probe_index: Optional[Tuple[str, object, int]] = None
 
     @property
     def n_parents(self) -> int:
@@ -64,24 +73,56 @@ class TrieLevel:
     def _parent_of_node(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_parents, dtype=np.int64), np.diff(self.offsets))
 
-    def direct_table(self) -> Optional[np.ndarray]:
-        """The level's child ids as a direct-address table, or None.
+    def probe_index(self) -> Tuple[str, object, int]:
+        """The structure batched probes read: ``(kind, structure, domain)``.
 
-        Built (and cached) only while ``parents x domain`` is small next
-        to the level (:func:`repro.sets.layout.fits_table`).
+        Built on the first probe and cached; parfor threads that race to
+        build it build the same index, and one of them is kept.  The
+        level's cells are ``parents x domain`` (``domain`` = largest
+        value + 1); node ids are positional in (parent, value) order, so
+        each kind maps a present cell to its node id:
+
+        * ``"table"`` -- an int64 child id per cell (-1 where absent),
+          while :func:`~repro.sets.layout.fits_table` holds;
+        * ``"bitmap"`` -- a :class:`~repro.sets.bitset.BitSet` over the
+          composite keys ``parent * domain + value``, whose rank is the
+          node id, while :func:`~repro.sets.layout.fits_bitmap` holds;
+        * ``"search"`` -- the sorted ``(parent << 32) | value`` keys, for
+          the sparse rest.
         """
-        table = self._direct
-        if table is None:
-            table = np.empty(0, dtype=np.int64)
-            if self.n_nodes:
-                domain = int(self.flat_values.max()) + 1
-                if fits_table(self.n_parents * domain, self.n_nodes):
-                    table = np.full(self.n_parents * domain, -1, dtype=np.int64)
-                    table[self._parent_of_node() * domain + self.flat_values] = np.arange(
-                        self.n_nodes, dtype=np.int64
-                    )
-            self._direct = table
-        return table if table.size else None
+        index = self._probe_index
+        if index is None:
+            index = self._build_probe_index()
+            self._probe_index = index
+        return index
+
+    def _build_probe_index(self) -> Tuple[str, object, int]:
+        if not self.n_nodes:
+            return "search", np.empty(0, dtype=np.int64), 0
+        domain = int(self.flat_values.max()) + 1
+        cells = self.n_parents * domain
+        parent = self._parent_of_node()
+        if fits_table(cells, self.n_nodes):
+            table = np.full(cells, -1, dtype=np.int64)
+            table[parent * domain + self.flat_values] = np.arange(self.n_nodes, dtype=np.int64)
+            return "table", table, domain
+        if fits_bitmap(cells, self.n_nodes):
+            return "bitmap", BitSet.from_values(parent * domain + self.flat_values), domain
+        composite = (parent << np.int64(32)) | self.flat_values.astype(np.int64)
+        return "search", composite, domain
+
+    @property
+    def probe_kind(self) -> str:
+        """``"table"``, ``"bitmap"`` or ``"search"`` (see :meth:`probe_index`)."""
+        return self.probe_index()[0]
+
+    @property
+    def probe_nbytes(self) -> int:
+        """Bytes of the structure a batched probe reads."""
+        kind, structure, _domain = self.probe_index()
+        if kind == "bitmap":
+            return structure.nbytes + structure.rank_directory().nbytes
+        return int(structure.nbytes)
 
     def batch_child_ids(
         self, parents: Optional[np.ndarray], values: np.ndarray
@@ -89,28 +130,25 @@ class TrieLevel:
         """Node ids of many (parent, value) pairs; -1 where a pair is absent.
 
         ``parents=None`` looks every value up under parent 0 (a root
-        level).  Small levels answer from :meth:`direct_table`; larger
-        ones binary-search one composite key, using the fact that nodes
-        are ordered by (parent, value).
+        level).  The level answers from its :meth:`probe_index`: a table
+        gather, a bitmap present-and-rank
+        (:meth:`~repro.sets.bitset.BitSet.rank_present`), or a binary
+        search of the composite keys.
         """
-        values = np.asarray(values).astype(np.int64, copy=False)
+        values = np.asarray(values)
         if not self.n_nodes:
             return np.full(values.size, -1, dtype=np.int64)
-        table = self.direct_table()
-        if table is not None:
-            domain = table.size // self.n_parents
+        kind, structure, domain = self.probe_index()
+        if kind == "bitmap":
+            return structure.rank_present(values, parents, domain)
+        values = values.astype(np.int64, copy=False)
+        if kind == "table":
             key = values if parents is None else parents * domain + values
             inside = values < domain
-            return np.where(inside, table[np.where(inside, key, 0)], -1)
-        composite = self._batch_composite
-        if composite is None:
-            composite = (self._parent_of_node() << np.int64(32)) | self.flat_values.astype(
-                np.int64
-            )
-            self._batch_composite = composite
+            return np.where(inside, structure[np.where(inside, key, 0)], -1)
         probe = values if parents is None else (parents << np.int64(32)) | values
-        position = np.searchsorted(composite, probe)
-        found = composite[np.minimum(position, composite.size - 1)] == probe
+        position = np.searchsorted(structure, probe)
+        found = structure[np.minimum(position, structure.size - 1)] == probe
         return np.where(found, position, -1)
 
 

@@ -10,10 +10,14 @@ attribute is one step:
   frontier lists them with one CSR gather over its level's
   ``offsets``/``flat_values``;
 * **probe** -- every other participant looks the candidates up with one
-  batched :meth:`~repro.trie.trie.TrieLevel.batch_child_ids` call (a
-  direct-address table on small levels, a search over the
-  ``(parent << 32) | value`` composite otherwise) and the rows that miss
-  are dropped: the intersections of every prefix's sets at once;
+  batched :meth:`~repro.trie.trie.TrieLevel.batch_child_ids` call and
+  the rows that miss are dropped: the intersections of every prefix's
+  sets at once.  The level answers from the structure its cells fit
+  (:meth:`~repro.trie.trie.TrieLevel.probe_index`): an int64
+  direct-address table on small levels, a presence bitmap with a rank
+  directory -- the paper's bitset layout, bs∩uint -- on denser ones, a
+  search over the ``(parent << 32) | value`` composite (uint∩uint) on
+  the sparse rest;
 * **fetch** -- a group annotation needed mid-walk is one batched trie
   lookup per fetcher; rows whose prefix is absent drop out.
 
@@ -380,13 +384,14 @@ class NodeExecutor:
             return level.batch_child_ids(parents, values)
         start = time.perf_counter()
         hit = level.batch_child_ids(parents, values)
-        # one batched probe = one intersection kernel call: a dense
-        # direct-address table counts as the bitset side
-        dense = level.direct_table() is not None
+        # one batched probe = one intersection kernel call: a direct
+        # table or a presence bitmap is the bitset side, a search of the
+        # composite keys is uint against uint
+        dense = level.probe_kind != "search"
         profiler.record_kernel(
             "bs_uint" if dense else "uint_uint",
             time.perf_counter() - start,
-            bytes_in=values.nbytes + level.flat_values.nbytes,
+            bytes_in=values.nbytes + level.probe_nbytes,
             output_values=int(np.count_nonzero(hit >= 0)),
             bitset_operands=int(dense),
         )

@@ -17,8 +17,8 @@ import pytest
 
 from repro import EngineConfig, LevelHeadedEngine, OutOfMemoryBudgetError, Schema, key
 from repro.baselines import PairwiseEngine
-from repro.datasets import sparse_profile
-from repro.datasets.tpch.queries import Q5
+from repro.datasets import generate_tpch, sparse_profile
+from repro.datasets.tpch.queries import Q5, Q10
 from repro.la import matmul_sql, matvec_sql
 from repro.xcution import generic_join
 from tests.conftest import CYCLE4_SQL, graph_catalog, make_mini_tpch
@@ -62,6 +62,8 @@ _RELAXED, _FLAT = _smm_orders(_SPARSE)
 
 SHAPES = {
     "triangle": (graph_catalog(60, 500), TRIANGLE_SQL, {}),
+    # 300 x 300 cells over ~1 500 edges: the closing level probes a bitmap
+    "triangle_bitmap": (graph_catalog(300, 1500), TRIANGLE_SQL, {}),
     "cycle4": (graph_catalog(30, 150), CYCLE4_SQL, {}),
     "smm_relaxed": (_SPARSE, matmul_sql("m"), {"forced_root_order": _RELAXED}),
     "smm_ijk": (_SPARSE, matmul_sql("m"), {"forced_root_order": _FLAT}),
@@ -169,3 +171,36 @@ def test_la_graph_counters_equal_the_per_prefix_interpreter():
     ):
         stats = engine.query(sql, collect_stats=True).stats
         assert (stats.intersections, stats.intersection_output, stats.loop_values) == expected
+
+
+def _record_probes(monkeypatch):
+    """Collect ``(alias, level, probe kind)`` for every frontier probe."""
+    seen = []
+    probe = generic_join.NodeExecutor._probe
+
+    def recording(self, bi, lvl, parents, values):
+        hit = probe(self, bi, lvl, parents, values)
+        binding = self.bindings[bi]
+        seen.append((binding.alias, lvl, binding.trie.level(lvl).probe_kind))
+        return hit
+
+    monkeypatch.setattr(generic_join.NodeExecutor, "_probe", recording)
+    return seen
+
+
+def test_la_graph_triangle_closes_through_the_bitmap(monkeypatch):
+    # the closing level is 400 parents x 400 values: 160 000 cells over
+    # ~4 900 nodes, past the direct table's 65 536-cell floor
+    seen = _record_probes(monkeypatch)
+    _la_graph_seed1().query(TRIANGLE_SQL)
+    # the triangle's only level-1 probes are the closing attribute's
+    assert {kind for _alias, lvl, kind in seen if lvl == 1} == {"bitmap"}
+
+
+def test_tpch_q10_nation_to_customer_level_probes_through_the_bitmap(monkeypatch):
+    # 25 nations x 4 500 customers (SF 0.03): 112 500 cells over 4 500 nodes
+    catalog = generate_tpch(scale_factor=0.03, seed=2018)
+    seen = _record_probes(monkeypatch)
+    want = PairwiseEngine(catalog).query(Q10)
+    _assert_rows_match(LevelHeadedEngine(catalog).query(Q10), want)
+    assert {kind for alias, lvl, kind in seen if (alias, lvl) == ("customer", 1)} == {"bitmap"}

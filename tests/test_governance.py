@@ -50,7 +50,7 @@ DEGREE_SQL = "SELECT src, count(*) AS degree FROM edges GROUP BY src"
 
 
 def test_timeout_kills_adversarial_cycle_count_within_budget():
-    # ~3s of serial work; the 150ms deadline must kill it within 1.5x.
+    # ~2s of serial work; the 150ms deadline must kill it within 1.5x.
     engine = LevelHeadedEngine(
         graph_catalog(*SLOW_GRAPH), config=EngineConfig(parallel=False)
     )

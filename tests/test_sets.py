@@ -129,12 +129,24 @@ def test_bitset_contains_many():
     assert list(mask) == [False, True, True, False, True, False]
 
 
+def test_bitset_rank_present_unaligned_base():
+    bs = BitSet.from_values(np.array([130, 140, 190, 200], dtype=np.uint32))
+    assert bs.base == 128
+    probe = np.array([5, 127, 128, 130, 140, 141, 190, 200, 255, 256, 1 << 40])
+    assert bs.rank_present(probe).tolist() == [-1, -1, -1, 0, 1, -1, 2, 3, -1, -1, -1]
+    # read 50 wide, the members are cells (2, 30), (2, 40), (3, 40) and
+    # (4, 0); (3, 50) would alias (4, 0), and (2, 90) lies past its row
+    rows, cols = np.array([2, 2, 3, 3, 4, 2]), np.array([30, 40, 40, 50, 0, 90])
+    assert bs.rank_present(cols, rows, 50).tolist() == [0, 1, 2, -1, 3, -1]
+    assert BitSet.empty().rank_present(probe).tolist() == [-1] * probe.size
+
+
 def test_bitset_rank():
     values = np.array([3, 64, 65, 300], dtype=np.uint32)
     bs = BitSet.from_values(values)
     for i, v in enumerate(values):
         assert bs.rank(int(v)) == i
-    assert np.array_equal(bs.rank_many(values), np.arange(4))
+    assert np.array_equal(bs.rank_present(values), np.arange(4))
     with pytest.raises(KeyError):
         bs.rank(4)
 
@@ -319,7 +331,7 @@ def test_property_bitset_roundtrip_and_ranks(xs):
     bs = BitSet.from_values(arr)
     assert np.array_equal(bs.to_array(), arr)
     if uniq:
-        assert np.array_equal(bs.rank_many(arr), np.arange(len(uniq)))
+        assert np.array_equal(bs.rank_present(arr), np.arange(len(uniq)))
 
 
 @settings(max_examples=60, deadline=None)
