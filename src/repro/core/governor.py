@@ -8,18 +8,18 @@ module is the resource-governance layer threaded through the whole
 execute path:
 
 * :class:`CancelToken` -- a deadline plus a cancellation flag that the
-  generic-join node loop, the Yannakakis passes, the trie builder, and
-  ``parfor`` workers poll at chunk granularity.  A fired token raises
+  generic-join frontier, the Yannakakis passes and the trie builder
+  poll at chunk granularity.  A fired token raises
   :class:`~repro.errors.QueryTimeoutError` or
   :class:`~repro.errors.QueryCancelledError`; the engine attaches the
   partial :class:`~repro.xcution.stats.ExecutionStats` and span tree so
   the killed query stays fully diagnosable.
 * :class:`Governor` -- process-wide admission control: a query starts
   only once it holds a concurrency slot and its reserved share of the
-  global memory budget (the share is then apportioned across parfor
-  workers by the executor).  Waiters queue FIFO up to a bound; beyond
-  it, callers get :class:`~repro.errors.RetryableAdmissionError`
-  backpressure.  A load-shedding mode rejects non-cached plans first.
+  global memory budget (the share becomes the query's aggregator
+  budget).  Waiters queue FIFO up to a bound; beyond it, callers get
+  :class:`~repro.errors.RetryableAdmissionError` backpressure.  A
+  load-shedding mode rejects non-cached plans first.
 * :class:`QueryHandle` -- ``engine.submit(sql)``'s future-like handle:
   ``cancel()`` from any thread, ``result(timeout=...)`` to join.
 * :func:`retry_admission` -- jittered exponential backoff around a
@@ -78,8 +78,8 @@ class CancelToken:
     overhead.  :meth:`check` always reads the clock (used at phase
     boundaries).  Both raise :class:`QueryCancelledError` /
     :class:`QueryTimeoutError` once the token fires; the token is
-    one-shot and shared safely across parfor worker threads
-    (``cancel()`` is a single attribute store).
+    one-shot and safe to cancel from any thread (``cancel()`` is a
+    single attribute store).
     """
 
     __slots__ = ("started", "_deadline", "_timeout_ms", "_reason", "_clock", "_ops", "_stride")
@@ -155,7 +155,7 @@ class CancelToken:
 # compile-phase code (the trie builder under ``build_plan``) can poll
 # without plumbing a parameter through every storage call.  Thread-local
 # on purpose: concurrent queries on different threads must not see each
-# other's tokens (parfor workers receive the token explicitly instead).
+# other's tokens.
 _SCOPE = threading.local()
 
 
@@ -209,9 +209,8 @@ class AdmissionSlot:
 
     ``memory_share_bytes`` is this query's reserved share of the
     governor's global memory budget (None when no global budget is
-    configured); the executor apportions it further across parfor
-    workers.  ``session`` is the admission-session label the grant was
-    attributed to (see :func:`admission_scope`; None for untagged
+    configured).  ``session`` is the admission-session label the grant
+    was attributed to (see :func:`admission_scope`; None for untagged
     callers).  Release through :meth:`Governor.release` (the engine
     does this in a ``finally``).
     """

@@ -83,7 +83,7 @@ class QueryKilledError(ExecutionError):
 
     Carries whatever diagnostics the engine had accumulated when the
     kill fired, so a killed query is still fully diagnosable:
-    ``partial_stats`` is the merged-so-far
+    ``partial_stats`` is the accumulated-so-far
     :class:`~repro.xcution.stats.ExecutionStats`, and ``trace_root`` the
     (partial) lifecycle :class:`~repro.obs.Span` tree when the query was
     traced.
@@ -146,10 +146,10 @@ class OutOfMemoryBudgetError(ExecutionError):
     engines in this reproduction enforce an explicit budget so the same
     failure mode is observable deterministically.
 
-    ``partial_stats`` carries the merged-so-far
-    :class:`~repro.xcution.stats.ExecutionStats` when the budget blew
-    mid-execution (e.g. during a parallel merge), so the work done up to
-    the failure is not lost to diagnostics.
+    ``partial_stats`` carries the
+    :class:`~repro.xcution.stats.ExecutionStats` accumulated when the
+    budget blew mid-execution (the engine attaches them), so the work
+    done up to the failure is not lost to diagnostics.
     """
 
     def __init__(self, message: str, requested_bytes: int = 0, budget_bytes: int = 0):

@@ -18,19 +18,21 @@ many bytes* -- by hooking the three hot paths of execution:
 * :func:`repro.trie.build_trie` -- child-result materialization time
   and per-level trie bytes.
 
-Activation uses a module-global slot (:data:`ACTIVE`) rather than
-parameter threading for the set/trie hooks: the intersection kernel is
-called from deep inside numpy-driven loops (including parfor worker
-threads, which all observe the same global), and a single
-``is None`` check keeps the unprofiled path free.  The engine activates
-a profiler around ``execute_plan`` only, so profiles attribute
-execution, not compilation.
+Activation uses a thread-local slot (read through :func:`active`)
+rather than parameter threading for the set/trie hooks: the
+intersection kernel and the trie builders are called from deep inside
+numpy-driven loops, and a single ``is None`` check keeps the
+unprofiled path free.  The slot is per thread, like the governor's
+ambient cancel token, so a query on one thread never records into a
+profiler another thread activated.  The engine activates a profiler
+around ``execute_plan`` only, so profiles attribute execution, not
+compilation.
 
-All mutating record methods take the profiler's lock -- parfor workers
-record concurrently.  The *counter* totals (call counts, bytes, layout
-mix) are parallel-invariant: the frontier's windows do not depend on
-the thread count, so serial and parallel runs of one plan make the same
-probes over the same operands and report identical :meth:`counters`.
+All mutating record methods take the profiler's lock, so one profiler
+can be fed from several threads.  The *counter* totals (call counts,
+bytes, layout mix) are deterministic: the frontier's windows depend
+only on the data, so repeated runs of one plan make the same probes
+over the same operands and report identical :meth:`counters`.
 """
 
 from __future__ import annotations
@@ -39,33 +41,32 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: the currently active profiler (or None); hot paths read this slot.
-ACTIVE: Optional["KernelProfiler"] = None
+class _Slot(threading.local):
+    #: this thread's active profiler; hot paths read it via active().
+    profiler: Optional["KernelProfiler"] = None
 
-# reentrant so one thread can nest activations (the previous profiler
-# is restored on exit); concurrent threads still serialize.
-_ACTIVATION_LOCK = threading.RLock()
+
+_SLOT = _Slot()
+
+
+def active() -> Optional["KernelProfiler"]:
+    """This thread's active profiler (None when none is active)."""
+    return _SLOT.profiler
 
 
 @contextmanager
 def activate(profiler: "KernelProfiler"):
-    """Install ``profiler`` as the process-wide :data:`ACTIVE` profiler.
+    """Make ``profiler`` the active profiler of the calling thread.
 
-    Nested activations restore the previous profiler on exit.  Parfor
-    worker threads inherit the active profiler through the module
-    global, which is exactly what per-query profiling wants; two
-    *concurrent* profiled queries in one process would interleave, so
-    activation is serialized with a lock.
+    Nested activations restore the previous profiler on exit.  Other
+    threads are unaffected: each sees only what it activated itself.
     """
-    global ACTIVE
-    _ACTIVATION_LOCK.acquire()
-    previous = ACTIVE
-    ACTIVE = profiler
+    previous = active()
+    _SLOT.profiler = profiler
     try:
         yield profiler
     finally:
-        ACTIVE = previous
-        _ACTIVATION_LOCK.release()
+        _SLOT.profiler = previous
 
 
 class KernelProfiler:
@@ -128,8 +129,7 @@ class KernelProfiler:
         """Record one GHD node's per-level times and memory high-water.
 
         ``level_seconds[p]`` is the wall time of the frontier steps that
-        bound attribute position ``p`` (summed worker thread time under
-        parallel execution).
+        bound attribute position ``p``.
         """
         with self._lock:
             for p, attr in enumerate(attrs):
@@ -172,9 +172,9 @@ class KernelProfiler:
         from eager child-result builds, so build-on-probe cost is
         directly visible in the flamegraph.  The *counts* (number of
         lazy builds, whether each was pruned, and their byte
-        footprints) are parallel-invariant: each lazy trie builds
-        exactly once under its lock, and the probed root set is
-        computed on the main thread before parfor chunking.
+        footprints) are deterministic: each lazy trie builds exactly
+        once under its lock, from the probed root set of the level-0
+        step, which runs whole.
         """
         with self._lock:
             self.lazy_builds.append(
@@ -202,20 +202,19 @@ class KernelProfiler:
     def attributed_seconds(self) -> float:
         """Execution time the profile accounts for: level self times plus
         the non-level categories (trie builds, node setup, finalize,
-        deferred decode).  On a serial run this approaches
-        :attr:`execute_seconds`; the gap is dispatch overhead."""
+        deferred decode).  This approaches :attr:`execute_seconds`; the
+        gap is dispatch overhead."""
         with self._lock:
             return sum(self.level_seconds.values()) + sum(
                 self.category_seconds.values()
             )
 
     def counters(self) -> Dict:
-        """The parallel-invariant totals (counts and bytes, no times).
+        """The deterministic totals (counts and bytes, no times).
 
-        Chunking the outermost loop across parfor workers changes
-        neither which pairwise intersections run nor their operands, so
-        these totals are identical for serial and parallel execution of
-        the same plan -- the differential suite asserts exactly that.
+        The frontier's windows depend only on the data, so repeated runs
+        of one plan make the same intersections over the same operands
+        and these totals are identical across runs.
         """
         with self._lock:
             return {

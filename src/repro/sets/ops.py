@@ -92,9 +92,9 @@ def intersect(a: Set, b: Set) -> Set:
 
     When a :class:`repro.obs.KernelProfiler` is active, every pairwise
     call is attributed to its kernel kind with wall time and operand
-    bytes; the unprofiled path pays only this one global read.
+    bytes; the unprofiled path pays only this one thread-local read.
     """
-    prof = _profile.ACTIVE
+    prof = _profile.active()
     if prof is not None:
         return _intersect_profiled(a, b, prof)
     if a.layout is Layout.BITSET and b.layout is Layout.BITSET:

@@ -111,7 +111,7 @@ def build_trie(
             domain_sizes=domain_sizes,
             prunable=prunable,
         )
-    prof = _profile.ACTIVE
+    prof = _profile.active()
     if prof is None:
         return _build_trie_impl(key_columns, key_attrs, annotations, domain_sizes)
     start = time.perf_counter()

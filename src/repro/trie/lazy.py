@@ -18,11 +18,11 @@ materializes structure on demand --
 * any other deep access (annotations, deeper levels, batch lookups)
   falls back to a full one-shot materialization.
 
-Builds happen exactly once, guarded by a lock -- concurrent parfor
-workers that race into a level see one build -- and the parallel
-executor computes the level-0 intersection on the main thread before
-chunking, so the probed root set (and hence every lazy-build counter)
-is identical for serial and parallel runs.  Materialization runs
+Builds happen exactly once, guarded by a lock -- concurrent queries
+that share the trie through a cached plan and race into a level see
+one build -- and the executor runs the level-0 step whole, so the
+probed root set (and hence every lazy-build counter) is the same on
+every run.  Materialization runs
 through :func:`~repro.trie.builder._build_trie_impl`, which polls the
 ambient cancel token per level pass: deadlines and explicit
 cancellation fire *inside* lazy builds, exactly as they do in eager
@@ -85,6 +85,7 @@ class LazyTrie:
         #: True once a pruned (probe-restricted) materialization happened.
         self.pruned = False
         self._n_rows = n_rows
+        # concurrent queries sharing this trie (cached plans) race here
         self._lock = threading.RLock()
         self._built: Optional[Trie] = None
         self._root: Optional[TrieLevel] = None
@@ -173,7 +174,7 @@ class LazyTrie:
                     uniq = np.unique(self._cols[0])
                     offsets = np.array([0, uniq.size], dtype=np.int64)
                     self._root = TrieLevel(uniq, offsets)
-                    prof = _profile.ACTIVE
+                    prof = _profile.active()
                     if prof is not None:
                         prof.add_category(
                             "trie.lazy_root", time.perf_counter() - start
@@ -209,7 +210,7 @@ class LazyTrie:
         self._root = trie.levels[0]
         # a cached plan keeps this trie: drop the row copies it was built from
         self._cols = self._specs = None
-        prof = _profile.ACTIVE
+        prof = _profile.active()
         if prof is not None:
             prof.record_lazy_build(
                 attrs=self.key_attrs,

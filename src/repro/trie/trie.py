@@ -76,8 +76,9 @@ class TrieLevel:
     def probe_index(self) -> Tuple[str, object, int]:
         """The structure batched probes read: ``(kind, structure, domain)``.
 
-        Built on the first probe and cached; parfor threads that race to
-        build it build the same index, and one of them is kept.  The
+        Built on the first probe and cached.  Cached tries and cached
+        plans are shared, so concurrent queries may race to build it;
+        each builds the same index, and one of them is kept.  The
         level's cells are ``parents x domain`` (``domain`` = largest
         value + 1); node ids are positional in (parent, value) order, so
         each kind maps a present cell to its node id:

@@ -6,7 +6,6 @@ Yannakakis-style plan-tree execution, the scan path, and BLAS routing.
 
 from .aggregator import GroupAggregator
 from .generic_join import NodeExecutor
-from .parfor import chunk_slices, parfor_chunks
 from .plan import (
     AggregateRuntime,
     BlasPlan,
@@ -38,6 +37,4 @@ __all__ = [
     "execute_plan",
     "RawResult",
     "ExecutionStats",
-    "parfor_chunks",
-    "chunk_slices",
 ]

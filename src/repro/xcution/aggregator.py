@@ -67,22 +67,6 @@ class GroupAggregator:
         if self._since_check >= _BUDGET_CHECK_EVERY:
             self._check_budget()
 
-    def merge(self, other: "GroupAggregator") -> None:
-        """Fold another aggregator in (parfor partial results).
-
-        The budget is re-checked unconditionally after every merge:
-        merges are rare (one per parfor chunk), and the merged state is
-        exactly where apportioned per-worker budgets could otherwise add
-        up past the global ``memory_budget_bytes``.
-        """
-        self._batches.extend(other._batches)
-        self._batch_rows += other._batch_rows
-        self._spilled.extend(other._spilled)
-        self._spilled_rows += other._spilled_rows
-        self.spills += other.spills
-        if self._budget is not None:
-            self._check_budget()
-
     def consolidate(self) -> None:
         """Reduce all state to one row per group, groups in ascending key
         order, each summed in batch order.  A degraded aggregator stays
@@ -91,7 +75,7 @@ class GroupAggregator:
             self._collapse(spilled=bool(self._spilled))
 
     def check_budget(self) -> None:
-        """Force a budget check now (end-of-node, post-merge).
+        """Force a budget check now (end of node).
 
         The incremental checks fire only every ``_BUDGET_CHECK_EVERY``
         new group rows; executors call this once the node's state is

@@ -36,7 +36,7 @@ _REDUCERS = {"min": np.minimum, "max": np.maximum}
 
 
 def _profiled(category: str, start: float) -> None:
-    profiler = _profile.ACTIVE
+    profiler = _profile.active()
     if profiler is not None:
         profiler.add_category(category, time.perf_counter() - start)
 

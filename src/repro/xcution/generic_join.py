@@ -32,28 +32,28 @@ The frontier is walked depth first in windows of at most
 chunk whatever the attribute order, and the cancel token is polled once
 per window step.  The level-0 step runs whole, so prunable lazy tries
 see the complete probe set (:meth:`~repro.trie.lazy.LazyTrie.
-note_probed_roots`).  ``parfor`` hands whole level-1 windows to threads;
-window boundaries never depend on the thread count, so serial and
-parallel runs do the same arithmetic and count the same work.
+note_probed_roots`).  Window boundaries depend only on the data, so
+every run of a plan does the same arithmetic and counts the same work.
+The whole walk runs on the query's own thread; the paper's parallel
+outermost loop (Section III-D) is ``shard://local?workers=N``, which
+splits it across processes.
 
 Summation order: per group, a window's contributions are summed in walk
 order (``np.add.reduceat``), then the window partials are summed in
 window order.  Integer-valued aggregates are exact; float sums are
-identical for every thread count.
+identical on every run.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ExecutionError, OutOfMemoryBudgetError
+from ..errors import ExecutionError
 from .aggregator import GroupAggregator
 from .codes import reduce_groups, row_values
-from .parfor import chunk_slices, parfor_chunks
 from .plan import EngineConfig, NodePlan, RelationBinding
 from .stats import ExecutionStats
 
@@ -119,9 +119,8 @@ class NodeExecutor:
         self.bindings = list(bindings)
         self.config = config or EngineConfig()
         #: optional :class:`~repro.core.governor.CancelToken` polled once
-        #: per frontier step; shared verbatim with parfor worker clones so
-        #: a ``cancel()`` or an elapsed deadline stops every thread at its
-        #: next step.
+        #: per frontier step, so a ``cancel()`` or an elapsed deadline
+        #: stops the walk at its next step.
         self.cancel = cancel
         #: optional :class:`repro.obs.KernelProfiler`: receives the wall
         #: time of the frontier steps per attribute position.
@@ -204,62 +203,11 @@ class NodeExecutor:
             )
         return self.aggregator
 
-    def _run_parallel(self, roots: _Frontier, expansion: _Expansion) -> None:
-        """parfor over the level-1 windows (Section III-D).
-
-        Each worker walks a contiguous run of windows with a *private*
-        ``ExecutionStats`` and a *private* aggregator whose memory budget
-        is its share of the configured ``memory_budget_bytes``; partial
-        results merge in window order once ``parfor_chunks`` completes,
-        so the counters and the batches the aggregator reduces are the
-        serial run's, and the aggregate state never exceeds the global
-        budget (re-checked on every merge).
-        """
-        windows = expansion.windows
-        n_chunks = len(chunk_slices(len(windows), self.config.num_threads))
-        budget = self.config.memory_budget_bytes
-        worker_budget = None if budget is None else max(1, budget // n_chunks)
-        serial = replace(self.config, parallel=False, memory_budget_bytes=worker_budget)
-
-        def worker(sl: slice) -> "NodeExecutor":
-            clone = NodeExecutor(
-                self.node,
-                self.bindings,
-                serial,
-                stats=ExecutionStats(),
-                profiler=self.profiler,
-                cancel=self.cancel,
-            )
-            for window in windows[sl]:
-                clone._walk(1, roots, expansion, window)
-            return clone
-
-        for clone in parfor_chunks(
-            worker, len(windows), self.config.num_threads, cancel=self.cancel
-        ):
-            # merge the worker's stats BEFORE its aggregate state: a
-            # budget blowout during the merge must not lose the deltas
-            # of work that was already done (the exception carries the
-            # merged-so-far counters as partial_stats).
-            self.stats.merge(clone.stats)
-            try:
-                self.aggregator.merge(clone.aggregator)
-            except OutOfMemoryBudgetError as exc:
-                exc.partial_stats = self.stats
-                raise
-            # summed thread time: under parallel execution the per-level
-            # profile reports aggregate worker time, not wall time
-            for p, seconds in enumerate(clone._level_seconds):
-                self._level_seconds[p] += seconds
-
     # -- the frontier walk ----------------------------------------------------
 
     def _descend(self, p: int, frontier: _Frontier) -> None:
         """Bind attribute ``p`` (and everything below it) for ``frontier``."""
         expansion = self._expand(p, frontier)
-        if p == 1 and self.config.parallel and len(expansion.windows) > 1:
-            self._run_parallel(frontier, expansion)
-            return
         for window in expansion.windows:
             self._walk(p, frontier, expansion, window)
 
@@ -342,9 +290,9 @@ class NodeExecutor:
             if p == 0 and rows.size:
                 # Level-0 intersection output is the probe set: prunable
                 # lazy tries materialize only the sub-tries under these
-                # roots.  The level-0 step always runs whole on the
-                # calling thread, so the probe set (and every lazy-build
-                # counter) is identical for serial and parallel runs.
+                # roots.  The level-0 step always runs whole, so the
+                # probe set (and every lazy-build counter) is the same on
+                # every run.
                 for bi, _lvl in parts:
                     trie = self.bindings[bi].trie
                     if hasattr(trie, "note_probed_roots"):

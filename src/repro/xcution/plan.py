@@ -10,7 +10,6 @@ shapes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -36,34 +35,6 @@ from ..storage.table import AnnotationRequest, Table
 from ..trie.trie import Trie
 
 
-def _default_parallel() -> bool:
-    """Default for ``EngineConfig.parallel``: the ``REPRO_PARALLEL`` env toggle.
-
-    CI runs the whole test suite once with ``REPRO_PARALLEL=1`` so that
-    thread-safety regressions in the parfor path fail loudly instead of
-    silently corrupting counters.
-    """
-    return os.environ.get("REPRO_PARALLEL", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-def _default_num_threads() -> int:
-    """Default for ``EngineConfig.num_threads``: ``REPRO_NUM_THREADS`` or 4.
-
-    CI's governance job runs the suite across a small thread matrix
-    (2 and 4) so chunking-dependent bugs surface without every test
-    hand-constructing configs.
-    """
-    raw = os.environ.get("REPRO_NUM_THREADS", "").strip()
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw)
-    return 4
-
-
 @dataclass
 class EngineConfig:
     """Optimizer and executor toggles (the Table III ablations)."""
@@ -73,8 +44,6 @@ class EngineConfig:
     enable_relaxation: bool = True
     enable_blas: bool = True
     force_single_node_ghd: bool = False
-    parallel: bool = field(default_factory=_default_parallel)
-    num_threads: int = field(default_factory=_default_num_threads)
     memory_budget_bytes: Optional[int] = None
     #: pin the root node's attribute order (Figure 5b/5c experiments
     #: compare explicit orders); must be a permutation of the root's

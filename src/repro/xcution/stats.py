@@ -17,8 +17,8 @@ _MAX_FIELDS = ("q_error_max", "q_error_root")
 
 #: identity (non-counter) fields: excluded from the numeric dict views
 #: (``as_dict``/``delta_since``/``describe``), which must stay
-#: byte-identical between serial and parallel runs of the same query --
-#: two runs of one query share counters but never a query_id.
+#: byte-identical between two runs of the same query -- they share
+#: counters but never a query_id.
 _STR_FIELDS = ("query_id",)
 
 
@@ -46,18 +46,17 @@ class ExecutionStats:
     #: output groups produced.
     groups_emitted: int = 0
     #: cooperative cancellation polls issued by the executor (one per
-    #: frontier step of a generic-join node).  That does not depend on
-    #: the thread count, so the total is deterministic and identical
-    #: under serial and parallel execution -- the governance
-    #: differential tests assert exactly that.
+    #: frontier step of a generic-join node).  Window boundaries depend
+    #: only on the data, so the total is deterministic -- the governance
+    #: tests assert exactly that.
     cancel_checks: int = 0
     #: always 0 (no binary join executor); kept because the benchmark
     #: harness (``benchmarks/e2e/layers.py``) reads it by name.
     binary_rows: int = 0
     #: aggregator degradations: live group batches reduced into one
-    #: lean columnar run under memory-budget pressure.  Spill
-    #: opportunities depend on the per-worker budget split, so this
-    #: counter is *not* parallel-invariant (unlike the ones above).
+    #: lean columnar run under memory-budget pressure.  The aggregator
+    #: sees the same batches on every run, so this count is
+    #: deterministic like the ones above.
     aggregator_spills: int = 0
     #: plan-cache hits for the query these stats belong to (0 or 1 per
     #: query; cumulative across merges).
@@ -71,9 +70,8 @@ class ExecutionStats:
     plan_reoptimizations: int = 0
     #: worst per-node q-error of this execution (``max(est/act,
     #: act/est)`` over the plan's join nodes; 0.0 until measured).
-    #: Derived from ``node_rows``, which is recorded once per node on
-    #: the coordinating thread, so both q-error fields are
-    #: parallel-invariant like the counters above.
+    #: Derived from ``node_rows``, which is recorded once per node, so
+    #: both q-error fields are deterministic like the counters above.
     q_error_max: float = 0.0
     #: the root node's q-error (the estimate the output cardinality
     #: actually depended on).

@@ -186,9 +186,8 @@ def _execute_node(
         snapshot = stats.snapshot() if (tracer.active and stats is not None) else None
         aggregator = executor.run()
         if stats is not None:
-            # per-node actuals for the q-error feedback loop; recorded
-            # once per node on the coordinating thread (after any parfor
-            # worker merge), so the value is parallel-invariant
+            # per-node actuals for the q-error feedback loop, recorded
+            # once per node
             stats.note_node_rows(node.node_key, len(aggregator))
         if tracer.active:
             span.set(

@@ -1,5 +1,8 @@
 """Shared fixtures: a miniature TPC-H-shaped catalog and matrices."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -152,6 +155,26 @@ CYCLE4_SQL = (
 #: ~30 ms, at least 10x every deadline or cancel delay the governance
 #: tests use (150 ms at most).
 SLOW_GRAPH = (600, 30_000)
+
+
+def on_threads(fn, threads: int) -> list:
+    """Call ``fn()`` on ``threads`` threads released together.
+
+    Returns the results in thread order; the first failure re-raises.
+    Concurrent queries share cached tries, cached plans and the
+    governor, so this is how the suite races them.
+    """
+    if threads == 1:
+        return [fn()]
+    barrier = threading.Barrier(threads, timeout=60)
+
+    def task():
+        barrier.wait()
+        return fn()
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(task) for _ in range(threads)]
+        return [future.result(timeout=300) for future in futures]
 
 
 def make_matrix_catalog(entries=None, n=4) -> Catalog:

@@ -283,9 +283,8 @@ def test_q5_two_node_ghd(mini_tpch):
         EngineConfig(enable_attribute_elimination=False, enable_blas=False),
         EngineConfig(enable_relaxation=False),
         EngineConfig(force_single_node_ghd=True),
-        EngineConfig(parallel=True, num_threads=3),
     ],
-    ids=["worst-order", "no-elimination", "no-relaxation", "single-node", "parallel"],
+    ids=["worst-order", "no-elimination", "no-relaxation", "single-node"],
 )
 def test_q5_ablations_preserve_results(mini_tpch, config):
     engine = LevelHeadedEngine(mini_tpch, config=config)

@@ -22,7 +22,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import EngineConfig, LevelHeadedEngine
+from repro import LevelHeadedEngine
 from repro.core.governor import Governor
 from repro.core.plan_cache import HIT, MISS, REOPTIMIZED, PlanCache
 from repro.datasets import SKEWED_QUERIES, generate_skewed
@@ -37,7 +37,7 @@ from repro.optimizer.feedback import (
     measure,
     q_error,
 )
-from tests.conftest import graph_catalog, make_mini_tpch
+from tests.conftest import graph_catalog, make_mini_tpch, on_threads
 
 SKEWED_SQL = SKEWED_QUERIES["hot_regions"]
 
@@ -269,36 +269,35 @@ def test_drifted_entry_not_cached_for_admission(skewed_catalog):
 
 
 # ---------------------------------------------------------------------------
-# differential: the q-error counters are parallel-invariant
+# differential: concurrent queries do not change the q-error counters
 # ---------------------------------------------------------------------------
+
+
+def _on_fresh_engines(catalog, sql, threads):
+    """``threads`` concurrent first runs, each on its own engine (so no
+    run's feedback re-plans another's) over the shared catalog."""
+    return on_threads(
+        lambda: LevelHeadedEngine(catalog).query(sql, collect_stats=True), threads
+    )
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_q_error_counters_parallel_invariant(skewed_catalog, threads):
-    serial = LevelHeadedEngine(
-        skewed_catalog, config=EngineConfig(parallel=False)
-    ).query(SKEWED_SQL, collect_stats=True)
-    parallel = LevelHeadedEngine(
-        skewed_catalog,
-        config=EngineConfig(parallel=True, num_threads=threads),
-    ).query(SKEWED_SQL, collect_stats=True)
-    assert parallel.stats.node_rows == serial.stats.node_rows
-    assert parallel.stats.q_error_max == serial.stats.q_error_max
-    assert parallel.stats.q_error_root == serial.stats.q_error_root
-    assert _columns(parallel) == _columns(serial)
+    serial = LevelHeadedEngine(skewed_catalog).query(SKEWED_SQL, collect_stats=True)
+    for parallel in _on_fresh_engines(skewed_catalog, SKEWED_SQL, threads):
+        assert parallel.stats.node_rows == serial.stats.node_rows
+        assert parallel.stats.q_error_max == serial.stats.q_error_max
+        assert parallel.stats.q_error_root == serial.stats.q_error_root
+        assert _columns(parallel) == _columns(serial)
 
 
 @pytest.mark.parametrize("threads", [2, 4])
 def test_q5_node_rows_parallel_invariant(threads):
     catalog = make_mini_tpch()
-    serial = LevelHeadedEngine(catalog, config=EngineConfig(parallel=False)).query(
-        Q5, collect_stats=True
-    )
-    parallel = LevelHeadedEngine(
-        catalog, config=EngineConfig(parallel=True, num_threads=threads)
-    ).query(Q5, collect_stats=True)
-    assert parallel.stats.node_rows == serial.stats.node_rows
-    assert parallel.stats.q_error_max == serial.stats.q_error_max
+    serial = LevelHeadedEngine(catalog).query(Q5, collect_stats=True)
+    for parallel in _on_fresh_engines(catalog, Q5, threads):
+        assert parallel.stats.node_rows == serial.stats.node_rows
+        assert parallel.stats.q_error_max == serial.stats.q_error_max
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Every shape the generic join handles -- cyclic (triangle, 4-cycle),
 both SMM attribute orders of Fig. 5b, SMV, TPC-H Q5 with its mid-walk
-``n_name`` fetch, MIN/MAX over a join -- is run under ``wcoj`` at 1, 2
-and 4 threads, with the default window size and with windows of a few
-rows (so ``parfor`` really splits the frontier), and under a tight
-memory budget, and compared with :class:`repro.baselines.PairwiseEngine`
-(hash joins over raw rows, no tries).  The work counters must not
-depend on the thread count or the window size, and on the ``la_graph``
-benchmark's seed-1 inputs they must equal what Algorithm 1 counts per
-prefix.
+``n_name`` fetch, MIN/MAX over a join -- is run by 1, 2 and 4 threads
+querying one engine at once, with the default window size and with
+windows of a few rows, and under a tight memory budget, and compared
+with :class:`repro.baselines.PairwiseEngine` (hash joins over raw rows,
+no tries).  Each thread count starts from a fresh catalog, so its
+threads race to build the shared tries' probe indexes.  The work
+counters must not depend on the thread count or the window size, and on
+the ``la_graph`` benchmark's seed-1 inputs they must equal what
+Algorithm 1 counts per prefix.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.datasets import generate_tpch, sparse_profile
 from repro.datasets.tpch.queries import Q5, Q10
 from repro.la import matmul_sql, matvec_sql
 from repro.xcution import generic_join
-from tests.conftest import CYCLE4_SQL, graph_catalog, make_mini_tpch
+from tests.conftest import CYCLE4_SQL, graph_catalog, make_mini_tpch, on_threads
 
 TRIANGLE_SQL = (
     "SELECT count(*) AS triangles FROM edges e1, edges e2, edges e3 "
@@ -57,33 +58,30 @@ def _smm_orders(catalog):
     return (first, aggregated, second), (first, second, aggregated)
 
 
-_SPARSE = _sparse_catalog()
-_RELAXED, _FLAT = _smm_orders(_SPARSE)
+_RELAXED, _FLAT = _smm_orders(_sparse_catalog())
 
+#: name -> (catalog factory, SQL, extra config)
 SHAPES = {
-    "triangle": (graph_catalog(60, 500), TRIANGLE_SQL, {}),
+    "triangle": (lambda: graph_catalog(60, 500), TRIANGLE_SQL, {}),
     # 300 x 300 cells over ~1 500 edges: the closing level probes a bitmap
-    "triangle_bitmap": (graph_catalog(300, 1500), TRIANGLE_SQL, {}),
-    "cycle4": (graph_catalog(30, 150), CYCLE4_SQL, {}),
-    "smm_relaxed": (_SPARSE, matmul_sql("m"), {"forced_root_order": _RELAXED}),
-    "smm_ijk": (_SPARSE, matmul_sql("m"), {"forced_root_order": _FLAT}),
-    "smv": (_SPARSE, matvec_sql("m", "x"), {}),
-    "q5": (make_mini_tpch(), Q5, {}),
-    "minmax": (make_mini_tpch(), MINMAX_SQL, {}),
+    "triangle_bitmap": (lambda: graph_catalog(300, 1500), TRIANGLE_SQL, {}),
+    "cycle4": (lambda: graph_catalog(30, 150), CYCLE4_SQL, {}),
+    "smm_relaxed": (_sparse_catalog, matmul_sql("m"), {"forced_root_order": _RELAXED}),
+    "smm_ijk": (_sparse_catalog, matmul_sql("m"), {"forced_root_order": _FLAT}),
+    "smv": (_sparse_catalog, matvec_sql("m", "x"), {}),
+    "q5": (make_mini_tpch, Q5, {}),
+    "minmax": (make_mini_tpch, MINMAX_SQL, {}),
 }
 
 
-def _config(threads, **extra):
-    return EngineConfig(
-        enable_blas=False,
-        parallel=threads > 1,
-        num_threads=threads,
-        **extra,
-    )
+def _engine(name, **extra):
+    """A fresh engine on a fresh catalog for shape ``name``."""
+    make, _sql, shape_extra = SHAPES[name]
+    config = EngineConfig(enable_blas=False, **shape_extra, **extra)
+    return LevelHeadedEngine(make(), config=config)
 
 
-def _run(catalog, sql, config):
-    engine = LevelHeadedEngine(catalog, config=config)
+def _run(engine, sql):
     result = engine.execute(engine.compile(sql), collect_stats=True)
     return result, result.stats
 
@@ -97,7 +95,7 @@ def _assert_rows_match(got, want):
 
 @pytest.fixture(scope="module")
 def oracle():
-    return {name: PairwiseEngine(catalog).query(sql) for name, (catalog, sql, _) in SHAPES.items()}
+    return {name: PairwiseEngine(make()).query(sql) for name, (make, sql, _) in SHAPES.items()}
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
@@ -105,8 +103,12 @@ def oracle():
 def test_frontier_matches_pairwise_at_every_thread_count(oracle, monkeypatch, name, window_rows):
     if window_rows is not None:
         monkeypatch.setattr(generic_join, "CHUNK_ROWS", window_rows)
-    catalog, sql, extra = SHAPES[name]
-    runs = [_run(catalog, sql, _config(threads, **extra)) for threads in (1, 2, 4)]
+    sql = SHAPES[name][1]
+    runs = []
+    for threads in (1, 2, 4):
+        # a fresh catalog: no probe index exists until the threads race
+        engine = _engine(name)
+        runs += on_threads(lambda: _run(engine, sql), threads)
     for result, stats in runs:
         _assert_rows_match(result, oracle[name])
         # same windows, same steps: identical counters and results
@@ -116,10 +118,10 @@ def test_frontier_matches_pairwise_at_every_thread_count(oracle, monkeypatch, na
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_work_counters_do_not_depend_on_window_size(monkeypatch, name):
-    catalog, sql, extra = SHAPES[name]
-    _result, whole = _run(catalog, sql, _config(1, **extra))
+    sql = SHAPES[name][1]
+    _result, whole = _run(_engine(name), sql)
     monkeypatch.setattr(generic_join, "CHUNK_ROWS", 2)
-    _result, windowed = _run(catalog, sql, _config(1, **extra))
+    _result, windowed = _run(_engine(name), sql)
     assert {f: getattr(windowed, f) for f in WORK} == {f: getattr(whole, f) for f in WORK}
     assert windowed.cancel_checks == whole.cancel_checks == 0  # no token, no polls
 
@@ -130,17 +132,20 @@ def test_frontier_under_tight_memory_budget(oracle, monkeypatch, name, threads):
     # 72 bytes per output group: below the live footprint of a group
     # (64 + 8 x cells, cells >= 2) but above its spilled one (8 + 8 x
     # cells, cells <= 4 here), so grouped shapes must degrade to spilled
-    # runs and still be right
+    # runs and still be right; each of the concurrent queries holds the
+    # whole budget
     monkeypatch.setattr(generic_join, "CHUNK_ROWS", 5)
-    catalog, sql, extra = SHAPES[name]
+    sql = SHAPES[name][1]
     budget = 72 * max(oracle[name].num_rows, 1)
+    engine = _engine(name, memory_budget_bytes=budget)
     try:
-        result, stats = _run(catalog, sql, _config(threads, memory_budget_bytes=budget, **extra))
+        runs = on_threads(lambda: _run(engine, sql), threads)
     except OutOfMemoryBudgetError:  # pragma: no cover - a failure, with context
         pytest.fail(f"{name}: {budget} bytes should fit once degraded")
-    _assert_rows_match(result, oracle[name])
-    if result.num_rows > 1:
-        assert stats.aggregator_spills > 0
+    for result, stats in runs:
+        _assert_rows_match(result, oracle[name])
+        if result.num_rows > 1:
+            assert stats.aggregator_spills > 0
 
 
 def _la_graph_seed1():

@@ -11,8 +11,8 @@ Pins the PR-4 contract end to end:
   :class:`OutOfMemoryBudgetError`;
 * the degraded (sorted-sparse) aggregator returns rows identical to the
   dense dict-backed path;
-* ``cancel_checks`` is a parallel-invariant counter (serial == 2 == 4
-  threads);
+* ``cancel_checks`` is a deterministic per-query counter (a lone query
+  and 2 or 4 concurrent ones count the same polls);
 * the removed free-function LA surface stays removed: registration
   goes through the engine's handle-first API.
 """
@@ -34,7 +34,7 @@ from repro import (
     retry_admission,
 )
 from repro.core.governor import Governor
-from tests.conftest import CYCLE4_SQL, SLOW_GRAPH, graph_catalog
+from tests.conftest import CYCLE4_SQL, SLOW_GRAPH, graph_catalog, on_threads
 
 TRIANGLE_SQL = (
     "SELECT count(*) AS triangles FROM edges e1, edges e2, edges e3 "
@@ -51,9 +51,7 @@ DEGREE_SQL = "SELECT src, count(*) AS degree FROM edges GROUP BY src"
 
 def test_timeout_kills_adversarial_cycle_count_within_budget():
     # ~2s of serial work; the 150ms deadline must kill it within 1.5x.
-    engine = LevelHeadedEngine(
-        graph_catalog(*SLOW_GRAPH), config=EngineConfig(parallel=False)
-    )
+    engine = LevelHeadedEngine(graph_catalog(*SLOW_GRAPH))
     start = time.perf_counter()
     with pytest.raises(QueryTimeoutError) as excinfo:
         engine.query(CYCLE4_SQL, timeout_ms=150)
@@ -232,16 +230,13 @@ def test_memory_share_oom_converts_to_retryable():
     # groups, so degrading cannot rescue the query.
     engine = LevelHeadedEngine(
         graph_catalog(200, 6_000),
-        config=EngineConfig(parallel=False),
         governor=Governor(max_concurrency=2, global_memory_budget_bytes=2_000),
     )
     with pytest.raises(RetryableAdmissionError) as excinfo:
         engine.query(DEGREE_SQL)
     assert "memory share" in str(excinfo.value)
     # without a governor the same query raises nothing (no budget at all).
-    free = LevelHeadedEngine(
-        graph_catalog(200, 6_000), config=EngineConfig(parallel=False)
-    )
+    free = LevelHeadedEngine(graph_catalog(200, 6_000))
     assert free.query(DEGREE_SQL).num_rows > 0
 
 
@@ -260,15 +255,13 @@ def _degradation_budget(catalog) -> int:
 
 def test_degraded_aggregator_matches_dense_results():
     catalog = graph_catalog(400, 12_000)
-    dense = LevelHeadedEngine(
-        catalog, config=EngineConfig(parallel=False)
-    ).query(DEGREE_SQL, collect_stats=True)
+    dense = LevelHeadedEngine(catalog).query(DEGREE_SQL, collect_stats=True)
     assert dense.stats.aggregator_spills == 0
 
     budget = _degradation_budget(catalog)
     degraded = LevelHeadedEngine(
         catalog,
-        config=EngineConfig(parallel=False, memory_budget_bytes=budget),
+        config=EngineConfig(memory_budget_bytes=budget),
     ).query(DEGREE_SQL, collect_stats=True)
     assert degraded.stats.aggregator_spills > 0
     assert degraded.sorted_rows() == dense.sorted_rows()
@@ -281,10 +274,7 @@ def test_budget_below_spilled_footprint_raises_oom():
     catalog = graph_catalog(400, 12_000)
     engine = LevelHeadedEngine(
         catalog,
-        config=EngineConfig(
-            parallel=False,
-            memory_budget_bytes=_degradation_budget(catalog) // 3,
-        ),
+        config=EngineConfig(memory_budget_bytes=_degradation_budget(catalog) // 3),
     )
     with pytest.raises(OutOfMemoryBudgetError):
         engine.query(DEGREE_SQL)
@@ -313,22 +303,22 @@ def test_plan_cache_peek_does_not_count_or_touch():
 
 
 # ---------------------------------------------------------------------------
-# parallel invariance
+# per-query counters under concurrent queries
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("threads", [2, 4])
 def test_cancel_checks_counter_is_parallel_invariant(threads):
-    catalog = graph_catalog(120, 1_500)
-    serial = LevelHeadedEngine(
-        catalog, config=EngineConfig(parallel=False)
-    ).query(TRIANGLE_SQL, collect_stats=True, timeout_ms=600_000)
-    parallel = LevelHeadedEngine(
-        catalog, config=EngineConfig(parallel=True, num_threads=threads)
-    ).query(TRIANGLE_SQL, collect_stats=True, timeout_ms=600_000)
-    assert serial.single_value() == parallel.single_value()
+    engine = LevelHeadedEngine(graph_catalog(120, 1_500))
+
+    def query():
+        return engine.query(TRIANGLE_SQL, collect_stats=True, timeout_ms=600_000)
+
+    serial = query()
     assert serial.stats.cancel_checks > 0
-    assert serial.stats.cancel_checks == parallel.stats.cancel_checks
+    for parallel in on_threads(query, threads):
+        assert serial.single_value() == parallel.single_value()
+        assert serial.stats.cancel_checks == parallel.stats.cancel_checks
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +387,6 @@ def test_abandoned_handle_releases_its_governor_slot():
     governor = Governor(max_concurrency=1)
     engine = LevelHeadedEngine(
         graph_catalog(*SLOW_GRAPH),
-        config=EngineConfig(parallel=False),
         governor=governor,
     )
     handle = engine.submit(CYCLE4_SQL)
@@ -421,7 +410,6 @@ def test_handle_close_cancels_and_reclaims_slot():
     governor = Governor(max_concurrency=1)
     engine = LevelHeadedEngine(
         graph_catalog(*SLOW_GRAPH),
-        config=EngineConfig(parallel=False),
         governor=governor,
     )
     with engine.submit(CYCLE4_SQL) as handle:

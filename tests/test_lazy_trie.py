@@ -1,6 +1,7 @@
 """Lazy build-on-probe tries: correctness of pruned builds, parity with
 eager builds and with the pairwise oracle end to end, cancellation and budget behavior inside lazy
-materialization, and the parallel-invariant profiler counters."""
+materialization, and profiler counters that concurrent queries leave
+unchanged."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.baselines import PairwiseEngine
 from repro.core.governor import cancel_scope
 from repro.trie.builder import AnnotationSpec, build_trie
 from repro.trie.lazy import LazyTrie
-from tests.conftest import CYCLE4_SQL, make_mini_tpch
+from tests.conftest import CYCLE4_SQL, make_mini_tpch, on_threads
 from tests.test_engine import Q5_SQL
 
 
@@ -171,10 +172,12 @@ def test_lazy_and_eager_engines_agree():
 
 def test_lazy_engine_agrees_under_parallelism():
     catalog = make_mini_tpch()
-    want = _engine(catalog, parallel=False).query(Q5_SQL).sorted_rows()
+    want = _engine(catalog).query(Q5_SQL).sorted_rows()
     for threads in (2, 4):
-        engine = _engine(catalog, parallel=True, num_threads=threads)
-        assert engine.query(Q5_SQL).sorted_rows() == want
+        # threads share one engine: its cached plan and lazy tries
+        engine = _engine(catalog)
+        runs = on_threads(lambda: engine.query(Q5_SQL).sorted_rows(), threads)
+        assert runs == [want] * threads
 
 
 def test_profiler_attributes_lazy_builds():
@@ -187,13 +190,16 @@ def test_profiler_attributes_lazy_builds():
 
 def test_lazy_profiler_counters_parallel_invariant():
     catalog = make_mini_tpch()
-    serial = _engine(catalog, parallel=False)
-    parallel = _engine(catalog, parallel=True, num_threads=4)
-    s = serial.query(Q5_SQL, profile=True).profile.counters()
-    p = parallel.query(Q5_SQL, profile=True).profile.counters()
-    assert s["lazy_builds"] == p["lazy_builds"]
-    assert s["lazy_pruned_builds"] == p["lazy_pruned_builds"]
-    assert s["lazy_trie_bytes"] == p["lazy_trie_bytes"]
+    s = _engine(catalog).query(Q5_SQL, profile=True).profile.counters()
+    # four first runs at once, each on its own engine: every thread's
+    # profiler sees its own query's lazy builds and nobody else's
+    runs = on_threads(
+        lambda: _engine(catalog).query(Q5_SQL, profile=True).profile.counters(), 4
+    )
+    for p in runs:
+        assert s["lazy_builds"] == p["lazy_builds"]
+        assert s["lazy_pruned_builds"] == p["lazy_pruned_builds"]
+        assert s["lazy_trie_bytes"] == p["lazy_trie_bytes"]
 
 
 def test_lazy_query_respects_timeout_and_recovers():
@@ -214,7 +220,7 @@ def test_lazy_query_respects_timeout_and_recovers():
             dst=np.array([p[1] for p in pairs]),
         )
     )
-    engine = _engine(catalog, parallel=False)
+    engine = _engine(catalog)
     from repro.errors import QueryKilledError
 
     # the 4-cycle count runs ~1 s serially, 20x the deadline

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro import EngineConfig, LevelHeadedEngine, MetricsRegistry, Span, Tracer
+from repro import LevelHeadedEngine, MetricsRegistry, Span, Tracer
 from repro.obs import NULL_TRACER, Histogram, phase_times
-from tests.conftest import make_mini_tpch
+from tests.conftest import make_mini_tpch, on_threads
 from tests.test_engine import Q5_SQL
 
 
@@ -256,14 +256,11 @@ def test_engine_metrics_accumulate():
 
 
 def test_traced_parallel_run_matches_serial_counters():
-    catalog = make_mini_tpch()
-    serial = LevelHeadedEngine(catalog, config=EngineConfig(parallel=False))
-    parallel = LevelHeadedEngine(
-        catalog, config=EngineConfig(parallel=True, num_threads=4)
-    )
-    s = serial.query(Q5_SQL, trace=True)
-    p = parallel.query(Q5_SQL, trace=True)
+    # four traced queries at once on one engine: each trace holds its
+    # own query's counters, equal to a lone run's
+    engine = LevelHeadedEngine(make_mini_tpch())
+    s = engine.query(Q5_SQL, trace=True)
     s_exec = s.trace.find("execute").stats
-    p_exec = p.trace.find("execute").stats
     drop_cache = lambda d: {k: v for k, v in d.items() if not k.startswith("plan_cache")}
-    assert drop_cache(p_exec) == drop_cache(s_exec)
+    for p in on_threads(lambda: engine.query(Q5_SQL, trace=True), 4):
+        assert drop_cache(p.trace.find("execute").stats) == drop_cache(s_exec)

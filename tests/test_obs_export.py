@@ -10,7 +10,7 @@ import pytest
 
 from repro import LevelHeadedEngine, MetricsRegistry, Tracer
 from repro.obs import QueryLog, to_chrome_trace, to_prometheus
-from tests.conftest import make_mini_tpch
+from tests.conftest import make_mini_tpch, on_threads
 from tests.test_engine import Q5_SQL
 
 GOLDEN = Path(__file__).parent / "golden" / "metrics_golden.prom"
@@ -256,15 +256,14 @@ GROUP BY l_orderkey, o_orderdate
 """
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
-def test_chrome_trace_event_schema_golden_for_q3(parallel):
+@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "parallel"])
+def test_chrome_trace_event_schema_golden_for_q3(threads):
     # pins the Chrome trace-event schema the tooling depends on: every
     # span is one complete event with exactly ph/ts/dur/pid/tid (+args),
-    # whether the tree came from a serial or a parallel execution
-    from repro.xcution.plan import EngineConfig
-
-    engine = LevelHeadedEngine(make_mini_tpch(), config=EngineConfig(parallel=parallel))
-    result = engine.query(Q3_MINI, trace=True)
+    # whether the query ran alone or beside another traced query on the
+    # same engine (whose spans must not leak into this tree)
+    engine = LevelHeadedEngine(make_mini_tpch())
+    result = on_threads(lambda: engine.query(Q3_MINI, trace=True), threads)[-1]
     doc = to_chrome_trace(result.trace)
     json.dumps(doc)  # JSON-serializable end to end
     assert set(doc.keys()) == {"traceEvents", "displayTimeUnit"}
@@ -282,8 +281,9 @@ def test_chrome_trace_event_schema_golden_for_q3(parallel):
         assert event["pid"] == 1 and event["tid"] == 1
         if "args" in event:
             assert isinstance(event["args"], dict) and event["args"]
-    names = {e["name"] for e in events}
-    assert {"query", "compile", "execute", "decode", "node.execute"} <= names
+    names = [e["name"] for e in events]
+    assert {"query", "compile", "execute", "decode", "node.execute"} <= set(names)
+    assert names.count("query") == names.count("execute") == 1
     # the root span carries the minted query_id into the export
     root_args = events[0]["args"]
     assert root_args["query_id"] == result.query_id

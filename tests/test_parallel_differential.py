@@ -1,17 +1,18 @@
-"""Differential tests: parallel execution must equal serial, exactly.
+"""Differential tests: queries run in parallel must equal a lone run, exactly.
 
-The parfor path chunks the outermost intersection across worker
-threads.  These tests pin down the contract the executor documents in
-``repro.xcution.parfor``:
+The engine runs each query on its caller's thread; a server or an
+application runs several at once against one engine, sharing its
+catalog tries, compiled plans and governor.  These tests release 1, 2
+or 4 threads together on one engine and pin down:
 
-* result tables are identical to the serial run (same rows),
-* the merged :class:`~repro.xcution.stats.ExecutionStats` counters are
-  byte-identical to the serial run (workers accumulate into private
-  stats objects merged deterministically -- no lost updates, no
-  chunk-count leakage),
+* every result table is identical to a lone serial run's (same rows),
+* every query's :class:`~repro.xcution.stats.ExecutionStats` counters
+  are byte-identical to the lone run's (stats belong to one query),
+* every query's profiler counters equal the lone run's (each thread
+  records into the profiler it activated, never another thread's),
 * repeated parallel runs are deterministic,
-* the global ``memory_budget_bytes`` is respected: apportioned worker
-  budgets cannot add up past the configured limit.
+* ``memory_budget_bytes`` bounds each query's own aggregate state: a
+  tight budget fails every thread, a generous one passes every thread.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 from repro import EngineConfig, LevelHeadedEngine, OutOfMemoryBudgetError
 from repro.datasets.tpch.queries import Q5
 from repro.la import matmul_sql
-from tests.conftest import make_mini_tpch
+from tests.conftest import make_mini_tpch, on_threads
 
 THREAD_COUNTS = [1, 2, 4]
 
@@ -38,12 +39,16 @@ GROUP BY l_orderkey, o_orderdate
 """
 
 
-def _run(catalog, sql, config):
+def _run(engine, sql):
     """Compile + execute outside the plan cache: pure executor counters."""
-    engine = LevelHeadedEngine(catalog, config=config)
-    plan = engine.compile(sql)
-    result = engine.execute(plan, collect_stats=True)
+    result = engine.execute(engine.compile(sql), collect_stats=True)
     return result, result.stats
+
+
+def _parallel(catalog, sql, threads, run=_run, config=None):
+    """``run(engine, sql)`` on ``threads`` threads sharing one engine."""
+    engine = LevelHeadedEngine(catalog, config=config)
+    return on_threads(lambda: run(engine, sql), threads)
 
 
 def _sparse_catalog(n=60, nnz=500, seed=11):
@@ -71,30 +76,23 @@ def smm_catalog():
 @pytest.mark.parametrize("sql_name,sql", [("Q3", Q3_MINI), ("Q5", Q5)])
 @pytest.mark.parametrize("threads", THREAD_COUNTS)
 def test_tpch_parallel_matches_serial(tpch_catalog, sql_name, sql, threads):
-    serial_result, serial_stats = _run(tpch_catalog, sql, EngineConfig(parallel=False))
-    par_result, par_stats = _run(
-        tpch_catalog, sql, EngineConfig(parallel=True, num_threads=threads)
-    )
-    assert par_result.sorted_rows() == serial_result.sorted_rows()
-    assert par_stats.as_dict() == serial_stats.as_dict()
+    serial_result, serial_stats = _run(LevelHeadedEngine(tpch_catalog), sql)
+    for par_result, par_stats in _parallel(tpch_catalog, sql, threads):
+        assert par_result.sorted_rows() == serial_result.sorted_rows()
+        assert par_stats.as_dict() == serial_stats.as_dict()
 
 
 @pytest.mark.parametrize("threads", THREAD_COUNTS)
 def test_smm_parallel_matches_serial(smm_catalog, threads):
     sql = matmul_sql("m")
-    serial_result, serial_stats = _run(smm_catalog, sql, EngineConfig(parallel=False))
-    par_result, par_stats = _run(
-        smm_catalog, sql, EngineConfig(parallel=True, num_threads=threads)
-    )
-    assert par_result.sorted_rows() == serial_result.sorted_rows()
-    assert par_stats.as_dict() == serial_stats.as_dict()
+    serial_result, serial_stats = _run(LevelHeadedEngine(smm_catalog), sql)
+    for par_result, par_stats in _parallel(smm_catalog, sql, threads):
+        assert par_result.sorted_rows() == serial_result.sorted_rows()
+        assert par_stats.as_dict() == serial_stats.as_dict()
 
 
 def test_parallel_repeated_runs_are_deterministic(tpch_catalog):
-    runs = [
-        _run(tpch_catalog, Q5, EngineConfig(parallel=True, num_threads=4))
-        for _ in range(3)
-    ]
+    runs = [run for _ in range(3) for run in _parallel(tpch_catalog, Q5, 4)]
     first_rows = runs[0][0].sorted_rows()
     first_stats = runs[0][1].as_dict()
     for result, stats in runs[1:]:
@@ -104,10 +102,7 @@ def test_parallel_repeated_runs_are_deterministic(tpch_catalog):
 
 def test_smm_parallel_repeated_runs_are_deterministic(smm_catalog):
     sql = matmul_sql("m")
-    runs = [
-        _run(smm_catalog, sql, EngineConfig(parallel=True, num_threads=4))
-        for _ in range(3)
-    ]
+    runs = [run for _ in range(3) for run in _parallel(smm_catalog, sql, 4)]
     first_rows = runs[0][0].sorted_rows()
     first_stats = runs[0][1].as_dict()
     for result, stats in runs[1:]:
@@ -117,30 +112,31 @@ def test_smm_parallel_repeated_runs_are_deterministic(smm_catalog):
 
 @pytest.mark.parametrize("threads", [2, 4])
 def test_tight_budget_raises_under_parallel(smm_catalog, threads):
-    """Workers must not multiply the budget by the chunk count.
+    """Concurrent queries must not pool their budgets.
 
     SMM on this catalog emits a few thousand groups; a budget sized
-    for a handful must fail whether one thread or four share it.
+    for a handful must fail every one of the concurrent queries.
     """
-    config = EngineConfig(
-        parallel=True, num_threads=threads, memory_budget_bytes=1000
+    engine = LevelHeadedEngine(
+        smm_catalog, config=EngineConfig(memory_budget_bytes=1000)
     )
-    engine = LevelHeadedEngine(smm_catalog, config=config)
-    with pytest.raises(OutOfMemoryBudgetError):
-        engine.query(matmul_sql("m"))
+
+    def query(engine, sql):
+        with pytest.raises(OutOfMemoryBudgetError):
+            engine.query(sql)
+
+    on_threads(lambda: query(engine, matmul_sql("m")), threads)
 
 
 def test_tight_budget_raises_serial_too(smm_catalog):
-    config = EngineConfig(parallel=False, memory_budget_bytes=1000)
+    config = EngineConfig(memory_budget_bytes=1000)
     engine = LevelHeadedEngine(smm_catalog, config=config)
     with pytest.raises(OutOfMemoryBudgetError):
         engine.query(matmul_sql("m"))
 
 
-def _profile_counters(catalog, sql, config):
-    engine = LevelHeadedEngine(catalog, config=config)
-    plan = engine.compile(sql)
-    return engine.execute(plan, profile=True).profile.counters()
+def _profile_counters(engine, sql):
+    return engine.execute(engine.compile(sql), profile=True).profile.counters()
 
 
 @pytest.mark.parametrize("sql_name,sql", [("Q3", Q3_MINI), ("Q5", Q5)])
@@ -148,33 +144,27 @@ def _profile_counters(catalog, sql, config):
 def test_tpch_profiler_counters_parallel_match_serial(
     tpch_catalog, sql_name, sql, threads
 ):
-    """Chunking must not change what work the kernels do.
+    """Concurrent queries must not record into each other's profiles.
 
-    The profiler's ``counters()`` are defined to be parallel-invariant:
-    splitting the outer intersection across workers changes neither the
-    set of pairwise intersections nor their operand layouts or bytes.
+    Each thread activates its own profiler, so each sees exactly the
+    pairwise intersections, operand layouts and bytes of a lone run.
     """
-    serial = _profile_counters(tpch_catalog, sql, EngineConfig(parallel=False))
-    par = _profile_counters(
-        tpch_catalog, sql, EngineConfig(parallel=True, num_threads=threads)
-    )
-    assert par == serial
+    serial = _profile_counters(LevelHeadedEngine(tpch_catalog), sql)
+    par = _parallel(tpch_catalog, sql, threads, run=_profile_counters)
+    assert par == [serial] * threads
 
 
 @pytest.mark.parametrize("threads", THREAD_COUNTS)
 def test_smm_profiler_counters_parallel_match_serial(smm_catalog, threads):
     sql = matmul_sql("m")
-    serial = _profile_counters(smm_catalog, sql, EngineConfig(parallel=False))
-    par = _profile_counters(
-        smm_catalog, sql, EngineConfig(parallel=True, num_threads=threads)
-    )
-    assert par == serial
+    serial = _profile_counters(LevelHeadedEngine(smm_catalog), sql)
+    par = _parallel(smm_catalog, sql, threads, run=_profile_counters)
+    assert par == [serial] * threads
 
 
 def test_generous_budget_passes_under_parallel(smm_catalog):
-    config = EngineConfig(
-        parallel=True, num_threads=4, memory_budget_bytes=50 * 1024 * 1024
+    config = EngineConfig(memory_budget_bytes=50 * 1024 * 1024)
+    runs = _parallel(
+        smm_catalog, matmul_sql("m"), 4, run=lambda e, sql: e.query(sql), config=config
     )
-    engine = LevelHeadedEngine(smm_catalog, config=config)
-    result = engine.query(matmul_sql("m"))
-    assert result.num_rows > 0
+    assert all(result.num_rows > 0 for result in runs)

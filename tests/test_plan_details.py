@@ -14,7 +14,7 @@ from repro.la import matmul_sql, matvec_sql
 from repro.sql.ast import ColumnRef
 from repro.sql.result_clauses import _sort_codes, make_result_resolver, result_row_index
 from repro.errors import ExecutionError
-from tests.conftest import make_mini_tpch
+from tests.conftest import make_mini_tpch, on_threads
 from tests.test_engine import Q5_SQL
 
 # ---------------------------------------------------------------------------
@@ -213,10 +213,9 @@ def test_domain_version_bumps_on_extension():
 
 def test_parallel_matches_serial_on_q5(mini_tpch):
     serial = LevelHeadedEngine(mini_tpch).query(Q5_SQL).sorted_rows()
-    parallel = LevelHeadedEngine(
-        mini_tpch, config=EngineConfig(parallel=True, num_threads=2)
-    ).query(Q5_SQL).sorted_rows()
-    assert serial == pytest.approx(parallel)
+    engine = LevelHeadedEngine(mini_tpch)
+    for parallel in on_threads(lambda: engine.query(Q5_SQL).sorted_rows(), 2):
+        assert serial == pytest.approx(parallel)
 
 
 def test_memory_budget_allows_normal_queries(mini_tpch):

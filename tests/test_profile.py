@@ -1,14 +1,16 @@
 """Tests for the kernel profiler (``repro.obs.profile``): per-trie-level
-time attribution, layout dispatch counters, and report rendering."""
+time attribution, layout dispatch counters, report rendering, and the
+per-thread activation slot."""
 
 import re
+import threading
 
 import pytest
 
-from repro import EngineConfig, LevelHeadedEngine
+from repro import LevelHeadedEngine
 from repro.obs import KernelProfiler, activate
 from repro.obs import profile as profile_module
-from tests.conftest import make_mini_tpch
+from tests.conftest import make_mini_tpch, on_threads
 from tests.test_engine import Q5_SQL
 
 
@@ -20,15 +22,11 @@ def engine():
 def test_profile_off_by_default(engine):
     result = engine.query(Q5_SQL)
     assert result.profile is None
-    assert profile_module.ACTIVE is None
+    assert profile_module.active() is None
 
 
 def test_profile_attributes_execution_time():
-    # serial execution: under parallel the level times are worker
-    # thread time, which legitimately diverges from fan-out wall time
-    engine = LevelHeadedEngine(
-        make_mini_tpch(), config=EngineConfig(parallel=False)
-    )
+    engine = LevelHeadedEngine(make_mini_tpch())
     result = engine.query(Q5_SQL, profile=True)
     prof = result.profile
     assert isinstance(prof, KernelProfiler)
@@ -37,7 +35,7 @@ def test_profile_attributes_execution_time():
     # execute span to within 20%
     attributed = prof.attributed_seconds()
     assert attributed == pytest.approx(prof.execute_seconds, rel=0.2)
-    assert profile_module.ACTIVE is None  # deactivated after the query
+    assert profile_module.active() is None  # deactivated after the query
 
 
 def test_profile_counters_shape(engine):
@@ -107,21 +105,45 @@ def test_profile_records_trie_builds():
 
 def test_activate_is_reentrant_and_restores():
     outer, inner = KernelProfiler(), KernelProfiler()
-    assert profile_module.ACTIVE is None
+    assert profile_module.active() is None
     with activate(outer):
-        assert profile_module.ACTIVE is outer
+        assert profile_module.active() is outer
         with activate(inner):
-            assert profile_module.ACTIVE is inner
-        assert profile_module.ACTIVE is outer
-    assert profile_module.ACTIVE is None
+            assert profile_module.active() is inner
+        assert profile_module.active() is outer
+    assert profile_module.active() is None
+
+
+def test_active_profiler_is_per_thread():
+    # a profiler active on this thread must stay empty while another
+    # thread runs an unprofiled query (tries built, groups reduced)
+    engine = LevelHeadedEngine(make_mini_tpch())
+    mine = KernelProfiler()
+    with activate(mine):
+        seen = []
+        other = threading.Thread(
+            target=lambda: seen.append(
+                (profile_module.active(), engine.query(Q5_SQL).num_rows)
+            )
+        )
+        other.start()
+        other.join(timeout=60)
+        assert not other.is_alive()
+        assert profile_module.active() is mine
+    assert mine.counters()["trie_builds"] == 0
+    assert mine.category_seconds == {}
+    assert mine.kernel_counts == {}
+    assert seen == [(None, 1)]
 
 
 def test_parallel_profile_counters_match_serial():
     catalog = make_mini_tpch()
-    serial = LevelHeadedEngine(catalog, config=EngineConfig(parallel=False))
-    parallel = LevelHeadedEngine(
-        catalog, config=EngineConfig(parallel=True, num_threads=4)
+    s = LevelHeadedEngine(catalog).query(Q5_SQL, profile=True).profile
+    # four profiled first runs at once (one engine each, so each builds
+    # its plan's lazy tries), each recording into its own profiler
+    runs = on_threads(
+        lambda: LevelHeadedEngine(catalog).query(Q5_SQL, profile=True).profile, 4
     )
-    s = serial.query(Q5_SQL, profile=True).profile
-    p = parallel.query(Q5_SQL, profile=True).profile
-    assert s.counters() == p.counters()
+    for p in runs:
+        assert p is not s
+        assert s.counters() == p.counters()

@@ -489,10 +489,8 @@ def test_debug_frames_over_the_wire(served_engine):
         assert client.query(Q1ISH).num_rows > 0
 
 
-def test_debug_endpoints_concurrent_with_queries(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "1")
+def test_debug_endpoints_concurrent_with_queries():
     engine = repro.connect(catalog=make_mini_tpch(), max_concurrency=4)
-    assert engine.config.parallel  # the env toggle reached the config
     server = ReproServer(engine, port=0, http_port=0)
     server.start()
     try:

@@ -139,7 +139,6 @@ def test_wire_cancel_kills_long_scan_quickly():
     # ~3s of serial work; the wire-level cancel must kill it fast.
     engine = LevelHeadedEngine(
         graph_catalog(*SLOW_GRAPH),
-        config=repro.EngineConfig(parallel=False),
         governor=Governor(max_concurrency=2),
     )
     server = ReproServer(engine, port=0)
@@ -188,7 +187,6 @@ def test_wire_cancel_kills_long_scan_quickly():
 def test_wire_timeout_returns_typed_error_within_envelope():
     engine = LevelHeadedEngine(
         graph_catalog(*SLOW_GRAPH),
-        config=repro.EngineConfig(parallel=False),
         governor=Governor(max_concurrency=2),
     )
     server = ReproServer(engine, port=0)

@@ -211,9 +211,9 @@ def test_connect_local_returns_engine():
 
 
 def test_connect_accepts_positional_config_for_back_compat():
-    engine = repro.connect(EngineConfig(parallel=True))
+    engine = repro.connect(EngineConfig(enable_blas=False))
     assert isinstance(engine, LevelHeadedEngine)
-    assert engine.config.parallel is True
+    assert engine.config.enable_blas is False
     with pytest.raises(ReproError):
         repro.connect(EngineConfig(), config=EngineConfig())
 

@@ -1,12 +1,11 @@
-"""Unit tests for execution internals: aggregator, parfor, plans."""
+"""Unit tests for execution internals: aggregator and plans."""
 
 import numpy as np
 import pytest
 
 from repro import EngineConfig, LevelHeadedEngine
 from repro.errors import OutOfMemoryBudgetError, PlanningError
-from repro.xcution import GroupAggregator, chunk_slices
-from repro.xcution.parfor import parfor_chunks
+from repro.xcution import GroupAggregator
 from tests.conftest import make_matrix_catalog, make_mini_tpch
 from tests.test_engine import MATMUL_SQL, Q5_SQL
 
@@ -52,17 +51,6 @@ def test_aggregator_empty_batch_ignored():
     assert matrix.shape == (0, 1)
 
 
-def test_aggregator_merge():
-    a = GroupAggregator(["sum"], group_width=1)
-    b = GroupAggregator(["sum"], group_width=1)
-    a.add_batch([np.array([1])], np.array([[1.0]]))
-    b.add_batch([np.array([1, 9])], np.array([[2.0], [4.0]]))
-    a.merge(b)
-    keys, matrix = a.result_arrays()
-    rows = dict(zip(keys[0].tolist(), matrix[:, 0].tolist()))
-    assert rows == {1: 3.0, 9: 4.0}
-
-
 def test_aggregator_budget_enforced():
     import repro.xcution.aggregator as agg_mod
 
@@ -79,29 +67,20 @@ def test_aggregator_budget_enforced():
 
 
 # ---------------------------------------------------------------------------
-# parfor
+# EngineConfig
 # ---------------------------------------------------------------------------
 
 
-def test_chunk_slices_cover_range():
-    slices = chunk_slices(10, 3)
-    covered = []
-    for sl in slices:
-        covered.extend(range(sl.start, sl.stop))
-    assert covered == list(range(10))
-    assert len(slices) == 3
-
-
-def test_chunk_slices_more_chunks_than_items():
-    assert len(chunk_slices(2, 8)) == 2
-    assert chunk_slices(0, 4) == []
-
-
-def test_parfor_chunks_results_in_order():
-    out = list(parfor_chunks(lambda sl: (sl.start, sl.stop), 100, 4))
-    assert out[0][0] == 0
-    assert out[-1][1] == 100
-    assert len(out) == 4
+def test_engine_config_has_no_thread_knobs(monkeypatch):
+    # one scale-up mechanism (shard://local?workers=N): no intra-query
+    # thread field, and no environment variable reaches the config
+    with pytest.raises(TypeError):
+        EngineConfig(parallel=True)
+    before = EngineConfig().fingerprint()
+    for toggle in ("PARALLEL", "NUM_THREADS"):  # the removed REPRO_* toggles
+        monkeypatch.setenv("REPRO_" + toggle, "1")
+    assert EngineConfig().fingerprint() == before
+    assert len(before) == 8
 
 
 # ---------------------------------------------------------------------------
