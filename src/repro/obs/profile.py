@@ -94,8 +94,6 @@ class KernelProfiler:
         self.aggregator_bytes: Dict[str, int] = {}
         #: one entry per trie built during execution (child results).
         self.trie_builds: List[Dict] = []
-        #: one entry per lazy trie materialized on probe during execution.
-        self.lazy_builds: List[Dict] = []
         #: wall seconds of the whole ``execute_plan`` call (set by the
         #: engine after execution; the denominator of attribution).
         self.execute_seconds = 0.0
@@ -157,40 +155,6 @@ class KernelProfiler:
                 self.category_seconds.get("trie.build", 0.0) + seconds
             )
 
-    def record_lazy_build(
-        self,
-        attrs: Sequence[str],
-        tuples: int,
-        level_bytes: Sequence[int],
-        seconds: float,
-        pruned: bool,
-        total_roots: int,
-    ) -> None:
-        """One lazy trie materialized on probe during execution.
-
-        Self-time lands in the ``trie.lazy_build`` category, separate
-        from eager child-result builds, so build-on-probe cost is
-        directly visible in the flamegraph.  The *counts* (number of
-        lazy builds, whether each was pruned, and their byte
-        footprints) are deterministic: each lazy trie builds exactly
-        once under its lock, from the probed root set of the level-0
-        step, which runs whole.
-        """
-        with self._lock:
-            self.lazy_builds.append(
-                {
-                    "attrs": list(attrs),
-                    "tuples": int(tuples),
-                    "level_bytes": [int(b) for b in level_bytes],
-                    "seconds": seconds,
-                    "pruned": bool(pruned),
-                    "total_roots": int(total_roots),
-                }
-            )
-            self.category_seconds["trie.lazy_build"] = (
-                self.category_seconds.get("trie.lazy_build", 0.0) + seconds
-            )
-
     def add_category(self, name: str, seconds: float) -> None:
         with self._lock:
             self.category_seconds[name] = (
@@ -226,13 +190,8 @@ class KernelProfiler:
                 "trie_bytes": sum(
                     sum(b["level_bytes"]) for b in self.trie_builds
                 ),
-                "lazy_builds": len(self.lazy_builds),
-                "lazy_pruned_builds": sum(
-                    1 for b in self.lazy_builds if b["pruned"]
-                ),
-                "lazy_trie_bytes": sum(
-                    sum(b["level_bytes"]) for b in self.lazy_builds
-                ),
+                # always 0: benchmarks/e2e/layers.py still reads it
+                "lazy_builds": 0,
             }
 
     def level_rows(self) -> List[Dict]:
@@ -258,10 +217,6 @@ class KernelProfiler:
                 "aggregator_bytes": dict(sorted(self.aggregator_bytes.items())),
                 "trie_builds": [dict(b) for b in self.trie_builds],
                 "trie_bytes": trie_bytes,
-                "lazy_builds": [dict(b) for b in self.lazy_builds],
-                "lazy_trie_bytes": sum(
-                    sum(b["level_bytes"]) for b in self.lazy_builds
-                ),
             }
         out["levels"] = self.level_rows()
         out["attributed_seconds"] = self.attributed_seconds()
@@ -333,19 +288,6 @@ class KernelProfiler:
             for build in snap["trie_builds"]:
                 lines.append(
                     f"  {','.join(build['attrs'])}: {build['tuples']} tuples, "
-                    f"{sum(build['level_bytes'])} bytes, "
-                    f"{build['seconds'] * 1000:.3f}ms"
-                )
-        if snap["lazy_builds"]:
-            lines.append(
-                f"lazy tries materialized on probe: {len(snap['lazy_builds'])} "
-                f"({snap['lazy_trie_bytes']} bytes)"
-            )
-            for build in snap["lazy_builds"]:
-                kind = "pruned" if build["pruned"] else "full"
-                lines.append(
-                    f"  {','.join(build['attrs'])}: {build['tuples']} tuples "
-                    f"({kind}, {build['total_roots']} roots), "
                     f"{sum(build['level_bytes'])} bytes, "
                     f"{build['seconds'] * 1000:.3f}ms"
                 )

@@ -239,7 +239,7 @@ def _build_hypergraph(bound: BoundQuery) -> Hypergraph:
     edges = []
     for alias, table in bound.tables.items():
         edge_vertices = bound.edge_vertices(alias)
-        fully_dense = _is_fully_dense(bound, alias)
+        fully_dense = _completely_dense(bound, alias)
         edges.append(
             Hyperedge(
                 alias=alias,
@@ -253,8 +253,9 @@ def _build_hypergraph(bound: BoundQuery) -> Hypergraph:
     return Hypergraph(vertices, edges)
 
 
-def _is_fully_dense(bound: BoundQuery, alias: str) -> bool:
-    """Dense-relation detection for the icost-0 rule and BLAS routing."""
+def _completely_dense(bound: BoundQuery, alias: str) -> bool:
+    """Completely-dense relation detection (from table statistics) for the
+    icost-0 rule and BLAS routing."""
     table = bound.tables[alias]
     in_query = bound.alias_keys(alias)
     if tuple(in_query) != table.schema.key_names:

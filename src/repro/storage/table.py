@@ -214,27 +214,19 @@ class Table:
         key_order: Sequence[str],
         annotations: Sequence[AnnotationRequest] = (),
         row_mask: Optional[np.ndarray] = None,
-        lazy: bool = False,
     ) -> Trie:
         """Build (or fetch from cache) a trie over ``key_order``.
 
         Only the requested key attributes and annotation buffers are
         materialized (attribute elimination).  Builds with a
-        ``row_mask`` (pushed-down selections) are never cached: their
-        cost is part of query execution, as in the paper.  ``lazy=True``
-        defers that cost further, to first probe: filtered builds
-        return a prunable :class:`repro.trie.LazyTrie` that materializes
-        only the sub-tries under probed roots.  Cacheable (unfiltered)
-        builds ignore ``lazy`` -- they are shared across queries, built
-        once, and excluded from query timing anyway.
+        ``row_mask`` (pushed-down selections) happen at plan time and
+        are never cached: their cost is part of the query, as in the
+        paper.
         """
         key_order = tuple(key_order)
         cacheable = row_mask is None
         token = None
         if cacheable:
-            for attr_name in key_order:
-                if self.schema.attribute(attr_name).kind is not Kind.KEY:
-                    raise SchemaError(f"'{attr_name}' is not a key attribute")
             token = (key_order, tuple(a.cache_token() for a in annotations))
             versions = tuple(self._domain_version(a) for a in key_order)
             if token in self._trie_cache and self._cache_domain_versions.get(token) == versions:
@@ -243,14 +235,7 @@ class Table:
         key_columns, domain_sizes, specs = self.trie_inputs(
             key_order, annotations, row_mask
         )
-        trie = build_trie(
-            key_columns,
-            key_order,
-            specs,
-            domain_sizes=domain_sizes,
-            lazy=lazy and not cacheable,
-            prunable=lazy and not cacheable,
-        )
+        trie = build_trie(key_columns, key_order, specs, domain_sizes=domain_sizes)
         if cacheable:
             self._trie_cache[token] = trie
             self._cache_domain_versions[token] = tuple(

@@ -7,7 +7,6 @@ for vectorized construction with annotation pre-aggregation.
 
 from .builder import AnnotationSpec, build_trie
 from .dictionary import Dictionary
-from .lazy import LazyTrie
 from .trie import Annotation, Trie, TrieLevel
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "build_trie",
     "Dictionary",
     "Annotation",
-    "LazyTrie",
     "Trie",
     "TrieLevel",
 ]

@@ -78,61 +78,18 @@ def build_trie(
     key_attrs: Sequence[str],
     annotations: Sequence[AnnotationSpec] = (),
     domain_sizes: Sequence[int] | None = None,
-    lazy: bool = False,
-    prunable: bool = False,
-):
+) -> Trie:
     """Build a trie over encoded (uint32) key columns.
 
     ``key_columns`` are parallel arrays of dictionary codes, one per key
     attribute in trie-level order.  ``domain_sizes`` (dictionary sizes
-    per level) enable the completely-dense-level detection used by the
-    optimizer's icost-0 rule and the BLAS routing, and declare the code
-    range the row ordering packs.
-
-    With ``lazy=True`` no structuring happens here: the returned
-    :class:`repro.trie.lazy.LazyTrie` materializes its root level on
-    first probe and the rest on demand (restricted to probed roots when
-    ``prunable=True``), turning trie construction from a per-query
-    fixed cost into a pay-per-probe cost on selective queries.
+    per level) declare the code range the row ordering packs.
 
     When a :class:`repro.obs.KernelProfiler` is active (builds of child
     results during execution), the build's wall time and the resulting
-    trie's per-level byte footprint are recorded; lazy builds record
-    under their own ``trie.lazy_build`` category at materialization
-    time instead.
+    trie's per-level byte footprint are recorded.
     """
-    if lazy:
-        from .lazy import LazyTrie
-
-        return LazyTrie(
-            key_columns,
-            key_attrs,
-            annotations,
-            domain_sizes=domain_sizes,
-            prunable=prunable,
-        )
-    prof = _profile.active()
-    if prof is None:
-        return _build_trie_impl(key_columns, key_attrs, annotations, domain_sizes)
     start = time.perf_counter()
-    trie = _build_trie_impl(key_columns, key_attrs, annotations, domain_sizes)
-    prof.record_trie_build(
-        attrs=key_attrs,
-        tuples=trie.num_tuples,
-        level_bytes=[
-            level.flat_values.nbytes + level.offsets.nbytes for level in trie.levels
-        ],
-        seconds=time.perf_counter() - start,
-    )
-    return trie
-
-
-def _build_trie_impl(
-    key_columns: Sequence[np.ndarray],
-    key_attrs: Sequence[str],
-    annotations: Sequence[AnnotationSpec] = (),
-    domain_sizes: Sequence[int] | None = None,
-) -> Trie:
     if not key_columns:
         raise SchemaError("a trie needs at least one key attribute")
     if len(key_columns) != len(key_attrs):
@@ -149,7 +106,7 @@ def _build_trie_impl(
 
     cols = [np.ascontiguousarray(c, dtype=np.uint32) for c in key_columns]
     if n_rows == 0:
-        return _empty_trie(key_attrs, annotations, domain_sizes, len(cols))
+        return _recorded(_empty_trie(key_attrs, annotations, len(cols)), start)
 
     # Builds can dominate compile time for large relations; poll the
     # ambient cancel token (set by the engine's ``cancel_scope``) once
@@ -170,22 +127,17 @@ def _build_trie_impl(
     # depth+1; a parent's first row starts its first child, so a level's
     # offsets are the positions of the parents' starts among its own.
     levels: list[TrieLevel] = []
-    dense_flags: list[bool] = []
     new_prefix = np.zeros(n_rows, dtype=bool)
     new_prefix[0] = True
     starts_per_level: list[np.ndarray] = []
-    for depth, col in enumerate(cols):
+    for col in cols:
         if cancel is not None:
             cancel.check()
         parent_prefix = new_prefix.copy()
         np.logical_or(new_prefix[1:], col[1:] != col[:-1], out=new_prefix[1:])
         starts = np.flatnonzero(new_prefix)
-        flat_values = col[starts]
         offsets = np.append(np.flatnonzero(parent_prefix[starts]), starts.size)
-        levels.append(TrieLevel(flat_values, offsets))
-        dense_flags.append(
-            _level_is_complete(flat_values, offsets, None if domain_sizes is None else domain_sizes[depth])
-        )
+        levels.append(TrieLevel(col[starts], offsets))
         starts_per_level.append(starts)
 
     built_annotations = {}
@@ -199,29 +151,26 @@ def _build_trie_impl(
             spec.name, spec.level, collapsed, dictionary=spec.dictionary
         )
 
-    return Trie(
-        key_attrs=tuple(key_attrs),
-        levels=levels,
-        annotations=built_annotations,
-        dense_levels=tuple(dense_flags),
-        domain_sizes=tuple(domain_sizes) if domain_sizes is not None else (),
-    )
+    trie = Trie(key_attrs=tuple(key_attrs), levels=levels, annotations=built_annotations)
+    return _recorded(trie, start)
 
 
-def _level_is_complete(flat_values: np.ndarray, offsets: np.ndarray, domain: Optional[int]) -> bool:
-    """True when every parent's set is exactly ``[0, domain)``."""
-    if domain is None or domain == 0:
-        return False
-    n_parents = offsets.size - 1
-    if flat_values.size != n_parents * domain:
-        return False
-    if not np.all(np.diff(offsets) == domain):
-        return False
-    expected = np.tile(np.arange(domain, dtype=np.uint32), n_parents)
-    return bool(np.array_equal(flat_values, expected))
+def _recorded(trie: Trie, start: float) -> Trie:
+    """Record ``trie``'s build with the active kernel profiler, if any."""
+    prof = _profile.active()
+    if prof is not None:
+        prof.record_trie_build(
+            attrs=trie.key_attrs,
+            tuples=trie.num_tuples,
+            level_bytes=[
+                level.flat_values.nbytes + level.offsets.nbytes for level in trie.levels
+            ],
+            seconds=time.perf_counter() - start,
+        )
+    return trie
 
 
-def _empty_trie(key_attrs, annotations, domain_sizes, arity) -> Trie:
+def _empty_trie(key_attrs, annotations, arity) -> Trie:
     levels = [
         TrieLevel(
             np.empty(0, dtype=np.uint32),
@@ -238,10 +187,4 @@ def _empty_trie(key_attrs, annotations, domain_sizes, arity) -> Trie:
         )
         for spec in annotations
     }
-    return Trie(
-        key_attrs=tuple(key_attrs),
-        levels=levels,
-        annotations=built,
-        dense_levels=tuple(False for _ in range(arity)),
-        domain_sizes=tuple(domain_sizes) if domain_sizes is not None else (),
-    )
+    return Trie(key_attrs=tuple(key_attrs), levels=levels, annotations=built)

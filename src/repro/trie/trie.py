@@ -59,9 +59,6 @@ class TrieLevel:
     def n_nodes(self) -> int:
         return int(self.flat_values.size)
 
-    def cardinality(self, parent: int) -> int:
-        return int(self.offsets[parent + 1] - self.offsets[parent])
-
     def values_for(self, parent: int) -> np.ndarray:
         """The sorted distinct values under ``parent`` (zero-copy view)."""
         return self.flat_values[self.offsets[parent] : self.offsets[parent + 1]]
@@ -182,12 +179,6 @@ class Trie:
     key_attrs: Tuple[str, ...]
     levels: Sequence[TrieLevel]
     annotations: Dict[str, Annotation] = field(default_factory=dict)
-    #: per-level flag: True when every parent's set is the complete range
-    #: ``[0, domain)`` -- the "completely dense relation" special case that
-    #: receives icost 0 and a BLAS-compatible annotation buffer.
-    dense_levels: Tuple[bool, ...] = ()
-    #: domain size (dictionary size) per level, when known.
-    domain_sizes: Tuple[int, ...] = ()
 
     @property
     def arity(self) -> int:
@@ -199,11 +190,6 @@ class Trie:
         if not self.levels:
             return 0
         return self.levels[-1].n_nodes
-
-    @property
-    def is_fully_dense(self) -> bool:
-        """True when every level is a complete range (dense matrix)."""
-        return bool(self.dense_levels) and all(self.dense_levels)
 
     def level(self, i: int) -> TrieLevel:
         return self.levels[i]

@@ -30,10 +30,9 @@ V-A2's relaxed order included) is simply a column the reduce ignores.
 The frontier is walked depth first in windows of at most
 :data:`CHUNK_ROWS` candidate rows, so memory stays bounded by depth x
 chunk whatever the attribute order, and the cancel token is polled once
-per window step.  The level-0 step runs whole, so prunable lazy tries
-see the complete probe set (:meth:`~repro.trie.lazy.LazyTrie.
-note_probed_roots`).  Window boundaries depend only on the data, so
-every run of a plan does the same arithmetic and counts the same work.
+per window step.  The level-0 step runs whole: its candidates are one
+root set.  Window boundaries depend only on the data, so every run of a
+plan does the same arithmetic and counts the same work.
 The whole walk runs on the query's own thread; the paper's parallel
 outermost loop (Section III-D) is ``shard://local?workers=N``, which
 splits it across processes.
@@ -58,7 +57,7 @@ from .plan import EngineConfig, NodePlan, RelationBinding
 from .stats import ExecutionStats
 
 #: most candidate rows one frontier step produces (the level-0 step
-#: excepted: it runs whole).
+#: excepted: its candidates are one root set, and it runs whole).
 CHUNK_ROWS = 1 << 16
 
 
@@ -287,16 +286,6 @@ class NodeExecutor:
             ids[bi] = hit
         if len(parts) > 1:
             self.stats.intersection_output += int(rows.size)
-            if p == 0 and rows.size:
-                # Level-0 intersection output is the probe set: prunable
-                # lazy tries materialize only the sub-tries under these
-                # roots.  The level-0 step always runs whole, so the
-                # probe set (and every lazy-build counter) is the same on
-                # every run.
-                for bi, _lvl in parts:
-                    trie = self.bindings[bi].trie
-                    if hasattr(trie, "note_probed_roots"):
-                        trie.note_probed_roots(values)
         if p < self.last or self.fetchers_at[p]:
             self.stats.loop_values += int(rows.size)
 

@@ -720,19 +720,12 @@ class _JoinPlanBuilder:
                         AnnotationRequest(token, ann_name, level=arity - 1, combine="first")
                     )
 
-        row_mask = self._filter_mask(alias)
-        # Filtered builds are per-query cost; defer them to first probe
-        # so the level-0 intersection can prune what gets structured.
-        use_lazy = row_mask is not None
         with self.tracer.span("trie.build", alias=alias) as span:
             trie = table.get_trie(
-                tuple(key_order), tuple(requests), row_mask=row_mask, lazy=use_lazy
+                tuple(key_order), tuple(requests), row_mask=self._filter_mask(alias)
             )
             if self.tracer.active:
-                if use_lazy:
-                    span.set(key_order=list(key_order), lazy=True)
-                else:
-                    span.set(key_order=list(key_order), tuples=trie.num_tuples)
+                span.set(key_order=list(key_order), tuples=trie.num_tuples)
         return RelationBinding(
             alias=alias,
             trie=trie,

@@ -43,9 +43,9 @@ def test_profile_counters_shape(engine):
     counters = prof.counters()
     assert set(counters) == {
         "kernel_counts", "layout_mix", "bytes_intersected",
-        "intersection_values", "trie_builds", "trie_bytes",
-        "lazy_builds", "lazy_pruned_builds", "lazy_trie_bytes",
+        "intersection_values", "trie_builds", "trie_bytes", "lazy_builds",
     }
+    assert counters["lazy_builds"] == 0
     assert sum(counters["kernel_counts"].values()) > 0
     assert set(counters["layout_mix"]) == {"bitset", "uint", "dense"}
     assert counters["bytes_intersected"] > 0
@@ -139,8 +139,9 @@ def test_active_profiler_is_per_thread():
 def test_parallel_profile_counters_match_serial():
     catalog = make_mini_tpch()
     s = LevelHeadedEngine(catalog).query(Q5_SQL, profile=True).profile
-    # four profiled first runs at once (one engine each, so each builds
-    # its plan's lazy tries), each recording into its own profiler
+    # four profiled first runs at once (one engine each, so each
+    # compiles and runs its own plan), each recording into its own
+    # profiler
     runs = on_threads(
         lambda: LevelHeadedEngine(catalog).query(Q5_SQL, profile=True).profile, 4
     )

@@ -168,23 +168,6 @@ def test_trie_unsorted_input_rows():
     assert t.annotation("v").values[_lookup(t, [3, 1])] == pytest.approx(0.3)
 
 
-def test_trie_dense_level_detection():
-    # complete 4x4 grid with domain sizes given -> both levels dense
-    n = 4
-    i, j = np.meshgrid(np.arange(n, dtype=np.uint32), np.arange(n, dtype=np.uint32))
-    t = build_trie(
-        [i.ravel(), j.ravel()], ["i", "j"], domain_sizes=[n, n]
-    )
-    assert t.dense_levels == (True, True)
-    assert t.is_fully_dense
-
-
-def test_trie_sparse_level_not_dense():
-    i = np.array([0, 2], dtype=np.uint32)
-    t = build_trie([i], ["i"], domain_sizes=[4])
-    assert t.dense_levels == (False,)
-
-
 def test_trie_empty_input():
     t = build_trie(
         [np.empty(0, dtype=np.uint32)], ["i"], [AnnotationSpec("v", np.empty(0), 0, "sum")]
