@@ -4,17 +4,24 @@ The paper's workloads repeat statements -- TPC-H refresh runs re-issue
 the same queries, and iterated LA kernels (PageRank's SpMV loop) run
 one statement per iteration.  This experiment measures how much of a
 repeated query's latency is compilation (parse → bind → translate →
-GHD → cost-ordered plan) by comparing three paths on Q5 and Q6:
+GHD → cost-ordered plan) by comparing four paths on Q5 and Q6:
 
 * **cold**      -- compile + execute every time (cache cleared),
 * **cached**    -- plain ``engine.query()`` hitting the plan cache,
+* **fresh**     -- a new selection literal on every run: each run misses
+  the exact plan entry and binds its shape's cached plan skeleton,
+  building only the filtered tries,
 * **prepared**  -- ``engine.prepare()`` once, ``execute(params)`` per run.
 
 Shape expectation: cached/prepared are strictly faster than cold, with
 the gap largest for the many-table Q5 (GHD search dominates compile
-time) and for parameterized Q6 (same plan, different constants, still
-one compile per distinct value set).
+time); fresh sits between cached and cold -- it parses and builds the
+filtered tries but never re-plans, since every value set of a shape
+binds one skeleton.
 """
+
+import datetime
+import itertools
 
 import pytest
 
@@ -34,8 +41,15 @@ WHERE l_shipdate >= :lo
 """
 Q6_ARGS = {"lo": "1994-01-01", "hi": "1995-01-01"}
 
-PATHS = ["cold", "cached", "prepared"]
+PATHS = ["cold", "cached", "fresh", "prepared"]
 _rows = {}
+
+_LOW = datetime.date(1994, 1, 1)
+
+
+def _shifted(days: int) -> str:
+    """The ISO date ``days`` before 1994-01-01: a fresh lower bound."""
+    return (_LOW - datetime.timedelta(days=days)).isoformat()
 
 
 def _report(report_log):
@@ -59,10 +73,19 @@ def test_plan_cache_amortizes_compilation(benchmark, tpch_catalog, query, report
         engine.plan_cache.clear()
         return engine.query(sql)
 
+    shifts = itertools.count(1)
+
+    def fresh():
+        literal = f"date '{_shifted(next(shifts))}'"
+        return engine.query(sql.replace(f"date '{_LOW.isoformat()}'", literal))
+
     measurements = {
         "cold": run_guarded(cold, repeats=REPEATS, timeout_seconds=TIMEOUT)
     }
     engine.query(sql)  # re-populate the cache evicted by the cold runs
+    skeleton_misses = engine.plan_cache.stats.skeleton_misses
+    measurements["fresh"] = run_guarded(fresh, repeats=REPEATS, timeout_seconds=TIMEOUT)
+    assert engine.plan_cache.stats.skeleton_misses == skeleton_misses
     result = benchmark.pedantic(lambda: engine.query(sql), rounds=REPEATS, warmup_rounds=1)
     measurements["cached"] = Measurement("ok", seconds=benchmark.stats.stats.mean)
 
@@ -86,10 +109,16 @@ def test_parameterized_q6(benchmark, tpch_catalog, report_log):
         engine.plan_cache.clear()
         return stmt.execute(Q6_ARGS)
 
+    shifts = itertools.count(1)
     measurements = {
         "cold": run_guarded(cold, repeats=REPEATS, timeout_seconds=TIMEOUT),
         "cached": run_guarded(
             lambda: engine.query(Q6_PARAM, Q6_ARGS),
+            repeats=REPEATS,
+            timeout_seconds=TIMEOUT,
+        ),
+        "fresh": run_guarded(
+            lambda: stmt.execute({**Q6_ARGS, "lo": _shifted(next(shifts))}),
             repeats=REPEATS,
             timeout_seconds=TIMEOUT,
         ),

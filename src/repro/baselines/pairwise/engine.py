@@ -22,8 +22,8 @@ import numpy as np
 
 from ...core.result import ResultTable
 from ...errors import UnsupportedQueryError
-from ...query.translate import _map_tree, _rewrite_avg
-from ...sql.ast import AggCall, ColumnRef
+from ...query.translate import _rewrite_avg
+from ...sql.ast import AggCall, ColumnRef, map_tree
 from ...sql.binder import BoundQuery, bind
 from ...sql.expressions import evaluate
 from ...sql.parser import parse
@@ -201,13 +201,13 @@ class PairwiseEngine:
             if text in group_refs:
                 output_items.append((item.output_name, ColumnRef(None, group_refs[text])))
             else:
-                output_items.append((item.output_name, _map_tree(item.expr, lift)))
+                output_items.append((item.output_name, map_tree(item.expr, lift)))
 
         def lift_clause(expr):
             text = str(expr)
             if text in group_refs:
                 return ColumnRef(None, group_refs[text])
-            return _map_tree(expr, lift)
+            return map_tree(expr, lift)
 
         having = None if bound.having is None else lift_clause(bound.having)
         order_keys = [

@@ -18,8 +18,10 @@ The query surface is intentionally small:
   (:class:`~repro.core.prepared.PreparedStatement`).
 
 Plain ``query()`` calls transparently reuse compiled plans through a
-versioned LRU :class:`~repro.core.plan_cache.PlanCache`; a catalog
-registration that re-codes a key domain invalidates affected entries.
+versioned LRU :class:`~repro.core.plan_cache.PlanCache`: an exact
+repeat reuses its plan, and new literals bind the cached skeleton of
+their query shape.  A catalog registration that re-codes a key domain
+invalidates affected plans and skeletons.
 
 The :class:`~repro.xcution.plan.EngineConfig` toggles reproduce the
 paper's ablations: attribute elimination, cost-based attribute
@@ -29,7 +31,6 @@ ordering, the relaxation rule, and BLAS routing can each be disabled.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import re
 import time
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -51,7 +52,6 @@ from ..errors import (
     QueryTimeoutError,
     ReproError,
     RetryableAdmissionError,
-    UnsupportedQueryError,
 )
 from ..obs import (
     NULL_TRACER,
@@ -68,16 +68,15 @@ from ..obs import (
 from ..obs import activate as _activate_profiler
 from ..optimizer.feedback import QueryFeedback, measure
 from ..query.translate import CompiledQuery, translate
-from ..sql.ast import SelectStmt
+from ..sql.ast import Literal, SelectStmt
 from ..sql.binder import bind
-from ..sql.params import ParamValues, normalize_sql
-from ..sql.parser import parse
+from ..sql.params import LiftedStatement, ParamValues, normalize_sql
 from ..storage.catalog import Catalog
 from ..storage.csv_loader import load_dataframe, load_table
 from ..storage.schema import Schema
 from ..storage.table import Table
 from ..xcution.finalize import finalize_result
-from ..xcution.plan import EngineConfig, PhysicalPlan, build_plan
+from ..xcution.plan import EngineConfig, PhysicalPlan, PlanSkeleton, build_skeleton
 from ..xcution.stats import ExecutionStats
 from ..xcution.yannakakis import RawResult, execute_plan
 from .governor import (
@@ -89,7 +88,7 @@ from .governor import (
     current_admission_session,
 )
 from .plan_cache import HIT, INVALIDATED, MISS, REOPTIMIZED, PlanCache
-from .prepared import PreparedStatement
+from .prepared import PlanSource, PreparedStatement
 from .result import ResultTable
 
 #: explain(format="json") schema: 2 added the top-level ``approx`` block
@@ -318,13 +317,14 @@ class LevelHeadedEngine:
     # -- querying -----------------------------------------------------------------
 
     def prepare(self, sql: str, config: Optional[EngineConfig] = None) -> PreparedStatement:
-        """Compile ``sql`` into a reusable :class:`PreparedStatement`.
+        """Parse ``sql`` into a reusable :class:`PreparedStatement`.
 
         Placeholders (``?`` positional, ``:name`` named) become typed
-        parameter slots filled at ``execute(params)`` time.  The
-        compiled plan is captured together with the catalog domain
-        versions it was built against and recompiles automatically when
-        a registration invalidates it.
+        parameter slots filled at ``execute(params)`` time; each new
+        value set binds the statement's cached plan skeleton, which is
+        validated against the catalog domain versions it was built
+        against and recompiles automatically when a registration
+        invalidates it.
         """
         return PreparedStatement(self, sql, config=config)
 
@@ -334,7 +334,8 @@ class LevelHeadedEngine:
         Always compiles fresh (no cache) -- use this for plan
         inspection; ``query``/``prepare`` are the cached paths.
         """
-        return self._compile_stmt(parse(sql), config or self.config)
+        lifted, values = PlanSource(self, sql).lifted()
+        return self._compile_skeleton(lifted.stmt, config or self.config, values)[1]
 
     def execute(
         self,
@@ -435,9 +436,7 @@ class LevelHeadedEngine:
             partial=partial,
             query_id=query_id,
         )
-        if params is not None:
-            return self.prepare(sql, config=cfg).execute(params, **opts)
-        return self._run_query(sql, cfg, **opts)
+        return self._run_query(sql, cfg, source=PlanSource(self, sql, params), **opts)
 
     def submit(
         self,
@@ -500,11 +499,9 @@ class LevelHeadedEngine:
         cfg = config or self.config
         if _APPROX_PREFIX.match(sql or "") and cfg.approx != "force":
             cfg = dataclasses.replace(cfg, approx="force")
-        if params is not None:
-            return self.prepare(sql, config=cfg).explain(
-                params, analyze=analyze, format=format
-            )
-        plan, outcome, _ = self._cached_plan(sql, cfg)
+        plan, outcome, _ = self._cached_plan(
+            sql, cfg, source=PlanSource(self, sql, params)
+        )
         return self._explain_plan(plan, outcome, analyze=analyze, format=format)
 
     # -- the query lifecycle ---------------------------------------------------
@@ -515,9 +512,7 @@ class LevelHeadedEngine:
         cfg: EngineConfig,
         *,
         plan: Optional[PhysicalPlan] = None,
-        key_of: Optional[Callable[[EngineConfig], Tuple]] = None,
-        statement: Optional[Callable[[], SelectStmt]] = None,
-        on_plan: Optional[Callable[[PhysicalPlan, str, Tuple], None]] = None,
+        source: Optional[PlanSource] = None,
         runner: Optional[Callable[[QueryRun], ResultTable]] = None,
         collect_stats: bool = False,
         trace: bool = False,
@@ -539,13 +534,13 @@ class LevelHeadedEngine:
         and the governor slot is always released.
 
         Two inputs differ between callers.  *Where the plan comes from*:
-        ad-hoc text passes only ``sql`` (parsed lazily, on a cache miss);
-        a prepared statement adds ``key_of`` (its cache key under a
-        config), ``statement`` (its literal-substituted statement) and
-        ``on_plan`` (its recompile bookkeeping); ``execute`` passes the
-        compiled ``plan`` and skips the compile step.  *How the plan
-        runs*: ``runner(run)``, by default :meth:`_execute_local`;
-        the shard coordinator passes its scatter/single/local dispatch.
+        a :class:`PlanSource` -- by default the ad-hoc text ``sql``
+        (parsed lazily, on a cache miss), else the caller's, carrying
+        parameter values or a prepared statement's shape and recompile
+        bookkeeping; ``execute`` passes the compiled ``plan`` and skips
+        the compile step.  *How the plan runs*: ``runner(run)``, by
+        default :meth:`_execute_local`; the shard coordinator passes
+        its scatter/single/local dispatch.
         """
         token = self._make_token(timeout_ms, cancel_token)
         # a deadlined/cancellable query is always traced: if it is
@@ -559,8 +554,7 @@ class LevelHeadedEngine:
         entry = self.inflight.register(
             query_id, sql, session=current_admission_session()
         )
-        key_of = key_of or functools.partial(self._plan_key, sql)
-        statement = statement or functools.partial(self._parse_adhoc, sql)
+        source = source or PlanSource(self, sql)
         slot: Optional[AdmissionSlot] = None
         rejection: Optional[RetryableAdmissionError] = None
         run: Optional[QueryRun] = None
@@ -568,7 +562,7 @@ class LevelHeadedEngine:
         try:
             with cancel_scope(token), tracer.span("query") as qspan:
                 qspan.set(query_id=query_id)
-                key = key_of(cfg) if plan is None else None
+                key = source.key(cfg) if plan is None else None
                 cached = plan is not None or (
                     self.governor is not None
                     and self.plan_cache.peek(key, self.catalog)
@@ -580,15 +574,16 @@ class LevelHeadedEngine:
                         # the shedding rung before queue_full rejection:
                         # an opted-in query with sample coverage runs
                         # approximately instead of failing retryable
-                        stmt = None
-                        if plan is None and cfg.approx == "allow":
-                            stmt = self._approx_covers(statement)
-                        if stmt is None:
+                        if not (
+                            plan is None
+                            and cfg.approx == "allow"
+                            and self._approx_covers(source)
+                        ):
                             self._count_rejection(exc)
                             raise
-                        rejection, statement = exc, (lambda: stmt)
+                        rejection = exc
                         cfg = dataclasses.replace(cfg, approx="force")
-                        key = key_of(cfg)
+                        key = source.key(cfg)
                         self.metrics.inc("degraded_to_approx")
                         aspan.set(degraded_to_approx=True, cause=exc.cause)
                     if slot is not None:
@@ -601,12 +596,10 @@ class LevelHeadedEngine:
                     t0 = time.perf_counter()
                     with tracer.span("compile"):
                         plan, outcome, _ = self._cached_plan(
-                            sql, cfg, tracer, key=key, statement=statement
+                            sql, cfg, tracer, key=key, source=source
                         )
                     if outcome != HIT:
                         compile_seconds = time.perf_counter() - t0
-                    if on_plan is not None:
-                        on_plan(plan, outcome, key)
                     if rejection is not None and plan.approx is None:
                         # coverage disappeared between the pre-check and the
                         # compile (a concurrent drop): the rejection stands
@@ -709,25 +702,13 @@ class LevelHeadedEngine:
         if exc.cause:
             self.metrics.inc(f"admission_rejected_{exc.cause}")
 
-    def _parse_adhoc(self, sql: str) -> SelectStmt:
-        """Parse parameterless SQL text (the ad-hoc plan source)."""
-        stmt = parse(sql)
-        if stmt.parameters:
-            raise UnsupportedQueryError(
-                "statement has parameter placeholders; pass params= or "
-                "use engine.prepare(sql)"
-            )
-        return stmt
-
-    def _approx_covers(
-        self, statement: Callable[[], SelectStmt]
-    ) -> Optional[SelectStmt]:
-        """The statement, if it could run approximately (degrade pre-check)."""
+    def _approx_covers(self, source: PlanSource) -> bool:
+        """Whether the statement could run approximately (degrade pre-check)."""
         try:
-            stmt = statement()
+            lifted, _ = source.lifted()
         except ReproError:
-            return None
-        return stmt if has_usable_sample(stmt, self.catalog) else None
+            return False
+        return has_usable_sample(lifted.stmt, self.catalog)
 
     def _admit(
         self, cached: bool, token: Optional[CancelToken], entry: InflightQuery
@@ -984,16 +965,20 @@ class LevelHeadedEngine:
     ) -> Tuple:
         """The plan-cache key of ``sql`` under ``cfg``.
 
-        ``param_token`` / ``normalized`` are the prepared statement's
-        bound-literal token and pre-normalized text; ad-hoc text
-        normalizes here.
+        ``param_token`` is the token of the caller's raw parameter
+        values (:func:`~repro.sql.params.param_token`) and
+        ``normalized`` a prepared statement's pre-normalized text;
+        ad-hoc text normalizes here.
         """
-        key = (normalized or normalize_sql(sql), param_token, cfg.fingerprint())
+        return (normalized or normalize_sql(sql), param_token) + self._config_key(cfg)
+
+    def _config_key(self, cfg: EngineConfig) -> Tuple:
+        """The config part of plan and skeleton keys."""
         if cfg.approx == "force":
             # sample creation/drop must be picked up by the next
             # approximate query without flushing any cached exact plan
-            key = key + (self.catalog.samples_epoch,)
-        return key
+            return (cfg.fingerprint(), self.catalog.samples_epoch)
+        return (cfg.fingerprint(),)
 
     def _cached_plan(
         self,
@@ -1001,50 +986,85 @@ class LevelHeadedEngine:
         cfg: EngineConfig,
         tracer=NULL_TRACER,
         key: Optional[Tuple] = None,
-        statement: Optional[Callable[[], SelectStmt]] = None,
+        source: Optional[PlanSource] = None,
     ) -> Tuple[PhysicalPlan, str, Tuple]:
-        """Look up (or compile and cache) a plan: the one cached-compile step.
+        """Look up (or bind and cache) a plan: the one cached-compile step.
 
-        ``key`` defaults to the ad-hoc :meth:`_plan_key` of ``sql``;
-        ``statement`` lazily makes the statement to compile and defaults
-        to parsing ``sql``.  On a hit it is never called, so ad-hoc SQL
-        is never even parsed -- the normalized text, config fingerprint,
-        and catalog domain versions fully determine the plan.  A
-        ``reoptimized`` outcome recompiles with the cache's accumulated
-        per-node observations overriding the estimates
-        (:meth:`PlanCache.corrections`).  Returns ``(plan, outcome,
-        cache_key)`` so execution can feed q-error measurements back to
-        the entry.
+        ``source`` defaults to the ad-hoc text ``sql``, and ``key`` to
+        its exact key.  On a hit nothing is parsed -- the normalized
+        text, raw parameter values, config fingerprint, and catalog
+        domain versions fully determine the plan.  On a miss the source
+        is parsed and lifted, and its values bind the shape's skeleton
+        (:meth:`_bound_plan`).  A ``reoptimized`` outcome rebuilds the
+        skeleton with the cache's accumulated per-node observations
+        overriding the estimates (:meth:`PlanCache.corrections`).
+        Returns ``(plan, outcome, cache_key)`` so execution can feed
+        q-error measurements back to the entry.
         """
+        source = source or PlanSource(self, sql)
         if key is None:
-            key = self._plan_key(sql, cfg)
+            key = source.key(cfg)
         with tracer.span("plan_cache.lookup") as span:
             plan, outcome = self.plan_cache.lookup(key, self.catalog)
             span.set(outcome=outcome)
+        compiled = False
         if plan is None:
-            corrections = (
-                self.plan_cache.corrections(key) if outcome == REOPTIMIZED else {}
-            )
             with tracer.span("parse"):
-                stmt = statement() if statement is not None else self._parse_adhoc(sql)
-            plan = self._compile_stmt(stmt, cfg, tracer, corrections)
+                lifted, values = source.lifted()
+            corrections = (
+                self.plan_cache.corrections(key) if outcome == REOPTIMIZED else None
+            )
+            plan, compiled = self._bound_plan(lifted, values, cfg, tracer, corrections)
             self.plan_cache.store(key, plan)
             if outcome == REOPTIMIZED:
                 self.metrics.inc("plan_reoptimizations")
+        if source.on_plan is not None:
+            source.on_plan(plan, compiled)
         return plan, outcome, key
 
-    def _compile_stmt(
+    def _bound_plan(
+        self,
+        lifted: LiftedStatement,
+        values: Dict[int, Literal],
+        cfg: EngineConfig,
+        tracer=NULL_TRACER,
+        corrections: Optional[Dict[str, int]] = None,
+    ) -> Tuple[PhysicalPlan, bool]:
+        """Bind ``values`` to the skeleton of ``lifted``'s shape.
+
+        The skeleton is compiled (and cached) first when the shape has
+        no current one, or when ``corrections`` rebuild it.  Returns the
+        plan and whether a skeleton was compiled.
+        """
+        skey = (
+            lifted.shape,
+            tuple(values[i].type_hint for i in range(len(values))),
+        ) + self._config_key(cfg)
+        if corrections is None:
+            skeleton = self.plan_cache.lookup_skeleton(skey, self.catalog)
+            if skeleton is not None:
+                with tracer.span("plan.bind"):
+                    return skeleton.bind(values, tracer), False
+        skeleton, plan = self._compile_skeleton(
+            lifted.stmt, cfg, values, tracer, corrections
+        )
+        self.plan_cache.store_skeleton(skey, skeleton)
+        return plan, True
+
+    def _compile_skeleton(
         self,
         stmt: SelectStmt,
         cfg: EngineConfig,
+        values: Optional[Dict[int, Literal]] = None,
         tracer=NULL_TRACER,
         feedback: Optional[Dict[str, int]] = None,
-    ) -> PhysicalPlan:
-        """The one ``stmt -> PhysicalPlan`` pipeline.
+    ) -> Tuple[PlanSkeleton, PhysicalPlan]:
+        """The one ``stmt -> PlanSkeleton`` pipeline, plus its first plan.
 
         Approximate rewrite (under ``approx="force"``), bind, translate,
-        ``build_plan``; the rewrite's :class:`ApproxSpec` rides on
-        ``plan.approx``.
+        ``build_skeleton`` (its orders chosen with ``values`` bound);
+        the rewrite's :class:`ApproxSpec` rides on ``skeleton.approx``
+        and on the plan of ``values``.
         """
         approx_spec = None
         if cfg.approx == "force":
@@ -1055,9 +1075,11 @@ class LevelHeadedEngine:
         with tracer.span("translate"):
             compiled = translate(bound)
         with tracer.span("physical_plan"):
-            plan = build_plan(compiled, cfg, tracer=tracer, feedback=feedback)
-        plan.approx = approx_spec
-        return plan
+            skeleton, plan = build_skeleton(
+                compiled, cfg, values, tracer=tracer, feedback=feedback
+            )
+        skeleton.approx = plan.approx = approx_spec
+        return skeleton, plan
 
     def _forces_trace(self) -> bool:
         """Whether the attached query log needs every query traced."""

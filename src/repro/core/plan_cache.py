@@ -1,23 +1,28 @@
-"""A versioned LRU cache of compiled physical plans.
+"""A versioned LRU cache of compiled physical plans and plan skeletons.
 
 LevelHeaded's compile pipeline (parse → bind → translate → GHD → cost
 -ordered WCOJ plan, Sections III-IV) is pure given three inputs: the
 SQL text, the engine configuration, and the catalog's key-domain
-dictionaries.  Repeated queries -- TPC-H refresh runs, iterated LA
-kernels like PageRank's SpMV loop -- therefore recompile the exact same
-plan over and over.  The :class:`PlanCache` memoizes plans keyed on
+dictionaries.  Of that work only the selections depend on a query's
+constants.  The :class:`PlanCache` therefore keeps two LRUs, each of
+``capacity`` entries:
 
-* the **normalized SQL** (token-level canonical form: case and
-  whitespace insensitive),
-* the bound **parameter values** (selection constants are baked into
-  trie row-masks, so each distinct value set is its own plan), and
-* the **config fingerprint** (every optimizer toggle).
+* **plans**, keyed on the **normalized SQL** (token-level canonical
+  form: case and whitespace insensitive), a token of the caller's
+  **raw parameter values**, and the **config fingerprint** -- an exact
+  repeat hits here without being parsed;
+* **skeletons** (:class:`~repro.xcution.plan.PlanSkeleton`), keyed on
+  the **shape**: the statement with its selection constants lifted
+  into parameters (:func:`~repro.sql.params.lift`), each parameter's
+  type hint, and the config fingerprint.  A plan miss binds its
+  literals to its shape's skeleton, building only the filtered tries;
+  only a skeleton miss compiles.
 
 Catalog state is handled by *validation* rather than keying: each plan
-snapshots the ``domain_version`` of every key domain it encodes
-(:attr:`~repro.xcution.plan.PhysicalPlan.domain_versions`), and a
-lookup of a stale plan counts as an **invalidation** -- the entry is
-dropped and the caller recompiles.
+and skeleton snapshots the ``domain_version`` of every key domain it
+encodes (:attr:`~repro.xcution.plan.PhysicalPlan.domain_versions`),
+and a lookup of a stale one drops it -- for plans this counts as an
+**invalidation** and the caller recompiles.
 
 Cached plans are also validated against *their own estimates*: every
 entry carries a :class:`~repro.optimizer.feedback.PlanFeedback` record
@@ -25,13 +30,14 @@ fed by the engine after each execution.  When the observed q-error
 exceeds the threshold for ``drift_runs`` consecutive runs the entry is
 marked drifted, and its next lookup counts as a **reoptimization**:
 the entry is dropped, its accumulated per-node observations are parked
-under the key (:meth:`corrections`), and the caller recompiles with
-feedback-corrected cardinalities.
+under the key (:meth:`corrections`), and the caller rebuilds the
+shape's skeleton with feedback-corrected cardinalities, replacing the
+old one.
 
-Hits, misses, invalidations, reoptimizations, capacity evictions, and
-memory-pressure sheds are counted separately -- conflating sheds with
-evictions (or counting one rejection twice) corrupts the very signals
-the feedback loop reads.
+Hits, misses, invalidations, reoptimizations, capacity evictions,
+memory-pressure sheds, and skeleton hits and misses (compiles) are
+counted separately -- conflating sheds with evictions (or counting one
+rejection twice) corrupts the very signals the feedback loop reads.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from ..optimizer.feedback import (
     PlanFeedback,
     QueryFeedback,
 )
-from ..xcution.plan import PhysicalPlan
+from ..xcution.plan import PhysicalPlan, PlanSkeleton
 
 #: lookup outcomes
 HIT = "hit"
@@ -71,6 +77,11 @@ class PlanCacheStats:
     shed: int = 0
     #: drifted entries dropped for a feedback-corrected recompile.
     reoptimizations: int = 0
+    #: plan misses served by binding a cached skeleton.
+    skeleton_hits: int = 0
+    #: skeletons compiled (no current skeleton of the shape, or a
+    #: feedback-corrected rebuild).
+    skeleton_misses: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -80,13 +91,17 @@ class PlanCacheStats:
             "evictions": self.evictions,
             "shed": self.shed,
             "reoptimizations": self.reoptimizations,
+            "skeleton_hits": self.skeleton_hits,
+            "skeleton_misses": self.skeleton_misses,
         }
 
     def describe(self) -> str:
         return (
             f"plan cache: hits={self.hits}, misses={self.misses}, "
             f"invalidations={self.invalidations}, evictions={self.evictions}, "
-            f"shed={self.shed}, reoptimizations={self.reoptimizations}"
+            f"shed={self.shed}, reoptimizations={self.reoptimizations}, "
+            f"skeleton_hits={self.skeleton_hits}, "
+            f"skeleton_misses={self.skeleton_misses}"
         )
 
 
@@ -103,7 +118,8 @@ class _CacheEntry:
 
 @dataclass
 class PlanCache:
-    """An LRU mapping of (sql, params, config) keys to physical plans."""
+    """LRU mappings of (sql, params, config) keys to physical plans and
+    of (shape, parameter types, config) keys to plan skeletons."""
 
     capacity: int = 64
     stats: PlanCacheStats = field(default_factory=PlanCacheStats)
@@ -116,6 +132,7 @@ class PlanCache:
         if self.capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
         self._entries: "OrderedDict[Tuple, _CacheEntry]" = OrderedDict()
+        self._skeletons: "OrderedDict[Tuple, PlanSkeleton]" = OrderedDict()
         #: feedback parked between a REOPTIMIZED lookup and the store of
         #: the corrected recompile (keyed like the entries).
         self._pending: Dict[Tuple, PlanFeedback] = {}
@@ -175,6 +192,28 @@ class PlanCache:
                 and not entry.feedback.drifted
             )
 
+    def lookup_skeleton(self, key: Tuple, catalog) -> Optional[PlanSkeleton]:
+        """The current skeleton of a shape, or None (a stale one is dropped)."""
+        with self._lock:
+            skeleton = self._skeletons.get(key)
+            if skeleton is None:
+                return None
+            if not skeleton.is_current(catalog):
+                del self._skeletons[key]
+                return None
+            self._skeletons.move_to_end(key)
+            self.stats.skeleton_hits += 1
+            return skeleton
+
+    def store_skeleton(self, key: Tuple, skeleton: PlanSkeleton) -> None:
+        """Insert (or replace) a freshly compiled skeleton: a skeleton miss."""
+        with self._lock:
+            self.stats.skeleton_misses += 1
+            self._skeletons[key] = skeleton
+            self._skeletons.move_to_end(key)
+            while len(self._skeletons) > self.capacity:
+                self._skeletons.popitem(last=False)
+
     def corrections(self, key: Tuple) -> Dict[str, int]:
         """Observed per-node actuals for a pending reoptimization of ``key``."""
         with self._lock:
@@ -232,7 +271,8 @@ class PlanCache:
         plan state (tries, annotation buffers) back before queries start
         failing admission.  Shed entries are counted in ``stats.shed``
         (not ``evictions``: this is load shedding, not capacity
-        pressure).  Returns the number of entries dropped.
+        pressure); the same fraction of skeletons goes with them.
+        Returns the number of plan entries dropped.
         """
         with self._lock:
             n_drop = min(
@@ -241,6 +281,8 @@ class PlanCache:
             )
             for _ in range(n_drop):
                 self._entries.popitem(last=False)
+            for _ in range(int(len(self._skeletons) * fraction)):
+                self._skeletons.popitem(last=False)
             self.stats.shed += n_drop
             return n_drop
 
@@ -268,25 +310,15 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
-    def invalidate_stale(self, catalog) -> int:
-        """Proactively drop every entry stale against ``catalog``."""
-        with self._lock:
-            stale = [
-                k for k, e in self._entries.items() if not e.plan.is_current(catalog)
-            ]
-            for key in stale:
-                del self._entries[key]
-                self._pending.pop(key, None)
-            self.stats.invalidations += len(stale)
-            return len(stale)
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._skeletons.clear()
             self._pending.clear()
 
     def __repr__(self) -> str:
         return (
             f"PlanCache(size={len(self._entries)}/{self.capacity}, "
+            f"skeletons={len(self._skeletons)}, "
             f"{self.stats.describe()})"
         )

@@ -1,46 +1,106 @@
-"""Prepared statements: compile once, execute many times.
+"""Prepared statements and plan sources: parse once, execute many times.
 
 ``engine.prepare(sql)`` front-loads the compile pipeline: the SQL is
 parsed and bound immediately (catching syntax and name errors at
-prepare time), parameter placeholders become typed slots, and -- for
-statements without parameters -- the physical plan is built eagerly and
-captured together with the catalog key-domain versions it encodes.
+prepare time), parameter placeholders become typed slots, and the
+statement is lifted to its shape (:func:`~repro.sql.params.lift`):
+placeholders and selection constants alike become parameters of one
+:class:`~repro.xcution.plan.PlanSkeleton`.  A statement without
+placeholders also compiles its plan eagerly.
 
-``execute(params)`` then substitutes values into the selection
-constants and runs the plan.  Plans are shared with the engine's
-:class:`~repro.core.plan_cache.PlanCache` (same keys), so a prepared
-statement and an ad-hoc ``engine.query()`` of the same SQL reuse each
-other's compilations.  When a catalog registration bumps a domain
-version, the captured plan is invalidated and the next execution
-re-validates and recompiles automatically against the re-coded
-dictionaries -- counted in :attr:`recompiles`.
+``execute(params)`` looks its plan up in the engine's
+:class:`~repro.core.plan_cache.PlanCache` by text and raw values; a
+miss binds the values to the shape's cached skeleton, which builds only
+the filtered tries.  A prepared statement, ``engine.query(sql,
+params=...)`` and ad-hoc text of the same shape share that skeleton,
+whatever their values.  When a catalog registration bumps a domain
+version, the skeleton is invalidated and the next execution recompiles
+it against the re-coded dictionaries -- counted in :attr:`recompiles`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-from typing import Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..approx import normalize_policy
-from ..sql.ast import SelectStmt
+from ..errors import UnsupportedQueryError
+from ..sql.ast import Literal
 from ..sql.binder import bind
 from ..sql.params import (
+    LiftedStatement,
+    ParamSlot,
     ParamValues,
     bind_param_values,
     infer_param_slots,
+    lift,
     normalize_sql,
-    param_cache_token,
-    substitute_parameters,
+    param_token,
 )
 from ..sql.parser import parse
 from ..xcution.plan import EngineConfig, PhysicalPlan
 from .governor import CancelToken
-from .plan_cache import HIT
+
+
+class PlanSource:
+    """Where one call's plan comes from.
+
+    :meth:`key` is the exact plan-cache key: the normalized text, the
+    token of the caller's raw parameter values, and the config.  Only
+    on a miss does :meth:`lifted` parse the text, coerce the values and
+    lift the statement; it returns the lifted statement (its ``shape``
+    keys the skeleton) and the values of its parameters.  A prepared
+    statement passes its lifted statement and slots as ``prepared`` (so
+    nothing is parsed) and its bookkeeping as
+    ``on_plan(plan, compiled_skeleton)``.
+    """
+
+    def __init__(
+        self,
+        engine,
+        sql: str,
+        params: ParamValues = None,
+        *,
+        normalized: Optional[str] = None,
+        prepared: Optional[Tuple[LiftedStatement, Sequence[ParamSlot]]] = None,
+        on_plan: Optional[Callable[[PhysicalPlan, bool], None]] = None,
+    ):
+        if params is not None and not isinstance(params, Mapping):
+            params = tuple(params)  # read twice: the token, then coercion
+        self.engine = engine
+        self.sql = sql
+        self.params = params
+        self.token = param_token(params)
+        self.normalized = normalized
+        self.prepared = prepared
+        self.on_plan = on_plan
+        self._lifted: Optional[Tuple[LiftedStatement, Dict[int, Literal]]] = None
+
+    def key(self, cfg: EngineConfig) -> Tuple:
+        return self.engine._plan_key(self.sql, cfg, self.token, self.normalized)
+
+    def lifted(self) -> Tuple[LiftedStatement, Dict[int, Literal]]:
+        if self._lifted is None:
+            if self.prepared is not None:
+                lifted, slots = self.prepared
+            else:
+                stmt = parse(self.sql)
+                slots = ()
+                if self.params is not None:
+                    slots = infer_param_slots(bind(stmt, self.engine.catalog))
+                elif stmt.parameters:
+                    raise UnsupportedQueryError(
+                        "statement has parameter placeholders; pass params= or "
+                        "use engine.prepare(sql)"
+                    )
+                lifted = lift(stmt)
+            literals = bind_param_values(self.params, slots)
+            self._lifted = lifted, lifted.values(literals)
+        return self._lifted
 
 
 class PreparedStatement:
-    """One compiled statement bound to an engine.
+    """One parsed statement bound to an engine.
 
     Create through :meth:`LevelHeadedEngine.prepare`, not directly.
     """
@@ -50,55 +110,49 @@ class PreparedStatement:
         self.sql = sql
         self.normalized_sql = normalize_sql(sql)
         self.config = config if config is not None else engine.config
-        self._stmt = parse(sql)
-        bound = bind(self._stmt, engine.catalog)
+        stmt = parse(sql)
         #: typed parameter slots in statement order (empty when the SQL
         #: has no placeholders).
-        self.param_slots = infer_param_slots(bound)
+        self.param_slots = infer_param_slots(bind(stmt, engine.catalog))
+        #: the statement's shape: placeholders and selection constants
+        #: lifted into the parameters of one plan skeleton.
+        self.lifted = lift(stmt)
         #: total ``execute`` calls.
         self.executions = 0
-        #: compiles beyond the first for a given parameter set --
-        #: eviction refills plus catalog-version invalidations.
+        #: skeleton compiles for this statement after its first plan --
+        #: eviction refills, catalog-version invalidations, and
+        #: feedback-corrected rebuilds.
         self.recompiles = 0
-        self._seen_keys = set()
         self._last_plan: Optional[PhysicalPlan] = None
         if not self.param_slots:
             # No placeholders: capture the compiled plan (and the domain
             # versions it was built against) right now.
-            self._plan_for({})
+            self._plan_for(None)
 
     # -- compilation ---------------------------------------------------------
 
-    def _cache_key(self, literals, cfg: Optional[EngineConfig] = None) -> Tuple:
-        """The engine's plan-cache key for these literals (same keying)."""
-        return self._engine._plan_key(
+    def _source(self, params: ParamValues) -> PlanSource:
+        """This call's plan source; a bad value raises BindError here."""
+        source = PlanSource(
+            self._engine,
             self.sql,
-            cfg or self.config,
-            param_cache_token(literals),
-            self.normalized_sql,
+            params,
+            normalized=self.normalized_sql,
+            prepared=(self.lifted, self.param_slots),
+            on_plan=self._note_plan,
         )
+        source.lifted()
+        return source
 
-    def _statement_for(self, literals) -> SelectStmt:
-        """The parsed statement with ``literals`` substituted in."""
-        if not self._stmt.parameters:
-            return self._stmt
-        return substitute_parameters(self._stmt, literals)
-
-    def _note_plan(self, plan: PhysicalPlan, outcome: str, key: Tuple) -> None:
-        if outcome != HIT and key in self._seen_keys:
+    def _note_plan(self, plan: PhysicalPlan, compiled_skeleton: bool) -> None:
+        if compiled_skeleton and self._last_plan is not None:
             self.recompiles += 1
-        self._seen_keys.add(key)
         self._last_plan = plan
 
-    def _plan_for(self, literals) -> Tuple[PhysicalPlan, str, Tuple]:
-        found = self._engine._cached_plan(
-            self.sql,
-            self.config,
-            key=self._cache_key(literals),
-            statement=functools.partial(self._statement_for, literals),
+    def _plan_for(self, params: ParamValues) -> Tuple[PhysicalPlan, str, Tuple]:
+        return self._engine._cached_plan(
+            self.sql, self.config, source=self._source(params)
         )
-        self._note_plan(*found)
-        return found
 
     # -- execution -----------------------------------------------------------
 
@@ -154,21 +208,15 @@ class PreparedStatement:
     def _run(self, params: ParamValues, cfg=None, runner=None, **opts):
         """Bind ``params`` and enter the engine's query lifecycle.
 
-        This statement is the lifecycle's plan source (cache key,
-        literal-substituted statement, recompile bookkeeping); ``runner``
-        is how the plan runs -- None for the engine's local path, the
-        shard coordinator passes its dispatch.
+        This statement is the lifecycle's plan source (cache key, shape
+        and values, recompile bookkeeping); ``runner`` is how the plan
+        runs -- None for the engine's local path, the shard coordinator
+        passes its dispatch.
         """
-        literals = bind_param_values(params, self.param_slots)
+        source = self._source(params)
         self.executions += 1
         return self._engine._run_query(
-            self.sql,
-            cfg or self.config,
-            key_of=functools.partial(self._cache_key, literals),
-            statement=functools.partial(self._statement_for, literals),
-            on_plan=self._note_plan,
-            runner=runner,
-            **opts,
+            self.sql, cfg or self.config, source=source, runner=runner, **opts
         )
 
     __call__ = execute
@@ -180,15 +228,14 @@ class PreparedStatement:
         format: str = "text",
     ):
         """Describe (and with ``analyze=True`` run) the statement's plan."""
-        literals = bind_param_values(params, self.param_slots)
-        plan, outcome, _ = self._plan_for(literals)
+        plan, outcome, _ = self._plan_for(params)
         return self._engine._explain_plan(plan, outcome, analyze=analyze, format=format)
 
     # -- introspection -------------------------------------------------------
 
     @property
     def plan(self) -> Optional[PhysicalPlan]:
-        """The most recently compiled plan (None before first param bind)."""
+        """The most recently used plan (None before the first execution)."""
         return self._last_plan
 
     @property

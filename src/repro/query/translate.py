@@ -41,6 +41,7 @@ from ..sql.ast import (
     SelectItem,
     UnaryOp,
     collect_columns,
+    map_tree,
 )
 from ..sql.binder import BoundQuery
 from ..storage.schema import Kind
@@ -130,11 +131,6 @@ class CompiledQuery:
 
 def translate(bound: BoundQuery) -> CompiledQuery:
     """Apply Rules 1-4, producing a :class:`CompiledQuery`."""
-    if bound.stmt.parameters:
-        raise UnsupportedQueryError(
-            "statement contains parameter placeholders; prepare it with "
-            "engine.prepare(sql) or pass params= to engine.query()"
-        )
     hypergraph = _build_hypergraph(bound)
 
     # Queries with join vertices require every relation to participate.
@@ -277,49 +273,7 @@ def _rewrite_avg(item: SelectItem) -> SelectItem:
             return BinOp("/", AggCall("sum", expr.arg), AggCall("count", None))
         return expr
 
-    return SelectItem(_map_tree(item.expr, rewrite), item.alias)
-
-
-def _map_tree(expr: Expr, fn) -> Expr:
-    """Bottom-up structural map over an expression tree."""
-    from ..sql.ast import (
-        Between,
-        BoolOp,
-        CaseExpr,
-        Comparison,
-        FuncCall,
-        InList,
-        Like,
-        NotOp,
-    )
-
-    if isinstance(expr, BinOp):
-        expr = BinOp(expr.op, _map_tree(expr.left, fn), _map_tree(expr.right, fn))
-    elif isinstance(expr, UnaryOp):
-        expr = UnaryOp(expr.op, _map_tree(expr.operand, fn))
-    elif isinstance(expr, FuncCall):
-        expr = FuncCall(expr.name, tuple(_map_tree(a, fn) for a in expr.args))
-    elif isinstance(expr, AggCall) and expr.arg is not None:
-        expr = AggCall(expr.func, _map_tree(expr.arg, fn))
-    elif isinstance(expr, CaseExpr):
-        whens = tuple((_map_tree(c, fn), _map_tree(r, fn)) for c, r in expr.whens)
-        else_ = None if expr.else_ is None else _map_tree(expr.else_, fn)
-        expr = CaseExpr(whens, else_)
-    elif isinstance(expr, Comparison):
-        expr = Comparison(expr.op, _map_tree(expr.left, fn), _map_tree(expr.right, fn))
-    elif isinstance(expr, Between):
-        expr = Between(
-            _map_tree(expr.expr, fn), _map_tree(expr.low, fn), _map_tree(expr.high, fn), expr.negated
-        )
-    elif isinstance(expr, InList):
-        expr = InList(_map_tree(expr.expr, fn), expr.values, expr.negated)
-    elif isinstance(expr, Like):
-        expr = Like(_map_tree(expr.expr, fn), expr.pattern, expr.negated)
-    elif isinstance(expr, BoolOp):
-        expr = BoolOp(expr.op, tuple(_map_tree(o, fn) for o in expr.operands))
-    elif isinstance(expr, NotOp):
-        expr = NotOp(_map_tree(expr.operand, fn))
-    return fn(expr)
+    return SelectItem(map_tree(item.expr, rewrite), item.alias)
 
 
 class _TranslateState:
@@ -431,7 +385,7 @@ class _TranslateState:
                 return ColumnRef(None, self._group_index[node_text])
             return node
 
-        return _map_tree(expr, transform)
+        return map_tree(expr, transform)
 
     def add_aggregate(self, agg: AggCall) -> str:
         token = (agg.func, "*" if agg.arg is None else str(agg.arg))

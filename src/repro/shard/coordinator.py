@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.governor import CancelToken, QueryHandle
+from ..core.prepared import PlanSource
 from ..errors import QueryKilledError, ReproError, UnsupportedOnTopology
 from ..xcution.finalize import finalize_result
 from ..sql.ast import ColumnRef
@@ -281,7 +282,7 @@ class ShardCoordinator:
         return self._run(
             sql,
             params,
-            None if params is None else self.engine.prepare(sql),
+            None,
             collect_stats=collect_stats,
             trace=trace,
             timeout_ms=timeout_ms,
@@ -292,15 +293,19 @@ class ShardCoordinator:
     def _run(self, sql: str, params, statement, **opts):
         """Enter the engine's query lifecycle with this fleet as the runner.
 
-        The plan comes from the coordinator engine's cache -- ad-hoc
-        text, or the prepared ``statement`` when ``params`` are bound --
-        and runs through :meth:`_dispatch`.
+        The plan comes from the coordinator engine's cache -- the text
+        and ``params``, or a prepared ``statement`` -- and runs through
+        :meth:`_dispatch`.
         """
         self._sync()
         runner = functools.partial(self._dispatch, sql, params)
         if statement is None:
             return self.engine._run_query(
-                sql, self.engine.config, runner=runner, **opts
+                sql,
+                self.engine.config,
+                source=PlanSource(self.engine, sql, params),
+                runner=runner,
+                **opts,
             )
         return statement._run(params, runner=runner, **opts)
 

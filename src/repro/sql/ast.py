@@ -34,13 +34,17 @@ class Literal:
 
 @dataclass(frozen=True)
 class Parameter:
-    """A prepared-statement placeholder: positional ``?`` or named ``:x``.
+    """A parameter: a placeholder (positional ``?`` or named ``:x``), or a
+    lifted selection constant.
 
     ``index`` is the statement-wide parameter slot (0-based).  For
     positional parameters every occurrence gets a fresh slot; every
-    occurrence of the same ``:name`` shares one slot.  Parameters are
-    replaced by :class:`Literal` values at execution time -- one must
-    never survive into plan execution.
+    occurrence of the same ``:name`` shares one slot.
+    :func:`repro.sql.params.lift` renumbers a statement's placeholders
+    and lifted literals positionally, in order of appearance.  A plan
+    skeleton keeps parameters in its selections; evaluation reads each
+    one's bound :class:`Literal` from the values map a bind supplies
+    (``repro.sql.expressions.evaluate(..., params=)``).
     """
 
     index: int
@@ -274,6 +278,38 @@ def walk(expr: Expr):
     yield expr
     for child in children(expr):
         yield from walk(child)
+
+
+def map_tree(expr: Expr, fn) -> Expr:
+    """Bottom-up structural map: ``fn`` sees each rebuilt node, leaves
+    first and left to right (so leaves are visited in source order)."""
+    if isinstance(expr, BinOp):
+        expr = BinOp(expr.op, map_tree(expr.left, fn), map_tree(expr.right, fn))
+    elif isinstance(expr, UnaryOp):
+        expr = UnaryOp(expr.op, map_tree(expr.operand, fn))
+    elif isinstance(expr, FuncCall):
+        expr = FuncCall(expr.name, tuple(map_tree(a, fn) for a in expr.args))
+    elif isinstance(expr, AggCall) and expr.arg is not None:
+        expr = AggCall(expr.func, map_tree(expr.arg, fn))
+    elif isinstance(expr, CaseExpr):
+        whens = tuple((map_tree(c, fn), map_tree(r, fn)) for c, r in expr.whens)
+        else_ = None if expr.else_ is None else map_tree(expr.else_, fn)
+        expr = CaseExpr(whens, else_)
+    elif isinstance(expr, Comparison):
+        expr = Comparison(expr.op, map_tree(expr.left, fn), map_tree(expr.right, fn))
+    elif isinstance(expr, Between):
+        expr = Between(
+            map_tree(expr.expr, fn), map_tree(expr.low, fn), map_tree(expr.high, fn), expr.negated
+        )
+    elif isinstance(expr, InList):
+        expr = InList(map_tree(expr.expr, fn), expr.values, expr.negated)
+    elif isinstance(expr, Like):
+        expr = Like(map_tree(expr.expr, fn), expr.pattern, expr.negated)
+    elif isinstance(expr, BoolOp):
+        expr = BoolOp(expr.op, tuple(map_tree(o, fn) for o in expr.operands))
+    elif isinstance(expr, NotOp):
+        expr = NotOp(map_tree(expr.operand, fn))
+    return fn(expr)
 
 
 def collect_columns(expr: Expr) -> List[ColumnRef]:

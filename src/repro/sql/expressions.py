@@ -10,7 +10,7 @@ here -- the planner replaces them with slot references first.
 from __future__ import annotations
 
 import re
-from typing import Callable, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -40,17 +40,25 @@ Value = Union[np.ndarray, float, int, str, bool]
 _EPOCH_ORDINAL = 719163
 
 
-def evaluate(expr: Expr, resolve: Callable[[ColumnRef], Value]) -> Value:
-    """Evaluate ``expr``; column references are supplied by ``resolve``."""
+def evaluate(
+    expr: Expr,
+    resolve: Callable[[ColumnRef], Value],
+    params: Optional[Mapping[int, Literal]] = None,
+) -> Value:
+    """Evaluate ``expr``; column references are supplied by ``resolve``.
+
+    ``params`` maps a :class:`Parameter`'s index to its bound literal
+    (a plan skeleton's selections read their constants from it).
+    """
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, ColumnRef):
         return resolve(expr)
     if isinstance(expr, UnaryOp):
-        return -evaluate(expr.operand, resolve)
+        return -evaluate(expr.operand, resolve, params)
     if isinstance(expr, BinOp):
-        left = evaluate(expr.left, resolve)
-        right = evaluate(expr.right, resolve)
+        left = evaluate(expr.left, resolve, params)
+        right = evaluate(expr.right, resolve, params)
         if expr.op == "+":
             return left + right
         if expr.op == "-":
@@ -61,17 +69,17 @@ def evaluate(expr: Expr, resolve: Callable[[ColumnRef], Value]) -> Value:
             return np.true_divide(left, right)
         raise UnsupportedQueryError(f"unknown operator {expr.op}")
     if isinstance(expr, Comparison):
-        left = evaluate(expr.left, resolve)
-        right = evaluate(expr.right, resolve)
+        left = evaluate(expr.left, resolve, params)
+        right = evaluate(expr.right, resolve, params)
         return _compare(expr.op, left, right)
     if isinstance(expr, Between):
-        value = evaluate(expr.expr, resolve)
-        low = evaluate(expr.low, resolve)
-        high = evaluate(expr.high, resolve)
+        value = evaluate(expr.expr, resolve, params)
+        low = evaluate(expr.low, resolve, params)
+        high = evaluate(expr.high, resolve, params)
         mask = (value >= low) & (value <= high)
         return ~mask if expr.negated else mask
     if isinstance(expr, InList):
-        value = evaluate(expr.expr, resolve)
+        value = evaluate(expr.expr, resolve, params)
         mask = None
         for literal in expr.values:
             hit = _compare("=", value, literal.value)
@@ -80,31 +88,34 @@ def evaluate(expr: Expr, resolve: Callable[[ColumnRef], Value]) -> Value:
             mask = np.zeros(np.shape(value), dtype=bool) if isinstance(value, np.ndarray) else False
         return ~mask if expr.negated else mask
     if isinstance(expr, Like):
-        value = evaluate(expr.expr, resolve)
+        value = evaluate(expr.expr, resolve, params)
         mask = like_mask(value, expr.pattern)
         return ~mask if expr.negated else mask
     if isinstance(expr, BoolOp):
-        parts = [evaluate(op, resolve) for op in expr.operands]
+        parts = [evaluate(op, resolve, params) for op in expr.operands]
         out = parts[0]
         for part in parts[1:]:
             out = (out & part) if expr.op == "and" else (out | part)
         return out
     if isinstance(expr, NotOp):
-        result = evaluate(expr.operand, resolve)
+        result = evaluate(expr.operand, resolve, params)
         return ~result if isinstance(result, np.ndarray) else (not result)
     if isinstance(expr, CaseExpr):
-        return _evaluate_case(expr, resolve)
+        return _evaluate_case(expr, resolve, params)
     if isinstance(expr, FuncCall):
-        return _evaluate_func(expr, resolve)
+        return _evaluate_func(expr, resolve, params)
     if isinstance(expr, AggCall):
         raise UnsupportedQueryError(
             "aggregate encountered during scalar evaluation (planner bug)"
         )
     if isinstance(expr, Parameter):
-        raise UnsupportedQueryError(
-            f"unbound parameter {expr} reached evaluation -- execute the "
-            "statement through engine.prepare(...)/engine.query(sql, params=...)"
-        )
+        if params is None or expr.index not in params:
+            raise UnsupportedQueryError(
+                f"parameter {expr} (slot {expr.index}) has no bound value -- "
+                "run the statement with params: engine.prepare(sql)"
+                ".execute(params) or engine.query(sql, params=...)"
+            )
+        return params[expr.index].value
     raise UnsupportedQueryError(f"cannot evaluate {type(expr).__name__}")
 
 
@@ -124,10 +135,10 @@ def _compare(op: str, left: Value, right: Value) -> Value:
     raise UnsupportedQueryError(f"unknown comparison {op}")
 
 
-def _evaluate_case(expr: CaseExpr, resolve) -> Value:
-    conditions = [evaluate(cond, resolve) for cond, _ in expr.whens]
-    results = [evaluate(result, resolve) for _, result in expr.whens]
-    default = 0 if expr.else_ is None else evaluate(expr.else_, resolve)
+def _evaluate_case(expr: CaseExpr, resolve, params) -> Value:
+    conditions = [evaluate(cond, resolve, params) for cond, _ in expr.whens]
+    results = [evaluate(result, resolve, params) for _, result in expr.whens]
+    default = 0 if expr.else_ is None else evaluate(expr.else_, resolve, params)
     arrays = [v for v in conditions + results + [default] if isinstance(v, np.ndarray)]
     if not arrays:
         for cond, result in zip(conditions, results):
@@ -141,12 +152,12 @@ def _evaluate_case(expr: CaseExpr, resolve) -> Value:
     return np.select(conditions, results, default)
 
 
-def _evaluate_func(expr: FuncCall, resolve) -> Value:
+def _evaluate_func(expr: FuncCall, resolve, params) -> Value:
     if expr.name in ("extract_year", "extract_month", "extract_day"):
-        value = evaluate(expr.args[0], resolve)
+        value = evaluate(expr.args[0], resolve, params)
         return extract_date_part(value, expr.name.split("_", 1)[1])
     if expr.name == "abs":
-        return np.abs(evaluate(expr.args[0], resolve))
+        return np.abs(evaluate(expr.args[0], resolve, params))
     raise UnsupportedQueryError(f"unknown function '{expr.name}'")
 
 

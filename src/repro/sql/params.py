@@ -1,12 +1,16 @@
-"""Prepared-statement parameters: typed slots, binding, substitution.
+"""Parameters: typed slots, value binding, and literal lifting.
 
 A parsed statement may contain :class:`~repro.sql.ast.Parameter`
 placeholders (``?`` positional or ``:name`` named).  This module turns
 them into *typed parameter slots* at bind time -- the expected type is
-inferred from the column each placeholder compares against -- and, at
-execution time, substitutes caller-supplied values back into the AST as
-properly typed :class:`~repro.sql.ast.Literal` constants.  It also
-provides the token-level SQL normalization the plan cache keys on.
+inferred from the column each placeholder compares against -- and
+coerces caller-supplied values into typed
+:class:`~repro.sql.ast.Literal` constants.  :func:`lift` turns a
+statement's selection constants (and its placeholders) into parameters
+numbered by appearance: the literal-free *shape* a plan skeleton is
+compiled from once (:class:`~repro.xcution.plan.PlanSkeleton`).  It
+also provides the token-level SQL normalization and the raw-value
+token the exact plan-cache keys are made of.
 """
 
 from __future__ import annotations
@@ -19,24 +23,17 @@ from ..errors import BindError, UnsupportedQueryError
 from ..storage.schema import AttrType, parse_date
 from .ast import (
     Between,
-    BinOp,
     BoolOp,
-    CaseExpr,
     ColumnRef,
     Comparison,
     Expr,
-    FuncCall,
-    InList,
-    Like,
     Literal,
     NotOp,
-    OrderKey,
     Parameter,
-    SelectItem,
     SelectStmt,
-    UnaryOp,
     collect_columns,
     collect_parameters,
+    map_tree,
     walk,
 )
 from .lexer import tokenize
@@ -159,7 +156,7 @@ def _reject_params_outside_filters(bound, slots: Dict[int, ParamSlot]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# value binding (execution time)
+# value binding
 # ---------------------------------------------------------------------------
 
 
@@ -230,93 +227,118 @@ def _coerce(value, slot: ParamSlot) -> Literal:
     return Literal(value, "number")
 
 
-def param_cache_token(literals: Dict[int, Literal]) -> Tuple:
-    """A hashable token of bound parameter values, for plan-cache keys."""
-    return tuple(
-        (index, literals[index].type_hint, literals[index].value)
-        for index in sorted(literals)
-    )
+def param_token(params: ParamValues) -> Tuple:
+    """A hashable token of the caller's *raw* parameter values.
+
+    The exact plan-cache key carries it, so a repeated call finds its
+    plan before anything is parsed or coerced.  Each value keeps its
+    type name (``1``, ``1.0`` and ``True`` stay apart); values that
+    were coerced once coerce the same way again.
+    """
+    if params is None:
+        return ()
+    if isinstance(params, Mapping):
+        items = sorted(params.items())
+    else:
+        items = enumerate(params)
+    token = tuple((name, type(value).__name__, value) for name, value in items)
+    try:
+        hash(token)
+    except TypeError:
+        raise BindError("parameter values must be scalars") from None
+    return token
 
 
 # ---------------------------------------------------------------------------
-# substitution
+# lifting: a statement's literal-free shape
 # ---------------------------------------------------------------------------
 
+#: literal types a selection constant may have (intervals only occur
+#: inside date arithmetic, which stays in the shape)
+_LIFTABLE_TYPES = ("number", "string", "date")
 
-def substitute_parameters(stmt: SelectStmt, literals: Dict[int, Literal]) -> SelectStmt:
-    """A copy of ``stmt`` with every placeholder replaced by its literal."""
 
-    def sub(expr: Optional[Expr]) -> Optional[Expr]:
-        return None if expr is None else _substitute_expr(expr, literals)
+@dataclass(frozen=True)
+class LiftedStatement:
+    """A statement with its selection constants lifted into parameters.
 
-    return SelectStmt(
-        items=[SelectItem(sub(item.expr), item.alias) for item in stmt.items],
-        tables=list(stmt.tables),
-        where=[sub(expr) for expr in stmt.where],
-        group_by=[sub(expr) for expr in stmt.group_by],
-        having=sub(stmt.having),
-        order_by=[OrderKey(sub(key.expr), key.descending) for key in stmt.order_by],
+    ``stmt`` holds a fresh positional :class:`Parameter` (numbered in
+    order of appearance) wherever a lifted literal or a caller
+    placeholder stood; ``sources[i]`` is what stood at parameter ``i``:
+    the lifted :class:`Literal` or the caller's :class:`Parameter`.
+    ``shape`` is the canonical form of ``stmt`` -- ad-hoc text and a
+    prepared statement of one shape lift to the same ``shape``.
+    """
+
+    stmt: SelectStmt
+    sources: Tuple[Expr, ...]
+    shape: str
+
+    def values(self, literals: Mapping[int, Literal]) -> Dict[int, Literal]:
+        """Parameter values, given the caller's bound placeholder literals."""
+        return {
+            i: literals[source.index] if isinstance(source, Parameter) else source
+            for i, source in enumerate(self.sources)
+        }
+
+
+def lift(stmt: SelectStmt) -> LiftedStatement:
+    """Lift ``stmt``'s selection constants into parameters.
+
+    Lifted: each literal that is a direct operand of a top-level WHERE
+    conjunct ``col op lit`` (either side) or ``col BETWEEN lit AND lit``
+    -- numbers, strings and dates.  Every caller placeholder in WHERE is
+    renumbered the same way.  Every other literal is part of the shape:
+    SELECT/CASE, GROUP BY, HAVING, ORDER BY/LIMIT, IN lists, LIKE
+    patterns, date arithmetic, and OR/NOT conjuncts.
+    """
+    sources: List[Expr] = []
+
+    def param(expr: Expr) -> Parameter:
+        sources.append(expr)
+        return Parameter(len(sources) - 1)
+
+    def operand(expr: Expr) -> Expr:
+        if isinstance(expr, Parameter) or (
+            isinstance(expr, Literal) and expr.type_hint in _LIFTABLE_TYPES
+        ):
+            return param(expr)
+        return placeholders(expr)
+
+    def placeholders(expr: Expr) -> Expr:
+        return map_tree(expr, lambda e: param(e) if isinstance(e, Parameter) else e)
+
+    where: List[Expr] = []
+    for conjunct in stmt.where:
+        if isinstance(conjunct, Comparison) and isinstance(conjunct.left, ColumnRef):
+            conjunct = Comparison(conjunct.op, conjunct.left, operand(conjunct.right))
+        elif isinstance(conjunct, Comparison) and isinstance(conjunct.right, ColumnRef):
+            conjunct = Comparison(conjunct.op, operand(conjunct.left), conjunct.right)
+        elif isinstance(conjunct, Between) and isinstance(conjunct.expr, ColumnRef):
+            conjunct = Between(
+                conjunct.expr, operand(conjunct.low), operand(conjunct.high),
+                conjunct.negated,
+            )
+        else:
+            conjunct = placeholders(conjunct)
+        where.append(conjunct)
+    lifted = SelectStmt(
+        items=stmt.items,
+        tables=stmt.tables,
+        where=where,
+        group_by=stmt.group_by,
+        having=stmt.having,
+        order_by=stmt.order_by,
         limit=stmt.limit,
-        parameters=[],
+        parameters=[Parameter(i) for i in range(len(sources))],
     )
-
-
-def _substitute_expr(expr: Expr, literals: Dict[int, Literal]) -> Expr:
-    if isinstance(expr, Parameter):
-        try:
-            return literals[expr.index]
-        except KeyError:
-            raise BindError(f"no value bound for parameter {expr}") from None
-    if isinstance(expr, (ColumnRef, Literal)):
-        return expr
-    if isinstance(expr, BinOp):
-        return BinOp(
-            expr.op,
-            _substitute_expr(expr.left, literals),
-            _substitute_expr(expr.right, literals),
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _substitute_expr(expr.operand, literals))
-    if isinstance(expr, FuncCall):
-        return FuncCall(
-            expr.name, tuple(_substitute_expr(a, literals) for a in expr.args)
-        )
-    if isinstance(expr, CaseExpr):
-        whens = tuple(
-            (_substitute_expr(c, literals), _substitute_expr(r, literals))
-            for c, r in expr.whens
-        )
-        else_ = None if expr.else_ is None else _substitute_expr(expr.else_, literals)
-        return CaseExpr(whens, else_)
-    if isinstance(expr, Comparison):
-        return Comparison(
-            expr.op,
-            _substitute_expr(expr.left, literals),
-            _substitute_expr(expr.right, literals),
-        )
-    if isinstance(expr, Between):
-        return Between(
-            _substitute_expr(expr.expr, literals),
-            _substitute_expr(expr.low, literals),
-            _substitute_expr(expr.high, literals),
-            expr.negated,
-        )
-    if isinstance(expr, InList):
-        return InList(_substitute_expr(expr.expr, literals), expr.values, expr.negated)
-    if isinstance(expr, Like):
-        return Like(_substitute_expr(expr.expr, literals), expr.pattern, expr.negated)
-    if isinstance(expr, BoolOp):
-        return BoolOp(
-            expr.op, tuple(_substitute_expr(o, literals) for o in expr.operands)
-        )
-    if isinstance(expr, NotOp):
-        return NotOp(_substitute_expr(expr.operand, literals))
-    from .ast import AggCall
-
-    if isinstance(expr, AggCall):
-        arg = None if expr.arg is None else _substitute_expr(expr.arg, literals)
-        return AggCall(expr.func, arg)
-    return expr
+    # the dataclass reprs are exact (``1`` vs ``1.0``, quoted strings),
+    # unlike the SQL-ish ``str`` forms
+    shape = repr((
+        lifted.items, lifted.tables, where, lifted.group_by, lifted.having,
+        lifted.order_by, lifted.limit,
+    ))
+    return LiftedStatement(lifted, tuple(sources), shape)
 
 
 # ---------------------------------------------------------------------------

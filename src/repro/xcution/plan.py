@@ -6,12 +6,21 @@ chosen attribute order, plus the runtime forms of the aggregates, group
 annotation fetchers, and output expressions.  Scan queries (no join
 keys) and fully dense linear algebra (BLAS routing) get their own plan
 shapes.
+
+Planning happens in two steps.  :func:`build_skeleton` does everything
+that depends only on the query's shape -- GHD, attribute orders,
+unfiltered bindings, group fetchers, aggregates -- and leaves out the
+bindings whose selections read a :class:`~repro.sql.ast.Parameter`.
+:meth:`PlanSkeleton.bind` then evaluates those selections with one set
+of literal values, builds just their filtered tries, re-estimates each
+node, and returns a :class:`PhysicalPlan` sharing everything else.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,7 +38,7 @@ from ..query.decompose import choose_ghd, single_node_ghd
 from ..query.ghd import GHD, GHDNode
 from ..query.hypergraph import Hyperedge
 from ..query.translate import CompiledQuery, GroupAnnotation
-from ..sql.ast import ColumnRef, Expr
+from ..sql.ast import ColumnRef, Expr, Literal, collect_parameters
 from ..sql.expressions import evaluate
 from ..storage.table import AnnotationRequest, Table
 from ..trie.trie import Trie
@@ -155,6 +164,9 @@ class ScanPlan:
     group_exprs: List[GroupAnnotation]
     aggregates: List[AggregateRuntime]
     touch_all_columns: bool = False  # -Attr.Elim ablation
+    #: the bound values of the filters' parameters (parameter index ->
+    #: literal); empty when the filters hold only literals.
+    params: Mapping[int, Literal] = field(default_factory=dict)
 
 
 @dataclass
@@ -280,6 +292,96 @@ def _walk_plans(node: NodePlan, depth: int = 0):
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class _BindingRecipe:
+    """Everything to build one relation binding but its selection mask."""
+
+    alias: str
+    key_order: Tuple[str, ...]
+    requests: Tuple[AnnotationRequest, ...]
+    vertices: Tuple[str, ...]
+    slot_ids: Tuple[str, ...]
+
+
+@dataclass
+class _NodeRecipe:
+    """What a bind redoes for one GHD node: filtered bindings, estimate."""
+
+    node: GHDNode
+    materialized_pool: Tuple[str, ...]
+    #: position in ``NodePlan.bindings`` -> the recipe a bind builds it from
+    bindings: Dict[int, _BindingRecipe]
+
+
+@dataclass
+class PlanSkeleton:
+    """A plan compiled once per query shape, minus its parameterized selections.
+
+    It holds everything a :class:`PhysicalPlan` holds -- GHD, each
+    node's attribute order (chosen from the selections of the values it
+    was built with), every binding whose selections read no parameter,
+    group fetchers, aggregates, layouts, ``domain_versions`` -- except
+    the bindings of relations whose selections read a
+    :class:`~repro.sql.ast.Parameter`: in ``root`` those positions hold
+    None.  :meth:`bind` fills them for one set of values; it never
+    mutates the skeleton, so any number of threads may bind one
+    skeleton at once.
+    """
+
+    compiled: CompiledQuery
+    mode: str  # join | scan | blas
+    config: EngineConfig
+    domain_versions: Dict[str, int]
+    root: Optional[NodePlan] = None
+    scan: Optional[ScanPlan] = None
+    blas: Optional[BlasPlan] = None
+    ghd: Optional[GHD] = None
+    #: observed per-node rows of a drifted plan (q-error feedback): they
+    #: chose the orders, and every bind pins those nodes' estimates.
+    feedback: Dict[str, int] = field(default_factory=dict)
+    #: the :class:`~repro.approx.rewrite.ApproxSpec` of a sample plan.
+    approx: Optional[object] = None
+    nodes: Dict[str, _NodeRecipe] = field(default_factory=dict)
+
+    is_current = PhysicalPlan.is_current
+
+    @property
+    def parameterized(self) -> bool:
+        """Whether a bind builds any binding (some selection reads a parameter)."""
+        return any(node.bindings for node in self.nodes.values())
+
+    def bind(
+        self, values: Optional[Mapping[int, Literal]] = None, tracer=None
+    ) -> PhysicalPlan:
+        """The executable plan for one set of parameter values."""
+        root = self.root
+        if self.parameterized:
+            builder = _JoinPlanBuilder(
+                self.compiled, self.config, self.ghd, values,
+                tracer=tracer, feedback=self.feedback,
+            )
+            root = builder.rebind(root, self.nodes)
+        return self._plan(root, values)
+
+    def _plan(
+        self, root: Optional[NodePlan], values: Optional[Mapping[int, Literal]]
+    ) -> PhysicalPlan:
+        scan = self.scan
+        if scan is not None and values:
+            scan = dataclasses.replace(scan, params=dict(values))
+        return PhysicalPlan(
+            compiled=self.compiled,
+            mode=self.mode,
+            root=root,
+            scan=scan,
+            blas=self.blas,
+            ghd=self.ghd,
+            config=self.config,
+            domain_versions=self.domain_versions,
+            approx=self.approx,
+        )
+
+
 def build_plan(
     compiled: CompiledQuery,
     config: Optional[EngineConfig] = None,
@@ -287,6 +389,28 @@ def build_plan(
     feedback: Optional[Dict[str, int]] = None,
 ) -> PhysicalPlan:
     """Lower a compiled query to a physical plan.
+
+    The skeleton of ``compiled`` bound to no parameter values: the
+    query's selections are its own literals.  See
+    :func:`build_skeleton` for ``tracer`` and ``feedback``.
+    """
+    return build_skeleton(compiled, config, tracer=tracer, feedback=feedback)[1]
+
+
+def build_skeleton(
+    compiled: CompiledQuery,
+    config: Optional[EngineConfig] = None,
+    values: Optional[Mapping[int, Literal]] = None,
+    tracer=None,
+    feedback: Optional[Dict[str, int]] = None,
+) -> Tuple[PlanSkeleton, PhysicalPlan]:
+    """Lower a compiled query to a :class:`PlanSkeleton` and its first plan.
+
+    ``values`` binds the parameters of ``compiled``'s selections while
+    the attribute orders are chosen (their post-filter cardinalities
+    weight the order search); the skeleton keeps the orders, not the
+    values.  The plan returned with it is the skeleton bound to
+    ``values``, built from the same selection masks.
 
     ``tracer`` (optional, a :class:`repro.obs.Tracer`) records the
     planning phases -- GHD decomposition, attribute-order search, trie
@@ -299,17 +423,17 @@ def build_plan(
     """
     config = config or EngineConfig()
     tracer = tracer or NULL_TRACER
-    versions = _capture_domain_versions(compiled)
+    skeleton = PlanSkeleton(
+        compiled=compiled,
+        mode="scan",
+        config=config,
+        domain_versions=_capture_domain_versions(compiled),
+        feedback=dict(feedback) if feedback else {},
+    )
     if compiled.is_scan:
         with tracer.span("plan.scan"):
-            scan = _build_scan(compiled, config)
-        return PhysicalPlan(
-            compiled=compiled,
-            mode="scan",
-            scan=scan,
-            config=config,
-            domain_versions=versions,
-        )
+            skeleton.scan = _build_scan(compiled, config)
+        return skeleton, skeleton.bind(values)
 
     with tracer.span("ghd.decompose") as span:
         if config.force_single_node_ghd:
@@ -319,31 +443,26 @@ def build_plan(
         ghd = _pin_slot_edges_to_root(ghd, compiled)
         if tracer.active:
             span.set(nodes=sum(1 for _ in ghd.root.walk()))
+    skeleton.ghd = ghd
 
     if config.enable_blas and config.enable_attribute_elimination:
         with tracer.span("blas.route") as span:
             blas = _try_blas_route(compiled, ghd)
             span.set(routed=blas is not None)
         if blas is not None:
-            return PhysicalPlan(
-                compiled=compiled,
-                mode="blas",
-                blas=blas,
-                ghd=ghd,
-                config=config,
-                domain_versions=versions,
-            )
+            skeleton.mode, skeleton.blas = "blas", blas
+            return skeleton, skeleton.bind(values)
 
-    builder = _JoinPlanBuilder(compiled, config, ghd, tracer=tracer, feedback=feedback)
-    root = builder.build()
-    return PhysicalPlan(
-        compiled=compiled,
-        mode="join",
-        root=root,
-        ghd=ghd,
-        config=config,
-        domain_versions=versions,
+    builder = _JoinPlanBuilder(
+        compiled, config, ghd, values, tracer=tracer, feedback=skeleton.feedback
     )
+    skeleton.mode, skeleton.root = "join", builder.build()
+    skeleton.nodes = builder.recipes
+    root = skeleton.root
+    if skeleton.parameterized:
+        # the same builder: the masks the orders were chosen with
+        root = builder.rebind(root, skeleton.nodes)
+    return skeleton, skeleton._plan(root, values)
 
 
 def _capture_domain_versions(compiled: CompiledQuery) -> Dict[str, int]:
@@ -396,22 +515,49 @@ class _JoinPlanBuilder:
         compiled: CompiledQuery,
         config: EngineConfig,
         ghd: GHD,
+        values: Optional[Mapping[int, Literal]] = None,
         tracer=None,
         feedback: Optional[Dict[str, int]] = None,
     ):
         self.compiled = compiled
         self.config = config
         self.ghd = ghd
+        self.values = values or {}
         self.tracer = tracer or NULL_TRACER
-        self.feedback = dict(feedback) if feedback else {}
+        self.feedback = feedback or {}
         self.bound = compiled.bound
         # vertex -> attribute name, per alias
         self.attr_of: Dict[str, Dict[str, str]] = {}
         for (alias, attr_name), vertex in self.bound.vertex_of.items():
             self.attr_of.setdefault(alias, {})[vertex] = attr_name
+        #: relations whose selections read a parameter: a bind builds
+        #: their bindings, the skeleton holds the rest
+        self.parameterized = {
+            alias
+            for alias, predicates in self.bound.filters.items()
+            if any(collect_parameters(p) for p in predicates)
+        }
+        #: node_key -> what a bind redoes for that node
+        self.recipes: Dict[str, _NodeRecipe] = {}
         self._child_counter = 0
         self._root_order: Optional[Tuple[str, ...]] = None
         self._mask_cache: Dict[str, Optional[np.ndarray]] = {}
+        self._estimates: Dict[str, RowEstimate] = {}
+
+    def rebind(self, template: NodePlan, recipes: Dict[str, _NodeRecipe]) -> NodePlan:
+        """A copy of a skeleton node tree with this builder's values bound."""
+        recipe = recipes[template.node_key]
+        bindings = list(template.bindings)
+        for position, binding in recipe.bindings.items():
+            bindings[position] = self._materialize(binding)
+        return dataclasses.replace(
+            template,
+            bindings=bindings,
+            children=[self.rebind(child, recipes) for child in template.children],
+            estimate=self._estimate(
+                recipe.node, template.node_key, recipe.materialized_pool
+            ),
+        )
 
     # -- top level -----------------------------------------------------------
 
@@ -429,22 +575,7 @@ class _JoinPlanBuilder:
     ) -> NodePlan:
         # The order decision comes first: the root's materialized order is
         # the global ordering every descendant node must respect.
-        # Observed child actuals (feedback from a drifted cached plan)
-        # override the static estimate: the corrected cardinality flows
-        # into the relation-score weights of the attribute-order search
-        # -- the re-rank.
-        child_edges = [
-            Hyperedge(
-                alias=f"__childedge{i}",
-                relation=f"__childedge{i}",
-                vertices=tuple(sorted(child.bag & node.bag)),
-                cardinality=self.feedback.get(
-                    f"{node_key}.{i}", self._estimate_child_cardinality(child)
-                ),
-            )
-            for i, child in enumerate(node.children)
-        ]
-        local_edges = list(node.edges) + child_edges
+        local_edges = self._local_edges(node, node_key)
         covered = set()
         for edge in local_edges:
             covered.update(edge.vertices)
@@ -498,14 +629,7 @@ class _JoinPlanBuilder:
         if is_root:
             self._root_order = decision.order
 
-        with self.tracer.span("cardinality.estimate") as span:
-            estimate = estimate_node(
-                [self._edge_stats(edge) for edge in local_edges],
-                materialized=tuple(materialized_pool),
-                observed_rows=self.feedback.get(node_key),
-            )
-            if self.tracer.active:
-                span.set(est_rows=estimate.est_rows, corrected=estimate.corrected)
+        estimate = self._estimate(node, node_key, tuple(materialized_pool))
 
         child_plans = [
             self._build_node(
@@ -516,16 +640,29 @@ class _JoinPlanBuilder:
             )
             for i, child in enumerate(node.children)
         ]
-        bindings = [
-            self._build_binding(edge, decision.order, is_root) for edge in node.edges
+        recipes = [
+            self._binding_recipe(edge, decision.order, is_root) for edge in node.edges
         ]
+        bindings = [
+            None if recipe.alias in self.parameterized else self._materialize(recipe)
+            for recipe in recipes
+        ]
+        self.recipes[node_key] = _NodeRecipe(
+            node,
+            tuple(materialized_pool),
+            {
+                i: recipe
+                for i, recipe in enumerate(recipes)
+                if recipe.alias in self.parameterized
+            },
+        )
         # -Attr.Elim: unused key attributes remain as trailing trie
         # levels; surface them as extra aggregated attributes so the
         # executor walks (and pays for) them.
         synthetic = tuple(
             v
-            for binding in bindings
-            for v in binding.vertices
+            for recipe in recipes
+            for v in recipe.vertices
             if v.startswith("__elim_")
         )
         plan = NodePlan(
@@ -545,7 +682,7 @@ class _JoinPlanBuilder:
             )
             plan.group_fetchers = walk
             plan.deferred_fetchers = deferred
-            plan.aggregates = self._root_aggregates(plan, child_plans)
+            plan.aggregates = self._root_aggregates(node, child_plans)
             plan.walk_layout = self._group_layout(plan)
             plan.group_layout = plan.walk_layout + [
                 ("ann", fetcher.ref_id) for fetcher in deferred
@@ -554,10 +691,49 @@ class _JoinPlanBuilder:
             slot_id = f"__childagg{self._child_counter}"
             self._child_counter += 1
             plan.result_slot = slot_id
-            plan.aggregates = [self._child_aggregate(plan, child_plans)]
+            plan.aggregates = [self._child_aggregate(node, plan, child_plans)]
             plan.walk_layout = [("vertex", v) for v in plan.materialized]
             plan.group_layout = list(plan.walk_layout)
         return plan
+
+    def _local_edges(self, node: GHDNode, node_key: str) -> List[Hyperedge]:
+        """The node's relations plus one pseudo-edge per child.
+
+        Observed child actuals (feedback from a drifted cached plan)
+        override the static estimate: the corrected cardinality flows
+        into the relation-score weights of the attribute-order search
+        -- the re-rank.
+        """
+        child_edges = [
+            Hyperedge(
+                alias=f"__childedge{i}",
+                relation=f"__childedge{i}",
+                vertices=tuple(sorted(child.bag & node.bag)),
+                cardinality=self.feedback.get(
+                    f"{node_key}.{i}", self._estimate_child_cardinality(child)
+                ),
+            )
+            for i, child in enumerate(node.children)
+        ]
+        return list(node.edges) + child_edges
+
+    def _estimate(
+        self, node: GHDNode, node_key: str, materialized_pool: Tuple[str, ...]
+    ) -> RowEstimate:
+        # one estimate per node and builder: a skeleton's first plan is
+        # bound by the builder that estimated it
+        if node_key in self._estimates:
+            return self._estimates[node_key]
+        with self.tracer.span("cardinality.estimate") as span:
+            estimate = estimate_node(
+                [self._edge_stats(edge) for edge in self._local_edges(node, node_key)],
+                materialized=materialized_pool,
+                observed_rows=self.feedback.get(node_key),
+            )
+            if self.tracer.active:
+                span.set(est_rows=estimate.est_rows, corrected=estimate.corrected)
+        self._estimates[node_key] = estimate
+        return estimate
 
     def _forced_decision(self, order, attrs_pool, materialized_pool, local_edges):
         from ..optimizer.attribute_order import order_cost
@@ -679,9 +855,9 @@ class _JoinPlanBuilder:
 
     # -- bindings ---------------------------------------------------------------
 
-    def _build_binding(
+    def _binding_recipe(
         self, edge: Hyperedge, order: Sequence[str], is_root: bool
-    ) -> RelationBinding:
+    ) -> _BindingRecipe:
         alias = edge.alias
         table = self.bound.tables[alias]
         vertex_to_attr = self.attr_of.get(alias, {})
@@ -720,18 +896,30 @@ class _JoinPlanBuilder:
                         AnnotationRequest(token, ann_name, level=arity - 1, combine="first")
                     )
 
-        with self.tracer.span("trie.build", alias=alias) as span:
-            trie = table.get_trie(
-                tuple(key_order), tuple(requests), row_mask=self._filter_mask(alias)
-            )
-            if self.tracer.active:
-                span.set(key_order=list(key_order), tuples=trie.num_tuples)
-        return RelationBinding(
+        return _BindingRecipe(
             alias=alias,
-            trie=trie,
+            key_order=tuple(key_order),
+            requests=tuple(requests),
             vertices=vertices
             + tuple(f"__elim_{alias}_{k}" for k in key_order[len(vertices):]),
             slot_ids=tuple(slot_ids),
+        )
+
+    def _materialize(self, recipe: _BindingRecipe) -> RelationBinding:
+        """Build a recipe's trie over the rows its selections keep."""
+        table = self.bound.tables[recipe.alias]
+        with self.tracer.span("trie.build", alias=recipe.alias) as span:
+            trie = table.get_trie(
+                recipe.key_order, recipe.requests,
+                row_mask=self._filter_mask(recipe.alias),
+            )
+            if self.tracer.active:
+                span.set(key_order=list(recipe.key_order), tuples=trie.num_tuples)
+        return RelationBinding(
+            alias=recipe.alias,
+            trie=trie,
+            vertices=recipe.vertices,
+            slot_ids=recipe.slot_ids,
         )
 
     def _slot_values(self, alias: str, expr: Optional[Expr]):
@@ -760,7 +948,9 @@ class _JoinPlanBuilder:
             table = self.bound.tables[alias]
             mask = np.ones(table.num_rows, dtype=bool)
             for predicate in predicates:
-                value = evaluate(predicate, lambda ref: table.columns[ref.name])
+                value = evaluate(
+                    predicate, lambda ref: table.columns[ref.name], self.values
+                )
                 mask &= np.asarray(value, dtype=bool)
         self._mask_cache[alias] = mask
         return mask
@@ -808,9 +998,9 @@ class _JoinPlanBuilder:
     # -- aggregates ----------------------------------------------------------------
 
     def _root_aggregates(
-        self, plan: NodePlan, child_plans: List[NodePlan]
+        self, node: GHDNode, child_plans: List[NodePlan]
     ) -> List[AggregateRuntime]:
-        root_aliases = {b.alias for b in plan.bindings}
+        root_aliases = {edge.alias for edge in node.edges}
         child_slots = tuple(c.result_slot for c in child_plans)
         out = []
         for spec in self.compiled.aggregates:
@@ -831,12 +1021,12 @@ class _JoinPlanBuilder:
         return out
 
     def _child_aggregate(
-        self, plan: NodePlan, child_plans: List[NodePlan]
+        self, node: GHDNode, plan: NodePlan, child_plans: List[NodePlan]
     ) -> AggregateRuntime:
         slot_ids = [
-            f"__mult_{b.alias}"
-            for b in plan.bindings
-            if b.alias in self.compiled.dup_aliases
+            f"__mult_{edge.alias}"
+            for edge in node.edges
+            if edge.alias in self.compiled.dup_aliases
         ]
         slot_ids.extend(c.result_slot for c in child_plans)
         return AggregateRuntime(

@@ -42,7 +42,7 @@ def execute_scan(plan: ScanPlan) -> Tuple[List[np.ndarray], np.ndarray]:
 
     mask = None
     for predicate in plan.filters:
-        value = np.asarray(evaluate(predicate, resolve), dtype=bool)
+        value = np.asarray(evaluate(predicate, resolve, plan.params), dtype=bool)
         mask = value if mask is None else (mask & value)
 
     def masked(values):
