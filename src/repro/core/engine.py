@@ -18,10 +18,12 @@ The query surface is intentionally small:
   (:class:`~repro.core.prepared.PreparedStatement`).
 
 Plain ``query()`` calls transparently reuse compiled plans through a
-versioned LRU :class:`~repro.core.plan_cache.PlanCache`: an exact
-repeat reuses its plan, and new literals bind the cached skeleton of
-their query shape.  A catalog registration that re-codes a key domain
-invalidates affected plans and skeletons.
+versioned LRU :class:`~repro.core.plan_cache.PlanCache` of plan
+skeletons, one per query shape: every call binds its literals to the
+cached skeleton of its shape, and each parameterized relation's
+binding memo makes a repeated literal cost no trie build.  A catalog
+registration that re-codes a key domain invalidates affected
+skeletons.
 
 The :class:`~repro.xcution.plan.EngineConfig` toggles reproduce the
 paper's ablations: attribute elimination, cost-based attribute
@@ -70,7 +72,7 @@ from ..optimizer.feedback import QueryFeedback, measure
 from ..query.translate import CompiledQuery, translate
 from ..sql.ast import Literal, SelectStmt
 from ..sql.binder import bind
-from ..sql.params import LiftedStatement, ParamValues, normalize_sql
+from ..sql.params import ParamValues
 from ..storage.catalog import Catalog
 from ..storage.csv_loader import load_dataframe, load_table
 from ..storage.schema import Schema
@@ -535,7 +537,8 @@ class LevelHeadedEngine:
 
         Two inputs differ between callers.  *Where the plan comes from*:
         a :class:`PlanSource` -- by default the ad-hoc text ``sql``
-        (parsed lazily, on a cache miss), else the caller's, carrying
+        (resolved through the parse memo before admission, since the
+        cache key is its shape), else the caller's, carrying
         parameter values or a prepared statement's shape and recompile
         bookkeeping; ``execute`` passes the compiled ``plan`` and skips
         the compile step.  *How the plan runs*: ``runner(run)``, by
@@ -562,7 +565,10 @@ class LevelHeadedEngine:
         try:
             with cancel_scope(token), tracer.span("query") as qspan:
                 qspan.set(query_id=query_id)
-                key = source.key(cfg) if plan is None else None
+                key = None
+                if plan is None:
+                    with tracer.span("parse"):
+                        key = source.key(cfg)
                 cached = plan is not None or (
                     self.governor is not None
                     and self.plan_cache.peek(key, self.catalog)
@@ -956,22 +962,6 @@ class LevelHeadedEngine:
 
     # -- internal query machinery ---------------------------------------------
 
-    def _plan_key(
-        self,
-        sql: str,
-        cfg: EngineConfig,
-        param_token: Tuple = (),
-        normalized: Optional[str] = None,
-    ) -> Tuple:
-        """The plan-cache key of ``sql`` under ``cfg``.
-
-        ``param_token`` is the token of the caller's raw parameter
-        values (:func:`~repro.sql.params.param_token`) and
-        ``normalized`` a prepared statement's pre-normalized text;
-        ad-hoc text normalizes here.
-        """
-        return (normalized or normalize_sql(sql), param_token) + self._config_key(cfg)
-
     def _config_key(self, cfg: EngineConfig) -> Tuple:
         """The config part of plan and skeleton keys."""
         if cfg.approx == "force":
@@ -988,68 +978,42 @@ class LevelHeadedEngine:
         key: Optional[Tuple] = None,
         source: Optional[PlanSource] = None,
     ) -> Tuple[PhysicalPlan, str, Tuple]:
-        """Look up (or bind and cache) a plan: the one cached-compile step.
+        """Look up (or compile and cache) a skeleton and bind: the one
+        cached-compile step.
 
         ``source`` defaults to the ad-hoc text ``sql``, and ``key`` to
-        its exact key.  On a hit nothing is parsed -- the normalized
-        text, raw parameter values, config fingerprint, and catalog
-        domain versions fully determine the plan.  On a miss the source
-        is parsed and lifted, and its values bind the shape's skeleton
-        (:meth:`_bound_plan`).  A ``reoptimized`` outcome rebuilds the
-        skeleton with the cache's accumulated per-node observations
-        overriding the estimates (:meth:`PlanCache.corrections`).
-        Returns ``(plan, outcome, cache_key)`` so execution can feed
-        q-error measurements back to the entry.
+        the source's plan-cache key (its shape, parameter types and
+        config).  A hit binds the source's values to the cached
+        skeleton; anything else compiles the shape's skeleton and caches
+        it.  A ``reoptimized`` outcome compiles with the entry's
+        accumulated per-node observations overriding the estimates
+        (:meth:`PlanCache.corrections`).  Returns ``(plan, outcome,
+        cache_key)`` so execution can feed q-error measurements back to
+        the entry.
         """
         source = source or PlanSource(self, sql)
+        lifted, values = source.lifted()
         if key is None:
             key = source.key(cfg)
         with tracer.span("plan_cache.lookup") as span:
-            plan, outcome = self.plan_cache.lookup(key, self.catalog)
+            skeleton, outcome = self.plan_cache.lookup(key, self.catalog)
             span.set(outcome=outcome)
-        compiled = False
-        if plan is None:
-            with tracer.span("parse"):
-                lifted, values = source.lifted()
+        if skeleton is not None:
+            with tracer.span("plan.bind"):
+                plan = skeleton.bind(values, tracer)
+        else:
             corrections = (
                 self.plan_cache.corrections(key) if outcome == REOPTIMIZED else None
             )
-            plan, compiled = self._bound_plan(lifted, values, cfg, tracer, corrections)
-            self.plan_cache.store(key, plan)
+            skeleton, plan = self._compile_skeleton(
+                lifted.stmt, cfg, values, tracer, corrections
+            )
+            self.plan_cache.store(key, skeleton, source.sql)
             if outcome == REOPTIMIZED:
                 self.metrics.inc("plan_reoptimizations")
         if source.on_plan is not None:
-            source.on_plan(plan, compiled)
+            source.on_plan(plan, outcome != HIT)
         return plan, outcome, key
-
-    def _bound_plan(
-        self,
-        lifted: LiftedStatement,
-        values: Dict[int, Literal],
-        cfg: EngineConfig,
-        tracer=NULL_TRACER,
-        corrections: Optional[Dict[str, int]] = None,
-    ) -> Tuple[PhysicalPlan, bool]:
-        """Bind ``values`` to the skeleton of ``lifted``'s shape.
-
-        The skeleton is compiled (and cached) first when the shape has
-        no current one, or when ``corrections`` rebuild it.  Returns the
-        plan and whether a skeleton was compiled.
-        """
-        skey = (
-            lifted.shape,
-            tuple(values[i].type_hint for i in range(len(values))),
-        ) + self._config_key(cfg)
-        if corrections is None:
-            skeleton = self.plan_cache.lookup_skeleton(skey, self.catalog)
-            if skeleton is not None:
-                with tracer.span("plan.bind"):
-                    return skeleton.bind(values, tracer), False
-        skeleton, plan = self._compile_skeleton(
-            lifted.stmt, cfg, values, tracer, corrections
-        )
-        self.plan_cache.store_skeleton(skey, skeleton)
-        return plan, True
 
     def _compile_skeleton(
         self,
@@ -1103,7 +1067,7 @@ class LevelHeadedEngine:
         """The default runner: ``execute_plan`` on this engine, then decode."""
         plan, tracer, stats = run.plan, run.tracer, run.stats
         profiler = KernelProfiler() if run.profile else None
-        kwargs = dict(stats=stats, tracer=tracer, profiler=profiler, cancel=run.token)
+        kwargs = dict(stats=stats, tracer=tracer, cancel=run.token)
         if run.budget is not None:
             kwargs["memory_budget_bytes"] = run.budget
         with tracer.span("execute") as span:

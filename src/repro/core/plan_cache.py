@@ -1,43 +1,40 @@
-"""A versioned LRU cache of compiled physical plans and plan skeletons.
+"""A versioned LRU cache of plan skeletons, one per query shape.
 
 LevelHeaded's compile pipeline (parse → bind → translate → GHD → cost
 -ordered WCOJ plan, Sections III-IV) is pure given three inputs: the
 SQL text, the engine configuration, and the catalog's key-domain
 dictionaries.  Of that work only the selections depend on a query's
-constants.  The :class:`PlanCache` therefore keeps two LRUs, each of
-``capacity`` entries:
+constants.  The :class:`PlanCache` is therefore one LRU of
+``capacity`` :class:`~repro.xcution.plan.PlanSkeleton` entries, keyed
+on the **shape** -- the statement with its selection constants lifted
+into parameters (:func:`~repro.sql.params.lift`) -- each parameter's
+type hint, and the config fingerprint.  Every call, an exact repeat or
+a fresh literal, resolves to that key and binds its values to the
+skeleton; the skeleton's per-relation binding memos make a repeated
+value cost no predicate evaluation and no trie build.  Only a miss
+compiles.
 
-* **plans**, keyed on the **normalized SQL** (token-level canonical
-  form: case and whitespace insensitive), a token of the caller's
-  **raw parameter values**, and the **config fingerprint** -- an exact
-  repeat hits here without being parsed;
-* **skeletons** (:class:`~repro.xcution.plan.PlanSkeleton`), keyed on
-  the **shape**: the statement with its selection constants lifted
-  into parameters (:func:`~repro.sql.params.lift`), each parameter's
-  type hint, and the config fingerprint.  A plan miss binds its
-  literals to its shape's skeleton, building only the filtered tries;
-  only a skeleton miss compiles.
+Catalog state is handled by *validation* rather than keying: each
+skeleton snapshots the ``domain_version`` of every key domain it
+encodes, and a lookup of a stale one drops it (with its binding memos)
+and counts an **invalidation**; the caller recompiles.
 
-Catalog state is handled by *validation* rather than keying: each plan
-and skeleton snapshots the ``domain_version`` of every key domain it
-encodes (:attr:`~repro.xcution.plan.PhysicalPlan.domain_versions`),
-and a lookup of a stale one drops it -- for plans this counts as an
-**invalidation** and the caller recompiles.
+Skeletons are also validated against *their own estimates*: every entry
+carries a :class:`~repro.optimizer.feedback.PlanFeedback` record fed by
+the engine after each execution of any of its bindings.  When the
+observed q-error exceeds the threshold for ``drift_runs`` consecutive
+runs the entry is marked drifted.  A drifted entry stays cached, and
+every lookup of it counts as a **reoptimization** until a skeleton
+rebuilt with its observed cardinalities (:meth:`corrections`) replaces
+it; the replacement inherits the record's
+:meth:`~repro.optimizer.feedback.PlanFeedback.successor`.  A rebuild
+that fails (a deadline firing in a trie build, say) leaves the entry
+drifted, so the next call tries again.
 
-Cached plans are also validated against *their own estimates*: every
-entry carries a :class:`~repro.optimizer.feedback.PlanFeedback` record
-fed by the engine after each execution.  When the observed q-error
-exceeds the threshold for ``drift_runs`` consecutive runs the entry is
-marked drifted, and its next lookup counts as a **reoptimization**:
-the entry is dropped, its accumulated per-node observations are parked
-under the key (:meth:`corrections`), and the caller rebuilds the
-shape's skeleton with feedback-corrected cardinalities, replacing the
-old one.
-
-Hits, misses, invalidations, reoptimizations, capacity evictions,
-memory-pressure sheds, and skeleton hits and misses (compiles) are
-counted separately -- conflating sheds with evictions (or counting one
-rejection twice) corrupts the very signals the feedback loop reads.
+Hits, misses, invalidations, reoptimizations, capacity evictions and
+memory-pressure sheds are counted separately -- conflating sheds with
+evictions (or counting one rejection twice) corrupts the very signals
+the feedback loop reads.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from ..optimizer.feedback import (
     PlanFeedback,
     QueryFeedback,
 )
-from ..xcution.plan import PhysicalPlan, PlanSkeleton
+from ..xcution.plan import PlanSkeleton
 
 #: lookup outcomes
 HIT = "hit"
@@ -75,13 +72,8 @@ class PlanCacheStats:
     #: deliberately separate from ``evictions``: shedding is a
     #: governance decision, not a working-set signal.
     shed: int = 0
-    #: drifted entries dropped for a feedback-corrected recompile.
+    #: lookups of a drifted entry (each asks for a corrected rebuild).
     reoptimizations: int = 0
-    #: plan misses served by binding a cached skeleton.
-    skeleton_hits: int = 0
-    #: skeletons compiled (no current skeleton of the shape, or a
-    #: feedback-corrected rebuild).
-    skeleton_misses: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -91,26 +83,24 @@ class PlanCacheStats:
             "evictions": self.evictions,
             "shed": self.shed,
             "reoptimizations": self.reoptimizations,
-            "skeleton_hits": self.skeleton_hits,
-            "skeleton_misses": self.skeleton_misses,
         }
 
     def describe(self) -> str:
         return (
             f"plan cache: hits={self.hits}, misses={self.misses}, "
             f"invalidations={self.invalidations}, evictions={self.evictions}, "
-            f"shed={self.shed}, reoptimizations={self.reoptimizations}, "
-            f"skeleton_hits={self.skeleton_hits}, "
-            f"skeleton_misses={self.skeleton_misses}"
+            f"shed={self.shed}, reoptimizations={self.reoptimizations}"
         )
 
 
 @dataclass
-class _CacheEntry:
-    """One cached plan plus the drift record scoring its estimates."""
+class _Entry:
+    """One cached skeleton plus the drift record scoring its estimates."""
 
-    plan: PhysicalPlan
+    skeleton: PlanSkeleton
     feedback: PlanFeedback
+    #: the first text that compiled the skeleton (introspection only).
+    sql: Optional[str] = None
     #: lookup hits served by this entry (per-entry, unlike the cache's
     #: cumulative ``stats.hits``; the ``/debug/plans`` view shows both).
     hits: int = 0
@@ -118,8 +108,7 @@ class _CacheEntry:
 
 @dataclass
 class PlanCache:
-    """LRU mappings of (sql, params, config) keys to physical plans and
-    of (shape, parameter types, config) keys to plan skeletons."""
+    """An LRU mapping of (shape, parameter types, config) keys to skeletons."""
 
     capacity: int = 64
     stats: PlanCacheStats = field(default_factory=PlanCacheStats)
@@ -131,49 +120,41 @@ class PlanCache:
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
-        self._entries: "OrderedDict[Tuple, _CacheEntry]" = OrderedDict()
-        self._skeletons: "OrderedDict[Tuple, PlanSkeleton]" = OrderedDict()
-        #: feedback parked between a REOPTIMIZED lookup and the store of
-        #: the corrected recompile (keyed like the entries).
-        self._pending: Dict[Tuple, PlanFeedback] = {}
+        self._skeletons: "OrderedDict[Tuple, _Entry]" = OrderedDict()
         # one engine's cache is shared by every serving thread; the LRU
         # reorder + counter pairs below must be atomic under concurrency
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._skeletons)
 
-    def lookup(self, key: Tuple, catalog) -> Tuple[Optional[PhysicalPlan], str]:
-        """Return ``(plan, outcome)``: hit/miss/invalidated/reoptimized.
+    def lookup(self, key: Tuple, catalog) -> Tuple[Optional[PlanSkeleton], str]:
+        """Return ``(skeleton, outcome)``: hit/miss/invalidated/reoptimized.
 
-        A cached plan whose domain versions no longer match ``catalog``
-        is dropped (its tries hold codes from superseded dictionaries)
-        and the lookup reports ``invalidated``.  A plan whose feedback
-        record has drifted is dropped the same way and reports
-        ``reoptimized`` -- the caller recompiles, and
-        :meth:`corrections` supplies the observed cardinalities to
-        recompile with.
+        A skeleton whose domain versions no longer match ``catalog`` is
+        dropped (its tries hold codes from superseded dictionaries) and
+        the lookup reports ``invalidated``.  A drifted entry stays
+        cached and reports ``reoptimized`` with no skeleton -- the
+        caller rebuilds with :meth:`corrections` and :meth:`store`
+        puts the result over it.
         """
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._skeletons.get(key)
             if entry is None:
                 self.stats.misses += 1
                 return None, MISS
-            if not entry.plan.is_current(catalog):
-                del self._entries[key]
-                self._pending.pop(key, None)
+            if not entry.skeleton.is_current(catalog):
+                del self._skeletons[key]
                 self.stats.invalidations += 1
                 return None, INVALIDATED
+            self._skeletons.move_to_end(key)
             if entry.feedback.drifted:
-                del self._entries[key]
-                self._pending[key] = entry.feedback
                 self.stats.reoptimizations += 1
                 return None, REOPTIMIZED
-            self._entries.move_to_end(key)
             self.stats.hits += 1
             entry.hits += 1
-            return entry.plan, HIT
+            return entry.skeleton, HIT
 
     def peek(self, key: Tuple, catalog) -> bool:
         """Whether ``key`` would hit, without touching counters or LRU order.
@@ -185,40 +166,18 @@ class PlanCache:
         does not count as cached: its lookup triggers a recompile.
         """
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._skeletons.get(key)
             return (
                 entry is not None
-                and entry.plan.is_current(catalog)
+                and entry.skeleton.is_current(catalog)
                 and not entry.feedback.drifted
             )
 
-    def lookup_skeleton(self, key: Tuple, catalog) -> Optional[PlanSkeleton]:
-        """The current skeleton of a shape, or None (a stale one is dropped)."""
-        with self._lock:
-            skeleton = self._skeletons.get(key)
-            if skeleton is None:
-                return None
-            if not skeleton.is_current(catalog):
-                del self._skeletons[key]
-                return None
-            self._skeletons.move_to_end(key)
-            self.stats.skeleton_hits += 1
-            return skeleton
-
-    def store_skeleton(self, key: Tuple, skeleton: PlanSkeleton) -> None:
-        """Insert (or replace) a freshly compiled skeleton: a skeleton miss."""
-        with self._lock:
-            self.stats.skeleton_misses += 1
-            self._skeletons[key] = skeleton
-            self._skeletons.move_to_end(key)
-            while len(self._skeletons) > self.capacity:
-                self._skeletons.popitem(last=False)
-
     def corrections(self, key: Tuple) -> Dict[str, int]:
-        """Observed per-node actuals for a pending reoptimization of ``key``."""
+        """Observed per-node actuals of ``key``'s entry (empty if none)."""
         with self._lock:
-            pending = self._pending.get(key)
-            return pending.corrections() if pending is not None else {}
+            entry = self._skeletons.get(key)
+            return entry.feedback.corrections() if entry is not None else {}
 
     def record_feedback(self, key: Tuple, measured: QueryFeedback) -> bool:
         """Fold one execution's q-error measurement into ``key``'s entry.
@@ -227,7 +186,7 @@ class PlanCache:
         drifted (the engine counts those as ``plans_drifted``).
         """
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._skeletons.get(key)
             if entry is None:
                 return False
             return entry.feedback.record(measured)
@@ -235,90 +194,80 @@ class PlanCache:
     def debug_snapshot(self) -> List[Dict[str, object]]:
         """Per-entry cache state for live introspection (``/debug/plans``).
 
-        One dict per cached plan, LRU order (least recently used
-        first): the normalized SQL, plan mode, per-entry hit count, and
-        the feedback drift record.  Built entirely under the cache lock
-        from immutable values, so concurrent lookups never tear it.
+        One dict per cached skeleton, LRU order (least recently used
+        first): the first text that compiled it, plan mode, per-entry
+        hit count, and the feedback drift record.  Built entirely under
+        the cache lock from immutable values, so concurrent lookups
+        never tear it.
         """
         with self._lock:
-            out = []
-            for key, entry in self._entries.items():
-                out.append(
-                    {
-                        "sql": key[0],
-                        "params": repr(key[1]) if key[1] else None,
-                        "mode": entry.plan.mode,
-                        "hits": entry.hits,
-                        "feedback": entry.feedback.as_dict(),
-                    }
-                )
-            return out
+            return [
+                {
+                    "sql": entry.sql,
+                    "mode": entry.skeleton.mode,
+                    "hits": entry.hits,
+                    "feedback": entry.feedback.as_dict(),
+                }
+                for entry in self._skeletons.values()
+            ]
 
     def feedback_snapshot(self) -> List[Dict[str, object]]:
         """Per-entry feedback summaries (the CLI's ``\\feedback`` view)."""
         with self._lock:
-            out = []
-            for key, entry in self._entries.items():
-                summary = entry.feedback.as_dict()
-                summary["sql"] = key[0]
-                out.append(summary)
-            return out
+            return [
+                dict(entry.feedback.as_dict(), sql=entry.sql)
+                for entry in self._skeletons.values()
+            ]
 
     def shed_lru(self, fraction: float = 0.5, keep: int = 1) -> int:
         """Drop the least-recently-used ``fraction`` of entries.
 
         The governor's memory-pressure signal calls this to give cached
-        plan state (tries, annotation buffers) back before queries start
-        failing admission.  Shed entries are counted in ``stats.shed``
-        (not ``evictions``: this is load shedding, not capacity
-        pressure); the same fraction of skeletons goes with them.
-        Returns the number of plan entries dropped.
+        plan state (tries, annotation buffers, binding memos) back
+        before queries start failing admission.  Shed entries are
+        counted in ``stats.shed`` (not ``evictions``: this is load
+        shedding, not capacity pressure).  Returns the number dropped.
         """
         with self._lock:
             n_drop = min(
-                max(0, len(self._entries) - max(0, keep)),
-                int(len(self._entries) * fraction),
+                max(0, len(self._skeletons) - max(0, keep)),
+                int(len(self._skeletons) * fraction),
             )
             for _ in range(n_drop):
-                self._entries.popitem(last=False)
-            for _ in range(int(len(self._skeletons) * fraction)):
                 self._skeletons.popitem(last=False)
             self.stats.shed += n_drop
             return n_drop
 
-    def store(self, key: Tuple, plan: PhysicalPlan) -> None:
-        """Insert ``plan``, evicting the least recently used beyond capacity.
+    def store(self, key: Tuple, skeleton: PlanSkeleton, sql: Optional[str] = None) -> None:
+        """Insert ``skeleton``, evicting the least recently used beyond capacity.
 
-        A store that answers a pending reoptimization re-attaches the
-        accumulated observations (via
+        A store over a drifted entry is its corrected rebuild: it
+        inherits the accumulated observations (via
         :meth:`~repro.optimizer.feedback.PlanFeedback.successor`) so
-        the corrected plan keeps being scored; any other store starts a
-        fresh feedback record under the cache's drift rule.
+        the corrected skeleton keeps being scored; any other store
+        starts a fresh feedback record under the cache's drift rule.
         """
         with self._lock:
-            pending = self._pending.pop(key, None)
+            old = self._skeletons.get(key)
             feedback = (
-                pending.successor()
-                if pending is not None
+                old.feedback.successor()
+                if old is not None and old.feedback.drifted
                 else PlanFeedback(
                     threshold=self.q_error_threshold, drift_runs=self.drift_runs
                 )
             )
-            self._entries[key] = _CacheEntry(plan=plan, feedback=feedback)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            self._skeletons[key] = _Entry(skeleton, feedback, sql)
+            self._skeletons.move_to_end(key)
+            while len(self._skeletons) > self.capacity:
+                self._skeletons.popitem(last=False)
                 self.stats.evictions += 1
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
             self._skeletons.clear()
-            self._pending.clear()
 
     def __repr__(self) -> str:
         return (
-            f"PlanCache(size={len(self._entries)}/{self.capacity}, "
-            f"skeletons={len(self._skeletons)}, "
+            f"PlanCache(size={len(self._skeletons)}/{self.capacity}, "
             f"{self.stats.describe()})"
         )

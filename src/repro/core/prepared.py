@@ -8,10 +8,10 @@ placeholders and selection constants alike become parameters of one
 :class:`~repro.xcution.plan.PlanSkeleton`.  A statement without
 placeholders also compiles its plan eagerly.
 
-``execute(params)`` looks its plan up in the engine's
-:class:`~repro.core.plan_cache.PlanCache` by text and raw values; a
-miss binds the values to the shape's cached skeleton, which builds only
-the filtered tries.  A prepared statement, ``engine.query(sql,
+``execute(params)`` looks the shape's skeleton up in the engine's
+:class:`~repro.core.plan_cache.PlanCache` and binds the values to it;
+the skeleton's binding memos rebuild only the filtered tries whose own
+values changed.  A prepared statement, ``engine.query(sql,
 params=...)`` and ad-hoc text of the same shape share that skeleton,
 whatever their values.  When a catalog registration bumps a domain
 version, the skeleton is invalidated and the next execution recompiles
@@ -21,7 +21,7 @@ it against the re-coded dictionaries -- counted in :attr:`recompiles`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..approx import normalize_policy
 from ..errors import UnsupportedQueryError
@@ -33,11 +33,8 @@ from ..sql.params import (
     ParamValues,
     bind_param_values,
     infer_param_slots,
-    lift,
-    normalize_sql,
-    param_token,
+    parse_lifted,
 )
-from ..sql.parser import parse
 from ..xcution.plan import EngineConfig, PhysicalPlan
 from .governor import CancelToken
 
@@ -45,14 +42,13 @@ from .governor import CancelToken
 class PlanSource:
     """Where one call's plan comes from.
 
-    :meth:`key` is the exact plan-cache key: the normalized text, the
-    token of the caller's raw parameter values, and the config.  Only
-    on a miss does :meth:`lifted` parse the text, coerce the values and
-    lift the statement; it returns the lifted statement (its ``shape``
-    keys the skeleton) and the values of its parameters.  A prepared
-    statement passes its lifted statement and slots as ``prepared`` (so
-    nothing is parsed) and its bookkeeping as
-    ``on_plan(plan, compiled_skeleton)``.
+    :meth:`lifted` resolves the text through the
+    :func:`~repro.sql.params.parse_lifted` memo and coerces the values;
+    it returns the lifted statement and the values of its parameters.
+    :meth:`key` is the plan-cache key: the lifted ``shape``, each
+    parameter's type hint, and the config.  A prepared statement passes
+    its lifted statement and slots as ``prepared`` (so nothing is
+    parsed) and its bookkeeping as ``on_plan(plan, compiled_skeleton)``.
     """
 
     def __init__(
@@ -61,30 +57,27 @@ class PlanSource:
         sql: str,
         params: ParamValues = None,
         *,
-        normalized: Optional[str] = None,
         prepared: Optional[Tuple[LiftedStatement, Sequence[ParamSlot]]] = None,
         on_plan: Optional[Callable[[PhysicalPlan, bool], None]] = None,
     ):
-        if params is not None and not isinstance(params, Mapping):
-            params = tuple(params)  # read twice: the token, then coercion
         self.engine = engine
         self.sql = sql
         self.params = params
-        self.token = param_token(params)
-        self.normalized = normalized
         self.prepared = prepared
         self.on_plan = on_plan
         self._lifted: Optional[Tuple[LiftedStatement, Dict[int, Literal]]] = None
 
     def key(self, cfg: EngineConfig) -> Tuple:
-        return self.engine._plan_key(self.sql, cfg, self.token, self.normalized)
+        lifted, values = self.lifted()
+        hints = tuple(value.type_hint for value in values.values())
+        return (lifted.shape, hints) + self.engine._config_key(cfg)
 
     def lifted(self) -> Tuple[LiftedStatement, Dict[int, Literal]]:
         if self._lifted is None:
             if self.prepared is not None:
                 lifted, slots = self.prepared
             else:
-                stmt = parse(self.sql)
+                stmt, lifted = parse_lifted(self.sql)
                 slots = ()
                 if self.params is not None:
                     slots = infer_param_slots(bind(stmt, self.engine.catalog))
@@ -93,7 +86,6 @@ class PlanSource:
                         "statement has parameter placeholders; pass params= or "
                         "use engine.prepare(sql)"
                     )
-                lifted = lift(stmt)
             literals = bind_param_values(self.params, slots)
             self._lifted = lifted, lifted.values(literals)
         return self._lifted
@@ -108,15 +100,14 @@ class PreparedStatement:
     def __init__(self, engine, sql: str, config: Optional[EngineConfig] = None):
         self._engine = engine
         self.sql = sql
-        self.normalized_sql = normalize_sql(sql)
         self.config = config if config is not None else engine.config
-        stmt = parse(sql)
+        stmt, lifted = parse_lifted(sql)
         #: typed parameter slots in statement order (empty when the SQL
         #: has no placeholders).
         self.param_slots = infer_param_slots(bind(stmt, engine.catalog))
         #: the statement's shape: placeholders and selection constants
         #: lifted into the parameters of one plan skeleton.
-        self.lifted = lift(stmt)
+        self.lifted = lifted
         #: total ``execute`` calls.
         self.executions = 0
         #: skeleton compiles for this statement after its first plan --
@@ -137,7 +128,6 @@ class PreparedStatement:
             self._engine,
             self.sql,
             params,
-            normalized=self.normalized_sql,
             prepared=(self.lifted, self.param_slots),
             on_plan=self._note_plan,
         )

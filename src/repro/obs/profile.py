@@ -19,10 +19,10 @@ many bytes* -- by hooking the three hot paths of execution:
   and per-level trie bytes.
 
 Activation uses a thread-local slot (read through :func:`active`)
-rather than parameter threading for the set/trie hooks: the
-intersection kernel and the trie builders are called from deep inside
-numpy-driven loops, and a single ``is None`` check keeps the
-unprofiled path free.  The slot is per thread, like the governor's
+rather than parameter threading, for every hook: the intersection
+kernel and the trie builders are called from deep inside numpy-driven
+loops, the executors read the slot once per call or node, and a single
+``is None`` check keeps the unprofiled path free.  The slot is per thread, like the governor's
 ambient cancel token, so a query on one thread never records into a
 profiler another thread activated.  The engine activates a profiler
 around ``execute_plan`` only, so profiles attribute execution, not

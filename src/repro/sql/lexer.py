@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 from ..errors import ParseError
-
-# recently lexed statements kept; a statement is lexed twice back to
-# back (plan-cache key, then parse), so a small cache suffices
-TOKEN_CACHE_SIZE = 64
 
 KEYWORDS = frozenset(
     """
@@ -45,13 +40,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-@functools.lru_cache(maxsize=TOKEN_CACHE_SIZE)
 def tokenize(sql: str) -> Tuple[Token, ...]:
     """Tokenize SQL text; raises :class:`ParseError` on unknown input.
 
-    Memoized on the exact text, so the plan-cache key
-    (``normalize_sql``) and the parser lex a statement once between
-    them; the result is an immutable tuple of frozen tokens.
+    Returns an immutable tuple of frozen tokens.  The query path lexes
+    a text once: :func:`repro.sql.params.parse_lifted` memoizes the
+    parse of each exact text.
     """
     tokens: List[Token] = []
     pos = 0

@@ -8,14 +8,15 @@ coerces caller-supplied values into typed
 :class:`~repro.sql.ast.Literal` constants.  :func:`lift` turns a
 statement's selection constants (and its placeholders) into parameters
 numbered by appearance: the literal-free *shape* a plan skeleton is
-compiled from once (:class:`~repro.xcution.plan.PlanSkeleton`).  It
-also provides the token-level SQL normalization and the raw-value
-token the exact plan-cache keys are made of.
+compiled from once (:class:`~repro.xcution.plan.PlanSkeleton`).
+:func:`parse_lifted` memoizes ``parse`` plus ``lift`` on the exact
+text, so a repeated text is never lexed or parsed again.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -36,7 +37,10 @@ from .ast import (
     map_tree,
     walk,
 )
-from .lexer import tokenize
+from .parser import parse
+
+#: recently parsed-and-lifted texts kept (:func:`parse_lifted`)
+LIFT_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -227,28 +231,6 @@ def _coerce(value, slot: ParamSlot) -> Literal:
     return Literal(value, "number")
 
 
-def param_token(params: ParamValues) -> Tuple:
-    """A hashable token of the caller's *raw* parameter values.
-
-    The exact plan-cache key carries it, so a repeated call finds its
-    plan before anything is parsed or coerced.  Each value keeps its
-    type name (``1``, ``1.0`` and ``True`` stay apart); values that
-    were coerced once coerce the same way again.
-    """
-    if params is None:
-        return ()
-    if isinstance(params, Mapping):
-        items = sorted(params.items())
-    else:
-        items = enumerate(params)
-    token = tuple((name, type(value).__name__, value) for name, value in items)
-    try:
-        hash(token)
-    except TypeError:
-        raise BindError("parameter values must be scalars") from None
-    return token
-
-
 # ---------------------------------------------------------------------------
 # lifting: a statement's literal-free shape
 # ---------------------------------------------------------------------------
@@ -341,27 +323,15 @@ def lift(stmt: SelectStmt) -> LiftedStatement:
     return LiftedStatement(lifted, tuple(sources), shape)
 
 
-# ---------------------------------------------------------------------------
-# SQL normalization (plan-cache keys)
-# ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=LIFT_CACHE_SIZE)
+def parse_lifted(sql: str) -> Tuple[SelectStmt, LiftedStatement]:
+    """The parsed statement of ``sql`` and its :func:`lift`, memoized.
 
-
-def normalize_sql(sql: str) -> str:
-    """A whitespace/case-insensitive canonical form of ``sql``.
-
-    Re-serializes the token stream: keywords and identifiers are already
-    lower-cased by the lexer, string literals keep their case, comments
-    and whitespace differences disappear.  Two queries with the same
-    normalized form compile to the same plan (given equal catalog
-    versions and engine config), which is exactly what the plan cache
-    keys on.
+    Keyed on the exact text: every front door resolves its text to the
+    plan-cache key through here, so an exact repeat skips the lexer and
+    the parser.  The result is shared by every caller and never
+    mutated (like a prepared statement's, which is shared across its
+    executions).
     """
-    parts: List[str] = []
-    for token in tokenize(sql):
-        if token.kind == "EOF":
-            continue
-        if token.kind == "STRING":
-            parts.append("'" + token.value.replace("'", "''") + "'")
-        else:
-            parts.append(token.value)
-    return " ".join(parts)
+    stmt = parse(sql)
+    return stmt, lift(stmt)

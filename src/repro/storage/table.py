@@ -220,8 +220,9 @@ class Table:
         Only the requested key attributes and annotation buffers are
         materialized (attribute elimination).  Builds with a
         ``row_mask`` (pushed-down selections) happen at plan time and
-        are never cached: their cost is part of the query, as in the
-        paper.
+        never enter this cache: their cost is part of the first query
+        with those literal values, as in the paper (the query shape's
+        plan skeleton memoizes them per value).
         """
         key_order = tuple(key_order)
         cacheable = row_mask is None

@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ExecutionError
+from ..obs import profile as _profile
 from .aggregator import GroupAggregator
 from .codes import reduce_groups, row_values
 from .plan import EngineConfig, NodePlan, RelationBinding
@@ -110,7 +111,6 @@ class NodeExecutor:
         bindings: Sequence[RelationBinding],
         config: Optional[EngineConfig] = None,
         stats: Optional[ExecutionStats] = None,
-        profiler=None,
         cancel=None,
     ):
         self.node = node
@@ -121,9 +121,10 @@ class NodeExecutor:
         #: per frontier step, so a ``cancel()`` or an elapsed deadline
         #: stops the walk at its next step.
         self.cancel = cancel
-        #: optional :class:`repro.obs.KernelProfiler`: receives the wall
-        #: time of the frontier steps per attribute position.
-        self.profiler = profiler
+        #: the calling thread's active :class:`repro.obs.KernelProfiler`
+        #: (None when none is active): receives the wall time of the
+        #: frontier steps per attribute position.
+        self.profiler = _profile.active()
         self.attrs = node.attrs
         n_attrs = len(self.attrs)
         self.last = n_attrs - 1

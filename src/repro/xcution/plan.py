@@ -11,14 +11,21 @@ Planning happens in two steps.  :func:`build_skeleton` does everything
 that depends only on the query's shape -- GHD, attribute orders,
 unfiltered bindings, group fetchers, aggregates -- and leaves out the
 bindings whose selections read a :class:`~repro.sql.ast.Parameter`.
-:meth:`PlanSkeleton.bind` then evaluates those selections with one set
-of literal values, builds just their filtered tries, re-estimates each
-node, and returns a :class:`PhysicalPlan` sharing everything else.
+:meth:`PlanSkeleton.bind` then fills them for one set of literal
+values and returns a :class:`PhysicalPlan` sharing everything else.
+Each parameterized binding memoizes its filtered trie and surviving-row
+count on the values of the parameters its own predicates read, and the
+skeleton memoizes the node estimates on those counts, so a bind
+evaluates predicates and builds tries only for the relations whose own
+values changed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -292,6 +299,37 @@ def _walk_plans(node: NodePlan, depth: int = 0):
 # ---------------------------------------------------------------------------
 
 
+#: values memoized per parameterized binding (and estimate sets per
+#: skeleton): enough for a handful of recurring literal classes to stay
+#: resident while a relation whose literal never repeats churns.
+BIND_MEMO_SIZE = 8
+
+
+class _Memo:
+    """A small LRU; locked, because one skeleton is bound from many threads."""
+
+    def __init__(self):
+        self._items: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, key: Tuple):
+        with self._lock:
+            item = self._items.get(key)
+            if item is not None:
+                self._items.move_to_end(key)
+            return item
+
+    def put(self, key: Tuple, item) -> None:
+        with self._lock:
+            self._items[key] = item
+            self._items.move_to_end(key)
+            while len(self._items) > BIND_MEMO_SIZE:
+                self._items.popitem(last=False)
+
+
 @dataclass
 class _BindingRecipe:
     """Everything to build one relation binding but its selection mask."""
@@ -301,6 +339,11 @@ class _BindingRecipe:
     requests: Tuple[AnnotationRequest, ...]
     vertices: Tuple[str, ...]
     slot_ids: Tuple[str, ...]
+    #: indices of the parameters the relation's selections read (its
+    #: memo key); empty for a binding the skeleton holds
+    params: Tuple[int, ...] = ()
+    #: parameter values -> (RelationBinding, surviving rows)
+    memo: _Memo = field(default_factory=_Memo)
 
 
 @dataclass
@@ -323,9 +366,10 @@ class PlanSkeleton:
     group fetchers, aggregates, layouts, ``domain_versions`` -- except
     the bindings of relations whose selections read a
     :class:`~repro.sql.ast.Parameter`: in ``root`` those positions hold
-    None.  :meth:`bind` fills them for one set of values; it never
-    mutates the skeleton, so any number of threads may bind one
-    skeleton at once.
+    None.  :meth:`bind` fills them for one set of values.  It changes
+    nothing of the skeleton but its lock-protected memos (each
+    parameterized binding's, and ``estimates``), so any number of
+    threads may bind one skeleton at once.
     """
 
     compiled: CompiledQuery
@@ -342,6 +386,10 @@ class PlanSkeleton:
     #: the :class:`~repro.approx.rewrite.ApproxSpec` of a sample plan.
     approx: Optional[object] = None
     nodes: Dict[str, _NodeRecipe] = field(default_factory=dict)
+    #: surviving rows of every relation no bind rebuilds
+    rows: Dict[str, int] = field(default_factory=dict)
+    #: parameterized relations' surviving rows -> node_key -> RowEstimate
+    estimates: _Memo = field(default_factory=_Memo)
 
     is_current = PhysicalPlan.is_current
 
@@ -360,7 +408,7 @@ class PlanSkeleton:
                 self.compiled, self.config, self.ghd, values,
                 tracer=tracer, feedback=self.feedback,
             )
-            root = builder.rebind(root, self.nodes)
+            root = builder.rebind(self)
         return self._plan(root, values)
 
     def _plan(
@@ -458,10 +506,15 @@ def build_skeleton(
     )
     skeleton.mode, skeleton.root = "join", builder.build()
     skeleton.nodes = builder.recipes
+    skeleton.rows = {
+        alias: builder.surviving_rows(alias)
+        for alias in compiled.bound.tables
+        if alias not in builder.parameterized
+    }
     root = skeleton.root
     if skeleton.parameterized:
         # the same builder: the masks the orders were chosen with
-        root = builder.rebind(root, skeleton.nodes)
+        root = builder.rebind(skeleton)
     return skeleton, skeleton._plan(root, values)
 
 
@@ -526,38 +579,89 @@ class _JoinPlanBuilder:
         self.tracer = tracer or NULL_TRACER
         self.feedback = feedback or {}
         self.bound = compiled.bound
-        # vertex -> attribute name, per alias
-        self.attr_of: Dict[str, Dict[str, str]] = {}
-        for (alias, attr_name), vertex in self.bound.vertex_of.items():
-            self.attr_of.setdefault(alias, {})[vertex] = attr_name
-        #: relations whose selections read a parameter: a bind builds
-        #: their bindings, the skeleton holds the rest
-        self.parameterized = {
-            alias
-            for alias, predicates in self.bound.filters.items()
-            if any(collect_parameters(p) for p in predicates)
-        }
         #: node_key -> what a bind redoes for that node
         self.recipes: Dict[str, _NodeRecipe] = {}
         self._child_counter = 0
         self._root_order: Optional[Tuple[str, ...]] = None
         self._mask_cache: Dict[str, Optional[np.ndarray]] = {}
+        self._rows: Dict[str, int] = {}
         self._estimates: Dict[str, RowEstimate] = {}
 
-    def rebind(self, template: NodePlan, recipes: Dict[str, _NodeRecipe]) -> NodePlan:
-        """A copy of a skeleton node tree with this builder's values bound."""
-        recipe = recipes[template.node_key]
-        bindings = list(template.bindings)
-        for position, binding in recipe.bindings.items():
-            bindings[position] = self._materialize(binding)
-        return dataclasses.replace(
-            template,
-            bindings=bindings,
-            children=[self.rebind(child, recipes) for child in template.children],
-            estimate=self._estimate(
-                recipe.node, template.node_key, recipe.materialized_pool
-            ),
+    # the two maps below are derived lazily: a bind whose memos all
+    # hit reads neither
+
+    @functools.cached_property
+    def attr_of(self) -> Dict[str, Dict[str, str]]:
+        """vertex -> attribute name, per alias."""
+        attr_of: Dict[str, Dict[str, str]] = {}
+        for (alias, attr_name), vertex in self.bound.vertex_of.items():
+            attr_of.setdefault(alias, {})[vertex] = attr_name
+        return attr_of
+
+    @functools.cached_property
+    def parameterized(self) -> Dict[str, Tuple[int, ...]]:
+        """Relations whose selections read a parameter -> the indices read:
+        a bind builds their bindings, the skeleton holds the rest."""
+        parameterized: Dict[str, Tuple[int, ...]] = {}
+        for alias, predicates in self.bound.filters.items():
+            indices = sorted(
+                {p.index for predicate in predicates for p in collect_parameters(predicate)}
+            )
+            if indices:
+                parameterized[alias] = tuple(indices)
+        return parameterized
+
+    def rebind(self, skeleton: "PlanSkeleton") -> NodePlan:
+        """A copy of ``skeleton``'s node tree with this builder's values bound.
+
+        Each parameterized binding comes from its memo when its own
+        values repeat (else it is built and memoized), and the node
+        estimates from the skeleton's memo when the surviving-row counts
+        repeat -- so unchanged values evaluate no predicate.
+        """
+        self._rows.update(skeleton.rows)
+        bound = {
+            node_key: {
+                position: self._bind(recipe)
+                for position, recipe in node.bindings.items()
+            }
+            for node_key, node in skeleton.nodes.items()
+        }
+        counts = tuple(
+            self._rows[recipe.alias]
+            for node in skeleton.nodes.values()
+            for recipe in node.bindings.values()
         )
+        estimates = skeleton.estimates.get(counts)
+        if estimates is None:
+            estimates = {
+                node_key: self._estimate(node.node, node_key, node.materialized_pool)
+                for node_key, node in skeleton.nodes.items()
+            }
+            skeleton.estimates.put(counts, estimates)
+
+        def copy(template: NodePlan) -> NodePlan:
+            bindings = list(template.bindings)
+            for position, binding in bound[template.node_key].items():
+                bindings[position] = binding
+            return dataclasses.replace(
+                template,
+                bindings=bindings,
+                children=[copy(child) for child in template.children],
+                estimate=estimates[template.node_key],
+            )
+
+        return copy(skeleton.root)
+
+    def _bind(self, recipe: _BindingRecipe) -> RelationBinding:
+        """A parameterized binding for this builder's values, memoized."""
+        key = tuple(self.values[i] for i in recipe.params)
+        memoized = recipe.memo.get(key)
+        if memoized is None:
+            memoized = self._materialize(recipe), self.surviving_rows(recipe.alias)
+            recipe.memo.put(key, memoized)
+        binding, self._rows[recipe.alias] = memoized
+        return binding
 
     # -- top level -----------------------------------------------------------
 
@@ -825,11 +929,20 @@ class _JoinPlanBuilder:
 
     def _edge_rows(self, edge: Hyperedge) -> int:
         """One edge's row count after pushed-down selections."""
-        table = self.bound.tables.get(edge.alias)
-        if table is None:
+        if edge.alias not in self.bound.tables:
             return int(edge.cardinality)
-        mask = self._filter_mask(edge.alias)
-        return int(mask.sum()) if mask is not None else int(table.num_rows)
+        return self.surviving_rows(edge.alias)
+
+    def surviving_rows(self, alias: str) -> int:
+        """A relation's row count after its pushed-down selections."""
+        rows = self._rows.get(alias)
+        if rows is None:
+            mask = self._filter_mask(alias)
+            rows = self._rows[alias] = (
+                int(mask.sum()) if mask is not None
+                else int(self.bound.tables[alias].num_rows)
+            )
+        return rows
 
     # -- cardinality estimates ------------------------------------------------
 
@@ -841,8 +954,7 @@ class _JoinPlanBuilder:
             return EdgeStats(
                 alias, tuple(edge.vertices), card, {v: card for v in edge.vertices}
             )
-        mask = self._filter_mask(alias)
-        card = float(int(mask.sum()) if mask is not None else table.num_rows)
+        card = float(self.surviving_rows(alias))
         vertex_to_attr = self.attr_of.get(alias, {})
         distinct = {}
         for vertex in edge.vertices:
@@ -903,6 +1015,7 @@ class _JoinPlanBuilder:
             vertices=vertices
             + tuple(f"__elim_{alias}_{k}" for k in key_order[len(vertices):]),
             slot_ids=tuple(slot_ids),
+            params=self.parameterized.get(alias, ()),
         )
 
     def _materialize(self, recipe: _BindingRecipe) -> RelationBinding:

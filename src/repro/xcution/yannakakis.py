@@ -20,6 +20,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..la import blas
 from ..obs import NULL_TRACER
+from ..obs import profile as _profile
 from ..sql.ast import ColumnRef
 from ..sql.expressions import evaluate
 from ..storage.table import AnnotationRequest
@@ -65,7 +66,6 @@ def execute_plan(
     plan: PhysicalPlan,
     stats: Optional[ExecutionStats] = None,
     tracer=None,
-    profiler=None,
     cancel=None,
     memory_budget_bytes=_UNSET,
 ) -> RawResult:
@@ -74,10 +74,9 @@ def execute_plan(
     ``stats`` (optional) accumulates executor counters for
     EXPLAIN ANALYZE; scan and BLAS plans leave it untouched.
     ``tracer`` (optional, a :class:`repro.obs.Tracer`) records one span
-    per GHD node with its scoped counters and chosen order.  ``profiler`` (optional, a :class:`repro.obs.KernelProfiler`)
-    attributes join execution per trie level and kernel; the caller is
-    responsible for also activating it (``repro.obs.activate``) so the
-    set/trie hot-path hooks see it.  ``cancel`` (optional, a
+    per GHD node with its scoped counters and chosen order.  The calling
+    thread's active kernel profiler (``repro.obs.activate``), if any,
+    attributes join execution per trie level and kernel.  ``cancel`` (optional, a
     :class:`repro.core.governor.CancelToken`) is polled between and
     inside the node passes, so a deadline or ``cancel()`` stops the plan
     at chunk granularity.  ``memory_budget_bytes`` overrides the plan
@@ -110,7 +109,8 @@ def execute_plan(
                 budget = min(budget, config.memory_budget_bytes)
             if budget != config.memory_budget_bytes:
                 config = replace(config, memory_budget_bytes=budget)
-        aggregator = _execute_node(plan.root, config, stats, tracer, profiler, cancel)
+        profiler = _profile.active()
+        aggregator = _execute_node(plan.root, config, stats, tracer, cancel)
         start = time.perf_counter() if profiler is not None else 0.0
         key_columns, matrix = aggregator.result_arrays()
         if profiler is not None:
@@ -162,13 +162,13 @@ def _execute_node(
     config: EngineConfig,
     stats: Optional[ExecutionStats] = None,
     tracer=NULL_TRACER,
-    profiler=None,
     cancel=None,
 ):
     child_bindings = [
-        _materialize_child(child, config, stats, tracer, profiler, cancel)
+        _materialize_child(child, config, stats, tracer, cancel)
         for child in node.children
     ]
+    profiler = _profile.active()
     if cancel is not None:
         cancel.check()
     with tracer.span("node.execute") as span:
@@ -178,7 +178,6 @@ def _execute_node(
             list(node.bindings) + child_bindings,
             config,
             stats=stats,
-            profiler=profiler,
             cancel=cancel,
         )
         if profiler is not None:
@@ -207,7 +206,6 @@ def _materialize_child(
     config: EngineConfig,
     stats: Optional[ExecutionStats] = None,
     tracer=NULL_TRACER,
-    profiler=None,
     cancel=None,
 ) -> RelationBinding:
     """Run a child node and wrap its result as a trie-backed relation."""
@@ -215,9 +213,10 @@ def _materialize_child(
         raise ExecutionError(
             "child GHD node shares no vertex with its parent (disconnected plan)"
         )
-    aggregator = _execute_node(child, config, stats, tracer, profiler, cancel)
+    aggregator = _execute_node(child, config, stats, tracer, cancel)
     if cancel is not None:
         cancel.check()
+    profiler = _profile.active()
     start = time.perf_counter() if profiler is not None else 0.0
     key_columns, matrix = aggregator.result_arrays()
     if profiler is not None:

@@ -25,9 +25,10 @@ import pytest
 from repro import LevelHeadedEngine
 from repro.core.governor import Governor
 from repro.core.plan_cache import HIT, MISS, REOPTIMIZED, PlanCache
+from repro.core.prepared import PlanSource
 from repro.datasets import SKEWED_QUERIES, generate_skewed
 from repro.datasets.tpch.queries import Q5
-from repro.errors import RetryableAdmissionError
+from repro.errors import QueryTimeoutError, RetryableAdmissionError
 from repro.optimizer.feedback import (
     DRIFT_CONSECUTIVE_RUNS,
     Q_ERROR_DRIFT_THRESHOLD,
@@ -84,9 +85,9 @@ def test_q_error_is_symmetric_and_floored():
 def test_measure_pairs_estimates_with_actuals(skewed_catalog):
     engine = LevelHeadedEngine(skewed_catalog)
     result = engine.query(SKEWED_SQL, collect_stats=True)
-    measured = measure(engine.plan_cache.lookup(
-        engine._plan_key(SKEWED_SQL, engine.config), engine.catalog
-    )[0], result.stats.node_rows)
+    source = PlanSource(engine, SKEWED_SQL)
+    skeleton, _ = engine.plan_cache.lookup(source.key(engine.config), engine.catalog)
+    measured = measure(skeleton.bind(source.lifted()[1]), result.stats.node_rows)
     assert isinstance(measured, QueryFeedback)
     keys = {nf.node_key for nf in measured.nodes}
     assert keys == set(result.stats.node_rows)
@@ -196,6 +197,36 @@ def test_explain_analyze_reports_per_node_q_error(skewed_catalog):
     assert doc["stats"]["q_error_max"] == doc["feedback"]["q_error_max"]
 
 
+def test_failed_rebuild_keeps_the_entry_drifted(skewed_catalog):
+    """A corrected rebuild that dies (a deadline firing in a trie build)
+    must not leave the uncorrected skeleton answering as if re-optimized:
+    the entry stays drifted and the next call rebuilds."""
+    engine = LevelHeadedEngine(skewed_catalog)
+    runs = [
+        engine.query(SKEWED_SQL, collect_stats=True)
+        for _ in range(DRIFT_CONSECUTIVE_RUNS)
+    ]
+    real = engine._compile_skeleton
+    calls = []
+
+    def dying(*args, **kwargs):
+        calls.append(args)
+        raise QueryTimeoutError("deadline fired while building a trie")
+
+    engine._compile_skeleton = dying
+    with pytest.raises(QueryTimeoutError):
+        engine.query(SKEWED_SQL)
+    assert len(calls) == 1
+    engine._compile_skeleton = real
+    fifth = engine.query(SKEWED_SQL, collect_stats=True)
+    assert fifth.stats.plan_reoptimizations == 1
+    assert fifth.stats.q_error_max < runs[0].stats.q_error_max
+    assert _columns(fifth) == _columns(runs[0])
+    assert "[feedback-corrected]" in engine.explain(SKEWED_SQL)
+    (entry,) = engine.plan_cache.feedback_snapshot()
+    assert entry["reoptimized"] == 1 and not entry["drifted"]
+
+
 def test_reoptimized_explain_marks_corrected_nodes(skewed_catalog):
     engine = LevelHeadedEngine(skewed_catalog)
     for _ in range(DRIFT_CONSECUTIVE_RUNS + 1):
@@ -261,7 +292,7 @@ def test_drifted_entry_not_cached_for_admission(skewed_catalog):
     """peek() treats a drifted entry as non-cached: it will recompile."""
     engine = LevelHeadedEngine(skewed_catalog)
     engine.plan_cache = PlanCache(64, q_error_threshold=0.5, drift_runs=1)
-    key = engine._plan_key(SKEWED_SQL, engine.config)
+    key = PlanSource(engine, SKEWED_SQL).key(engine.config)
     engine.query(SKEWED_SQL)
     assert engine.plan_cache.peek(key, engine.catalog) is False
     plan, outcome = engine.plan_cache.lookup(key, engine.catalog)

@@ -34,6 +34,7 @@ from repro import (
     retry_admission,
 )
 from repro.core.governor import Governor
+from repro.core.prepared import PlanSource
 from tests.conftest import CYCLE4_SQL, SLOW_GRAPH, graph_catalog, on_threads
 
 TRIANGLE_SQL = (
@@ -296,7 +297,7 @@ def test_plan_cache_peek_does_not_count_or_touch():
     engine = LevelHeadedEngine(graph_catalog(40, 300))
     engine.query(DEGREE_SQL)
     hits = engine.plan_cache.stats.hits
-    key = engine._plan_key(DEGREE_SQL, engine.config)
+    key = PlanSource(engine, DEGREE_SQL).key(engine.config)
     assert engine.plan_cache.peek(key, engine.catalog) is True
     assert engine.plan_cache.stats.hits == hits  # peek is not a hit
     assert engine.plan_cache.peek(("nope", (), ()), engine.catalog) is False

@@ -209,7 +209,11 @@ def test_trace_cache_hit_skips_compile_spans(engine):
     root = result.trace
     lookup = root.find("plan_cache.lookup")
     assert lookup.payload["outcome"] == "hit"
-    assert root.find("parse") is None
+    # the text resolves through the parse memo; bind, translate and
+    # planning are skipped
+    for phase in ("bind", "translate", "physical_plan"):
+        assert root.find(phase) is None
+    assert root.find("plan.bind") is not None
     assert root.find("execute") is not None
 
 

@@ -193,13 +193,16 @@ def test_cache_keys_on_config_fingerprint(mini_tpch):
 
 
 def test_cache_keys_on_param_values(mini_tpch):
+    # the key holds the values' types, not the values: every value set
+    # binds the one skeleton of the statement's shape
     engine = LevelHeadedEngine(mini_tpch)
     stmt = engine.prepare(Q_QTY.format("?"))
     stmt.execute([7])
     stmt.execute([9])
     stmt.execute([7])
-    assert engine.plan_cache.stats.misses == 2
-    assert engine.plan_cache.stats.hits == 1
+    assert engine.plan_cache.stats.misses == 1
+    assert engine.plan_cache.stats.hits == 2
+    assert len(engine.plan_cache) == 1
     assert stmt.recompiles == 0
 
 

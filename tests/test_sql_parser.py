@@ -22,6 +22,7 @@ from repro.sql import (
     parse,
     tokenize,
 )
+from repro.sql.params import parse_lifted
 from repro.storage import parse_date
 
 # ---------------------------------------------------------------------------
@@ -57,10 +58,14 @@ def test_tokenize_unknown_character():
             tokenize("select @")
 
 
-def test_tokenize_returns_an_immutable_shared_result():
-    first = tokenize("select a from t")
-    assert isinstance(first, tuple)
-    assert tokenize("select a from t") is first
+def test_parse_lifted_returns_a_shared_result():
+    # the query path's text memo: an exact repeat is not lexed again,
+    # and every caller shares one (immutable) lifted statement
+    first = parse_lifted("select a from t where a < 3")
+    assert isinstance(tokenize("select a from t"), tuple)
+    assert parse_lifted("select a from t where a < 3") is first
+    stmt, lifted = first
+    assert lifted.sources == (Literal(3, "number"),)
 
 
 # ---------------------------------------------------------------------------
