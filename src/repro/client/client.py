@@ -7,11 +7,11 @@ take the write lock, so another thread can kill an in-flight query on
 the same connection (that is the whole point of running queries on
 server-side worker threads).
 
-Row batches are reassembled into a real
+Column chunks are reassembled into a real
 :class:`~repro.core.result.ResultTable`: the ``result_header`` frame
-carries per-column dtype tags, so numeric columns come back as
-``int64``/``float64`` arrays exactly like the in-process engine
-produced them, not as JSON-shaped lists.
+carries each column's ``np.dtype.str``, so every column comes back
+with exactly the dtype the in-process engine produced (``<U18``
+strings included), not as JSON-shaped lists.
 
 ``query(..., trace=True)`` works like the in-process engine's: the
 client mints a trace context, the server adopts it and returns its
@@ -29,9 +29,7 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from ..core.governor import CancelToken, QueryHandle
 from ..core.result import ResultTable
@@ -40,34 +38,20 @@ from ..obs import Span, span_from_wire
 from ..storage.persist import attribute_to_dict
 from ..xcution.stats import ExecutionStats
 from ..server.protocol import (
+    CHUNK_CELLS,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
+    decode_columns,
+    encode_columns,
     read_frame,
     write_frame,
 )
 
 __all__ = ["ReproClient", "RemoteStatement", "connect"]
 
-#: dtype tag -> numpy dtype used to rebuild result columns.
-_TAG_DTYPES = {"int": np.int64, "float": np.float64, "bool": np.bool_}
-
 #: client-minted trace ids (``t<pid>-<n>``), mirroring server query ids.
 _TRACE_COUNTER = itertools.count(1)
-
-
-def _rebuild_result(names: List[str], dtypes: List[str], rows: List[list]) -> ResultTable:
-    columns = []
-    for index, tag in enumerate(dtypes):
-        values = [row[index] for row in rows]
-        dtype = _TAG_DTYPES.get(tag)
-        if dtype is None:
-            column = np.empty(len(values), dtype=object)
-            column[:] = values
-        else:
-            column = np.array(values, dtype=dtype)
-        columns.append(column)
-    return ResultTable(names, columns)
 
 
 class RemoteStatement:
@@ -339,51 +323,42 @@ class ReproClient:
                 raise ProtocolError(f"expected prepared frame, got {frame['type']!r}")
             return RemoteStatement(self, frame["stmt"], frame["params"])
 
-    def register_table(self, table, chunk_cells: int = 100_000) -> int:
+    def register_table(self, table) -> int:
         """Ship a :class:`~repro.storage.table.Table` to the server.
 
         The shard coordinator's data-distribution path: the table goes
-        over as a ``register_partition`` chunk sequence (each chunk
-        bounded to roughly ``chunk_cells`` cells so no frame approaches
-        the frame limit), the server reassembles it with exact dtypes
-        and registers it with its engine's catalog.  Returns the row
-        count the server registered.
+        over as a ``register_partition`` sequence of column chunks (each
+        roughly :data:`~repro.server.protocol.CHUNK_CELLS` cells, so no
+        frame approaches the frame limit), the server rebuilds it with
+        exact dtypes and registers it with its engine's catalog.
+        Returns the row count the server registered.
         """
-        names = [a.name for a in table.schema.attributes]
-        frame0 = {
-            "schema": [attribute_to_dict(a) for a in table.schema.attributes],
-            "dtypes": {
-                name: np.asarray(table.columns[name]).dtype.str for name in names
-            },
-        }
-        lists = {name: np.asarray(table.columns[name]).tolist() for name in names}
-        n = table.num_rows
-        step = max(1, chunk_cells // max(1, len(names)))
+        attributes = table.schema.attributes
+        dtypes, chunks = encode_columns(
+            {a.name: table.columns[a.name] for a in attributes},
+            max(1, CHUNK_CELLS // max(1, len(attributes))),
+        )
+        chunks = list(chunks)
         with self._exchange_lock:
             self._ensure_open()
-            seq, start = 0, 0
-            while True:
+            for seq, chunk in enumerate(chunks):
                 frame: Dict = {
                     "type": "register_partition",
                     "table": table.schema.name,
                     "seq": seq,
-                    "last": start + step >= n,
-                    "columns": {
-                        name: lists[name][start : start + step] for name in names
-                    },
+                    "last": seq == len(chunks) - 1,
+                    "columns": chunk,
                 }
                 if seq == 0:
-                    frame.update(frame0)
+                    frame["schema"] = [attribute_to_dict(a) for a in attributes]
+                    frame["dtypes"] = dtypes
                 self._write(frame)
                 reply = self._read_for(None)
                 if reply["type"] != "registered":
                     raise ProtocolError(
                         f"expected registered frame, got {reply['type']!r}"
                     )
-                if reply.get("complete"):
-                    return int(reply.get("rows") or 0)
-                seq += 1
-                start += step
+            return int(reply.get("rows") or 0)
 
     def cancel(self, qid: int, reason: str = "cancelled by client") -> None:
         """Ask the server to kill in-flight query ``qid`` (thread-safe)."""
@@ -561,14 +536,15 @@ class ReproClient:
         if frame["type"] != "result_header":
             raise ProtocolError(f"expected result_header frame, got {frame['type']!r}")
         names: List[str] = frame["names"]
-        dtypes: List[str] = frame["dtypes"]
-        rows: List[list] = []
+        dtypes: Dict[str, str] = frame["dtypes"]
+        chunks: List[Dict] = []
         while True:
             frame = self._read_for(qid)
             if frame["type"] == "batch":
-                rows.extend(frame["rows"])
+                chunks.append(frame["columns"])
             elif frame["type"] == "done":
-                return _rebuild_result(names, dtypes, rows), frame
+                columns = decode_columns(dtypes, chunks)
+                return ResultTable(names, [columns[name] for name in names]), frame
             else:
                 raise ProtocolError(
                     f"expected batch/done frame, got {frame['type']!r}"

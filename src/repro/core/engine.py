@@ -491,8 +491,9 @@ class LevelHeadedEngine:
     ) -> Union[str, Dict]:
         """Describe the chosen plan: GHD, attribute orders, costs.
 
-        With ``analyze=True`` the query also executes and the output
-        includes the executor's deterministic work counters
+        With ``analyze=True`` the query also executes, through the same
+        lifecycle as :meth:`query` (admission, deadline, flight record),
+        and the output includes the executor's deterministic work counters
         (intersections performed, values iterated in Python loops,
         kernel invocations, ...) plus the plan-cache outcome.
         ``format`` is ``"text"`` (one printable block) or ``"json"``
@@ -526,8 +527,9 @@ class LevelHeadedEngine:
     ) -> ResultTable:
         """The one query lifecycle behind every front door.
 
-        ``query``, ``execute``, ``PreparedStatement.execute`` and the
-        shard coordinator's ``query`` all run these steps, in this order:
+        ``query``, ``execute``, ``PreparedStatement.execute``, an
+        analyzed ``explain`` and the shard coordinator's ``query`` all
+        run these steps, in this order:
         cancel token, tracer, ``query_id``, in-flight registration,
         admission (with the degrade-to-approximate rung), the timed
         cached compile, the run, then the bookkeeping tail (q-error
@@ -1154,19 +1156,14 @@ class LevelHeadedEngine:
         trace_root = None
         measured = None
         if analyze:
-            stats = ExecutionStats()
+            # the one query lifecycle: admission, deadline, in-flight
+            # registry and flight record apply to an analyzed explain too
+            result = self._run_query(
+                None, plan.config, plan=plan, collect_stats=True, trace=True
+            )
+            stats, trace_root = result.stats, result.trace
             self._note_cache_outcome(stats, outcome)
-            tracer = Tracer()
-            with tracer.span("query"):
-                with tracer.span("execute") as span:
-                    snapshot = stats.snapshot()
-                    raw = execute_plan(plan, stats=stats, tracer=tracer)
-                    span.set(mode=plan.mode, rows=raw.num_rows)
-                    span.stats = stats.delta_since(snapshot)
-                with tracer.span("decode"):
-                    result = self._decode(plan.compiled, plan, raw)
-            trace_root = tracer.root
-            measured, _ = self._record_feedback(plan, stats, None)
+            measured = measure(plan, stats.node_rows)
         cache = self.plan_cache.stats
         if format == "json":
             plan_nodes = plan.node_summaries()

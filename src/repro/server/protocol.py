@@ -5,9 +5,16 @@ bytes of UTF-8 JSON encoding a single object with a ``type`` field.
 The format is deliberately boring -- any language with sockets and JSON
 can speak it -- and bounded: a peer announcing a frame larger than
 ``max_frame_bytes`` is cut off before a single payload byte is read, so
-a malicious or broken client cannot balloon server memory.  Results
-stream back in bounded row batches (``batch`` frames) for the same
-reason: a billion-row result never materializes as one frame.
+a malicious or broken client cannot balloon server memory.
+
+Tables cross the wire in one encoding, whichever way they travel
+(query results, shard partials, ``register_partition`` uploads): the
+exact ``np.dtype.str`` tag of every column, sent once, and then
+column chunks ``{name: values[start:stop]}`` of plain JSON lists
+(:func:`encode_columns` / :func:`decode_columns`).  A rebuilt column has
+the sender's dtype -- ``<U18`` stays ``<U18``, int64 above 2**53 and
+NaN/+-inf survive -- and every chunk is bounded, so a billion-row
+result never materializes as one frame.
 
 Request types (client -> server)::
 
@@ -27,8 +34,8 @@ Request types (client -> server)::
 Response types (server -> client)::
 
     hello         {version, server, session, batch_rows, feedback}
-    result_header {qid, names, dtypes}
-    batch         {qid, rows}                   -- row-major, <= batch_rows
+    result_header {qid, names, dtypes}          -- dtypes: {name: dtype.str}
+    batch         {qid, columns}                -- one chunk, <= batch_rows
     done          {qid, rows, elapsed_ms, query_id?, approx?, stats?, trace?}
     explain       {qid, text}
     prepared      {stmt, params}
@@ -63,11 +70,10 @@ keys + raw partial aggregates, no finalization -- see
 :mod:`repro.xcution.finalize`), and ``query_id`` overrides the
 server-minted correlation id so one id spans the coordinator and every
 shard's flight entry.  ``register_partition`` uploads one table slice
-as a chunk sequence (bounded by the frame limit like everything else);
+as a sequence of column chunks of at most :data:`CHUNK_CELLS` cells;
 ``schema`` is the persisted-catalog attribute form
-(:func:`repro.storage.persist.attribute_to_dict`) and ``dtypes`` maps
-column names to ``np.dtype.str`` tags so the receiver rebuilds
-byte-identical columns.
+(:func:`repro.storage.persist.attribute_to_dict`) and ``dtypes`` is the
+same ``{name: dtype.str}`` map a ``result_header`` carries.
 
 ``approx`` on a query/execute request selects the approximate-query
 policy for that statement (``"never"`` / ``"allow"`` / ``"force"``, or
@@ -81,15 +87,18 @@ servers ignore it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
-from typing import BinaryIO, Dict, Optional
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .. import errors as _errors
 from ..errors import ReproError, error_to_wire
 
 #: protocol version spoken by this module (bumped on breaking changes).
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: hard ceiling on a single frame, requests and responses alike.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -97,6 +106,10 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: default rows per ``batch`` frame (servers may lower, never raise,
 #: what the client asks for).
 DEFAULT_BATCH_ROWS = 1024
+
+#: cells per ``register_partition`` chunk, keeping uploads far below
+#: the frame limit.
+CHUNK_CELLS = 100_000
 
 _LENGTH = struct.Struct("!I")
 
@@ -167,6 +180,51 @@ def read_frame(stream: BinaryIO, max_frame_bytes: int = MAX_FRAME_BYTES) -> Opti
     if not isinstance(message, dict) or not isinstance(message.get("type"), str):
         raise ProtocolError("frame payload must be an object with a string 'type'")
     return message
+
+
+def encode_columns(
+    columns: Mapping[str, np.ndarray], rows_per_chunk: int
+) -> Tuple[Dict[str, str], Iterator[Dict[str, List]]]:
+    """The wire form of a table: ``(dtype tags, column chunks)``.
+
+    The tags map each name to its ``np.dtype.str``; the chunks are
+    ``{name: values[start:stop]}`` dicts of at most ``rows_per_chunk``
+    rows, produced lazily by ``tolist`` (one C loop per column slice,
+    never a Python loop per cell).  There is always at least one chunk,
+    so a zero-row table still makes one frame.
+    """
+    arrays = {name: np.asarray(column) for name, column in columns.items()}
+    tags = {name: array.dtype.str for name, array in arrays.items()}
+    n = len(next(iter(arrays.values()))) if arrays else 0
+
+    def chunks() -> Iterator[Dict[str, List]]:
+        for start in range(0, max(n, 1), rows_per_chunk):
+            stop = start + rows_per_chunk
+            yield {name: array[start:stop].tolist() for name, array in arrays.items()}
+
+    return tags, chunks()
+
+
+def decode_columns(
+    dtypes: Mapping[str, str], chunks: Iterable[Mapping[str, List]]
+) -> Dict[str, np.ndarray]:
+    """Rebuild the columns :func:`encode_columns` sent, dtypes exact.
+
+    Raises :class:`ProtocolError` on a missing or unknown dtype tag, a
+    chunk without one of the tagged columns, or values the tag cannot
+    hold.
+    """
+    try:
+        chunks = list(chunks)
+        columns = {}
+        for name, tag in dtypes.items():
+            if not isinstance(tag, str):  # np.dtype(None) would mean float64
+                raise TypeError(f"column {name!r} has dtype tag {tag!r}")
+            values = itertools.chain.from_iterable(chunk[name] for chunk in chunks)
+            columns[name] = np.array(list(values), dtype=np.dtype(tag))
+        return columns
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"malformed column chunks: {exc!r}") from exc
 
 
 def error_frame(exc: BaseException, qid: Optional[int] = None) -> Dict:

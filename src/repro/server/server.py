@@ -36,8 +36,6 @@ import threading
 import time
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from ..core.governor import admission_scope
 from ..errors import ReproError
 from ..obs import span_to_wire
@@ -47,6 +45,7 @@ from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
+    encode_columns,
     error_frame,
     read_frame,
     write_frame,
@@ -56,16 +55,6 @@ from .session import Session
 __all__ = ["ReproServer"]
 
 logger = logging.getLogger("repro.server")
-
-#: dtype tags sent in ``result_header`` frames; the client rebuilds
-#: columns with the matching numpy dtype so a served result is
-#: structurally identical to the in-process one.
-_DTYPE_TAGS = {"i": "int", "u": "int", "f": "float", "b": "bool"}
-
-
-def _dtype_tag(array) -> str:
-    return _DTYPE_TAGS.get(np.asarray(array).dtype.kind, "str")
-
 
 class _ConnectionHandler(socketserver.StreamRequestHandler):
     """One client connection: handshake, frame loop, teardown."""
@@ -302,24 +291,22 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
     def _stream_result(
         self, server, qid: int, result, t0: float, trace_ctx: Optional[Dict] = None
     ) -> None:
-        """Send header, bounded row batches, and the final ``done``."""
+        """Send header, bounded column chunks, and the final ``done``."""
         names = list(result.names)
-        dtypes = [_dtype_tag(result.columns[name]) for name in names]
+        dtypes, chunks = encode_columns(
+            {name: result.columns[name] for name in names}, server.batch_rows
+        )
         if not self._send(
             {"type": "result_header", "qid": qid, "names": names, "dtypes": dtypes}
         ):
             return
-        rows = result.to_rows()
-        step = server.batch_rows
-        for start in range(0, len(rows), step):
-            if not self._send(
-                {"type": "batch", "qid": qid, "rows": rows[start : start + step]}
-            ):
+        for chunk in chunks:
+            if not self._send({"type": "batch", "qid": qid, "columns": chunk}):
                 return  # client went away mid-stream
         done = {
             "type": "done",
             "qid": qid,
-            "rows": len(rows),
+            "rows": result.num_rows,
             "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3),
         }
         if getattr(result, "query_id", None):

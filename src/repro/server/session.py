@@ -20,14 +20,13 @@ import threading
 import time
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..core.governor import CancelToken
 from ..core.prepared import PreparedStatement
 from ..errors import ReproError, SchemaError
 from ..storage.persist import attribute_from_dict
 from ..storage.schema import Schema
 from ..storage.table import Table
+from .protocol import decode_columns
 
 __all__ = ["Session"]
 
@@ -45,7 +44,7 @@ class Session:
         self._next_stmt = 1
         self._inflight: Dict[int, CancelToken] = {}
         #: in-progress ``register_partition`` uploads, keyed by table
-        #: name: schema + accumulated column chunks until ``last``.
+        #: name: schema, dtype tags and the column chunks until ``last``.
         self._partitions: Dict[str, Dict] = {}
         self._closed = False
         #: queries this session started (reported at close).
@@ -95,7 +94,7 @@ class Session:
         A table upload is a sequence of chunks (``seq`` 0, 1, ...; the
         first carries the schema and per-column dtype tags) ending with
         ``last: true``.  Chunks accumulate session-side; on the last one
-        the columns are assembled into a :class:`Table` with its exact
+        the chunks are decoded into a :class:`Table` with its exact
         dtypes and the buffer is dropped.  Returns None for
         intermediate chunks.  A broken upload (bad sequence, unknown
         dtype) raises and discards the buffer, so a retry can restart
@@ -118,7 +117,7 @@ class Session:
                     state = {
                         "schema": frame.get("schema"),
                         "dtypes": frame.get("dtypes") or {},
-                        "columns": {},
+                        "chunks": [],
                         "seq": 0,
                     }
                     self._partitions[name] = state
@@ -128,8 +127,7 @@ class Session:
                         f"got seq {seq}, expected {state['seq']}"
                     )
                 state["seq"] += 1
-                for column, values in (frame.get("columns") or {}).items():
-                    state["columns"].setdefault(column, []).extend(values)
+                state["chunks"].append(frame.get("columns") or {})
                 if not frame.get("last"):
                     return None
                 state = self._partitions.pop(name)
@@ -204,8 +202,8 @@ class Session:
 def _assemble_partition(name: str, state: Dict) -> Table:
     """Rebuild a Table from accumulated ``register_partition`` chunks.
 
-    Columns are rebuilt with the *exact* dtype the sender recorded
-    (``np.dtype.str`` round-trips through JSON), so a shipped partition
+    :func:`~repro.server.protocol.decode_columns` rebuilds each column
+    with the *exact* dtype the sender recorded, so a shipped partition
     is structurally identical to the sender's slice -- dictionary
     coding, dense-matrix detection, and BLAS routing behave on the
     worker exactly as they would have on the coordinator.
@@ -214,17 +212,8 @@ def _assemble_partition(name: str, state: Dict) -> Table:
     if not isinstance(schema_dicts, list) or not schema_dicts:
         raise SchemaError(f"partition upload for {name!r} carried no schema")
     attributes = [attribute_from_dict(d) for d in schema_dicts]
-    dtypes = state.get("dtypes") or {}
-    columns = {}
-    for attribute in attributes:
-        values = state["columns"].get(attribute.name, [])
-        tag = dtypes.get(attribute.name)
-        try:
-            dtype = np.dtype(tag) if tag else None
-        except TypeError as exc:
-            raise SchemaError(
-                f"partition upload for {name!r}: bad dtype {tag!r} "
-                f"for column {attribute.name!r}"
-            ) from exc
-        columns[attribute.name] = np.array(values, dtype=dtype)
-    return Table(Schema(name, attributes), columns)
+    columns = decode_columns(state["dtypes"], state["chunks"])
+    missing = [a.name for a in attributes if a.name not in columns]
+    if missing:
+        raise SchemaError(f"partition upload for {name!r} lacks columns {missing}")
+    return Table(Schema(name, attributes), {a.name: columns[a.name] for a in attributes})

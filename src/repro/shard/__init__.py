@@ -4,7 +4,7 @@
 :class:`ShardCoordinator`: registered relations partition by
 leading-attribute hash across N worker processes (each a full engine
 behind the ordinary frame protocol -- :mod:`repro.shard.worker`),
-compiled plans scatter in partial mode, and per-shard row batches
+compiled plans scatter in partial mode, and per-shard column chunks
 gather through a semiring-aware merge (:mod:`repro.shard.merge`) plus
 the exact finalization a single-process run applies
 (:mod:`repro.xcution.finalize`) -- which is what makes sharded answers

@@ -17,7 +17,7 @@ plan:
     Every partitioned alias joins through the partition domain (or
     there is at most one partitioned alias, which any row split
     satisfies) and every aggregate has a mergeable partial form.  The
-    SQL fans out to all workers in ``partial`` mode; row batches gather
+    SQL fans out to all workers in ``partial`` mode; column chunks gather
     into a semiring merge (:mod:`repro.shard.merge`) and finalize once
     (:mod:`repro.xcution.finalize`).
 ``single``
@@ -45,8 +45,6 @@ from __future__ import annotations
 import functools
 import threading
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..core.governor import CancelToken, QueryHandle
 from ..core.prepared import PlanSource
@@ -407,32 +405,24 @@ class ShardCoordinator:
         return result, shard_stats, shard_traces
 
     def _restore_native_dtypes(self, plan, result) -> None:
-        """Rebuild wire-decoded string columns with their local dtypes.
+        """Widen decoded key columns to the coordinator's dictionary dtype.
 
-        JSON framing flattens numpy string columns to object arrays and
-        forgets their width, but a serial run decodes group keys by
-        fancy-indexing the domain dictionary -- inheriting its dtype.
-        The coordinator compiled against the same catalog, so it can
-        restore exactly that dtype and keep single-routed results
+        Columns arrive with the worker's exact dtypes, but a serial run
+        decodes group keys by fancy-indexing the domain dictionary, and a
+        worker's dictionary holds only its own shard's values, so it can
+        be narrower (``<U5`` where the coordinator's is ``<U7``).  The
+        coordinator compiled against the full catalog, so one ``astype``
+        to its dictionary's dtype keeps single-routed results
         byte-identical to serial ones.
         """
         exprs = dict(plan.compiled.output_columns)
         for name in result.names:
-            column = np.asarray(result.columns[name])
-            if column.dtype != object:
-                continue
             expr = exprs.get(name)
-            native = (
-                _decoded_dtype(plan.compiled, plan, expr.name)
-                if isinstance(expr, ColumnRef)
-                else None
-            )
-            strings = [str(v) for v in column.tolist()]
-            result.columns[name] = (
-                np.array(strings, dtype=native)
-                if native is not None
-                else np.array(strings)
-            )
+            if not isinstance(expr, ColumnRef):
+                continue
+            native = _decoded_dtype(plan.compiled, plan, expr.name)
+            if native is not None:
+                result.columns[name] = result.columns[name].astype(native, copy=False)
 
     def prepare(self, sql: str, config=None) -> ShardStatement:
         """Validate ``sql`` now; executions route through :meth:`query`."""

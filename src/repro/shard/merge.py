@@ -20,6 +20,9 @@ deterministic regardless of shard count or arrival order.  The caller
 then applies :func:`repro.xcution.finalize.finalize_result` exactly
 once -- the same code path a single-process run takes after executing
 locally -- which is what makes sharded answers byte-identical.
+Partials cross the wire as typed column chunks, so string keys arrive
+as numpy strings; the one dtype repair left is widening a key decoded
+through a worker's narrower shard-local dictionary (:func:`_decoded_dtype`).
 """
 
 from __future__ import annotations
@@ -43,13 +46,14 @@ MERGEABLE_FUNCS = frozenset({"sum", "count", "min", "max"})
 def _decoded_dtype(compiled, plan, ref):
     """The dtype a *local* decode would give group-key column ``ref``.
 
-    Wire partials lose numpy dtype width (strings travel as JSON), but a
-    local run decodes keys by fancy-indexing the domain dictionary, so
-    its columns inherit the dictionary array's dtype (e.g. ``<U7`` for a
-    nation-name dictionary whose widest value is ``'GERMANY'``).  The
-    coordinator holds the very same catalog the plan compiled against,
-    so it can recover that dtype exactly; ``None`` when ``ref`` has no
-    dictionary (plain numeric keys keep their wire dtype).
+    Partials arrive with the worker's exact dtypes, but a worker decodes
+    keys through its own domain dictionary, which holds only its shard's
+    values and so can be narrower than the coordinator's (``<U5`` where
+    a local run's nation-name dictionary, widest value ``'GERMANY'``,
+    gives ``<U7``).  The coordinator holds the very same catalog the
+    plan compiled against, so it can recover the local dtype exactly;
+    ``None`` when ``ref`` has no dictionary (plain numeric keys keep
+    their wire dtype).
     """
     bound = compiled.bound
     try:
@@ -93,11 +97,7 @@ def merge_partials(
     agg_names = [n for n in names if n in funcs]
 
     def merged(name):
-        parts = [np.asarray(table.columns[name]) for table in tables]
-        # wire-decoded string columns arrive as object arrays
-        return np.concatenate(
-            [part.astype(str) if part.dtype == object else part for part in parts]
-        )
+        return np.concatenate([np.asarray(table.columns[name]) for table in tables])
 
     # one group per distinct decoded key tuple, in sorted tuple order;
     # a group's partials fold in shard (arrival) order
@@ -116,13 +116,10 @@ def merge_partials(
     first = None if order is None else order[starts]
     key_env: Dict[str, np.ndarray] = {}
     for name, column in zip(key_names, key_columns):
-        source = np.asarray(tables[0].columns[name])
         # rebuild with the dictionary's dtype like a local decode does
         dtype = _decoded_dtype(compiled, plan, name)
-        if dtype is None and source.dtype != object:
-            dtype = source.dtype
         values = column[first]
-        key_env[name] = values if dtype is None else values.astype(dtype)
+        key_env[name] = values if dtype is None else values.astype(dtype, copy=False)
     agg_columns: Dict[str, np.ndarray] = {
         name: np.ascontiguousarray(matrix[:, j]) for j, name in enumerate(agg_names)
     }

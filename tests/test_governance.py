@@ -207,6 +207,22 @@ def test_queue_full_rejects_with_retryable_error():
     assert "admission_admitted" in prom
 
 
+def test_analyzed_explain_runs_the_query_lifecycle():
+    engine = LevelHeadedEngine(
+        graph_catalog(40, 300), governor=Governor(max_concurrency=1)
+    )
+    text = engine.explain(DEGREE_SQL, analyze=True)
+    assert "result rows:" in text and "q-error:" in text
+    # one admission and one flight entry, like any other query
+    assert engine.metrics.counter("admission_admitted") == 1
+    assert [e["outcome"] for e in engine.flight.snapshot()] == ["ok"]
+    assert engine.governor.snapshot()["active"] == 0
+    # and the engine's default deadline applies to it
+    slow = LevelHeadedEngine(graph_catalog(*SLOW_GRAPH), default_timeout_ms=1e-6)
+    with pytest.raises(QueryTimeoutError):
+        slow.explain(CYCLE4_SQL, analyze=True)
+
+
 def test_load_shedding_rejects_non_cached_plans_first():
     catalog = graph_catalog(40, 300)
     engine = LevelHeadedEngine(catalog, governor=Governor(max_concurrency=4))

@@ -5,7 +5,9 @@ Pins the PR-5 wire contract:
 * framing survives malformed, truncated, oversized, and unknown frames
   without crashing the server (log-and-continue);
 * a served query returns the same :class:`ResultTable` rows, dtypes,
-  and column names as the in-process engine;
+  and column names as the in-process engine, and results and
+  ``register_table`` uploads share one column codec that keeps every
+  dtype exact (NaN/+-inf, int64 above 2**53, bool, ``<U`` strings);
 * prepared statements, explain, and the error taxonomy work over the
   wire (server-side exceptions rebuild as the same typed classes);
 * a mid-stream disconnect frees the session's governor slots;
@@ -25,7 +27,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro import Schema, annotation
 from repro.client import ReproClient, connect
+from repro.core.result import ResultTable
 from repro.server import ReproServer
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
@@ -35,6 +39,7 @@ from repro.server.protocol import (
     write_frame,
 )
 from repro.errors import error_from_wire, error_to_wire
+from repro.storage.table import Table
 
 from .conftest import make_mini_tpch
 
@@ -133,15 +138,63 @@ def test_hello_announces_session_and_feedback_policy(served_engine):
         }
 
 
+NATION_REVENUE = (
+    "SELECT n.n_name, sum(l.l_extendedprice) AS revenue "
+    "FROM lineitem l, orders o, customer c, nation n "
+    "WHERE l.l_orderkey = o.o_orderkey AND o.o_custkey = c.c_custkey "
+    "AND c.c_nationkey = n.n_nationkey GROUP BY n.n_name"
+)
+
+
 def test_served_query_matches_in_process(served_engine):
     engine, server = served_engine
     with connect(server.host, server.port) as client:
-        remote = client.query(Q1ISH)
-    local = engine.query(Q1ISH)
-    assert remote.names == local.names
-    assert sorted(remote.to_rows()) == sorted(local.to_rows())
-    for name in local.names:
-        assert remote.columns[name].dtype.kind == local.columns[name].dtype.kind
+        for sql in (Q1ISH, NATION_REVENUE):  # numeric keys, then a <U7 key
+            remote = client.query(sql)
+            local = engine.query(sql)
+            assert remote.names == local.names
+            assert sorted(remote.to_rows()) == sorted(local.to_rows())
+            for name in local.names:
+                assert remote.columns[name].dtype == local.columns[name].dtype
+
+
+#: one column per value JSON or a coarse dtype tag would get wrong
+WIRE_COLUMNS = {
+    "float_nan_inf": np.array([np.nan, np.inf, -np.inf, 0.5]),
+    "int64_above_2_53": np.array(
+        [2**53 + 1, -(2**62) - 3, 2**63 - 1, 0], dtype=np.int64
+    ),
+    "bool": np.array([True, False, False, True]),
+    "unicode_str": np.array(["GERMANY", "", "Customer#000000042", "Zürich"]),
+}
+
+
+def _assert_same_columns(got, want):
+    assert list(got) == list(want)
+    for name, column in want.items():
+        assert got[name].dtype == column.dtype, name
+        np.testing.assert_array_equal(got[name], column)
+
+
+@pytest.mark.parametrize("case", [*WIRE_COLUMNS, "zero_rows"])
+def test_columns_round_trip_exactly_over_tcp(served_engine, monkeypatch, case):
+    engine, server = served_engine
+    if case == "zero_rows":
+        # no values at all: every dtype must come from the header alone
+        columns = {name: column[:0] for name, column in WIRE_COLUMNS.items()}
+    else:
+        columns = {case: WIRE_COLUMNS[case]}
+    served = ResultTable(list(columns), list(columns.values()))
+    monkeypatch.setattr(engine, "query", lambda sql, **options: served)
+    with repro.connect(f"tcp://{server.host}:{server.port}") as remote:
+        result = remote.query("SELECT 1")
+        _assert_same_columns(result.columns, columns)
+        assert result.names == list(columns)
+        table = Table(
+            Schema(f"wire_{case}", [annotation(name) for name in columns]), columns
+        )
+        assert remote.register_table(table) == served.num_rows
+    _assert_same_columns(engine.catalog.tables[f"wire_{case}"].columns, columns)
 
 
 def test_batching_streams_large_results_intact(served_engine):
@@ -261,6 +314,13 @@ def test_version_mismatch_is_rejected(served_engine):
     reply = read_frame(rfile)
     assert reply["type"] == "error"
     assert "version" in reply["error"]["message"]
+    sock.close()
+    # a version-1 peer would read row batches: it gets a typed refusal
+    sock, rfile, wfile = _raw_connection(server)
+    write_frame(wfile, {"type": "hello", "version": 1})
+    reply = read_frame(rfile)
+    assert reply["error"]["code"] == "protocol"
+    assert isinstance(error_from_wire(reply["error"]), ProtocolError)
     sock.close()
 
 
