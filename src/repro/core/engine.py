@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import re
 import time
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -111,12 +112,15 @@ class QueryRun:
 
     entry: InflightQuery
     token: Optional[CancelToken]
-    tracer: object
+    #: the lifecycle tracer, on which the runner opens its phase spans.
+    tracer: Tracer
+    #: the planner and executor layers' tracer: ``tracer`` or NULL_TRACER.
+    layers: object
     plan: PhysicalPlan
     #: the plan-cache outcome and, unless it was a hit, the compile time.
     cache_outcome: Optional[str]
     compile_seconds: Optional[float]
-    stats: Optional[ExecutionStats]
+    stats: ExecutionStats
     #: the governor's memory share for this run (None: the plan's own).
     budget: Optional[int]
     #: whether the caller asked for ``result.trace``.
@@ -125,7 +129,12 @@ class QueryRun:
     partial: bool
     #: whether admission degraded this run to approximate.
     degraded: bool
-    started: float = dataclasses.field(default_factory=time.perf_counter)
+    #: how many lifecycle spans the query had opened before the run.
+    first_span: int
+
+    def execute_seconds(self) -> float:
+        """Wall seconds spent in the runner's spans, so far."""
+        return sum(span.duration for span in self.tracer.root.children[self.first_span:])
 
 
 class LevelHeadedEngine:
@@ -548,17 +557,18 @@ class LevelHeadedEngine:
         its scatter/single/local dispatch.
         """
         token = self._make_token(timeout_ms, cancel_token)
-        # a deadlined/cancellable query is always traced: if it is
-        # killed, the error must carry the span tree of what ran
-        tracer = (
-            Tracer()
-            if (trace or token is not None or self._forces_trace())
-            else NULL_TRACER
-        )
+        # one clock per query: the lifecycle always records its phase
+        # spans; the planner and executor layers add their deep spans
+        # only when the caller or an attached slow-query log reads them
+        tracer = Tracer()
+        log = self.query_log
+        deep = trace or (log is not None and log.captures_traces)
+        layers = tracer if deep else NULL_TRACER
         query_id = query_id or next_query_id()
         entry = self.inflight.register(
             query_id, sql, session=current_admission_session()
         )
+        entry.tracer = tracer
         source = source or PlanSource(self, sql)
         slot: Optional[AdmissionSlot] = None
         rejection: Optional[RetryableAdmissionError] = None
@@ -600,34 +610,29 @@ class LevelHeadedEngine:
                             waited_ms=round(slot.waited_seconds * 1000, 3),
                         )
                 if plan is None:
-                    entry.phase = "compile"
-                    t0 = time.perf_counter()
-                    with tracer.span("compile"):
+                    with tracer.span("compile") as cspan:
                         plan, outcome, _ = self._cached_plan(
-                            sql, cfg, tracer, key=key, source=source
+                            sql, cfg, layers, key=key, source=source
                         )
                     if outcome != HIT:
-                        compile_seconds = time.perf_counter() - t0
+                        compile_seconds = cspan.duration
                     if rejection is not None and plan.approx is None:
                         # coverage disappeared between the pre-check and the
                         # compile (a concurrent drop): the rejection stands
                         self._count_rejection(rejection)
                         raise rejection
-                stats: Optional[ExecutionStats] = None
-                if collect_stats or tracer.active or token is not None or key is not None:
-                    # a governed query always carries stats (a killed query
-                    # must report the partial work it did), and so does a
-                    # cacheable one: per-node row counts feed the q-error
-                    # drift record
-                    stats = ExecutionStats()
-                    stats.query_id = query_id
-                    self._note_cache_outcome(stats, outcome)
-                entry.phase = "execute"
+                # every run carries stats: a killed query reports the
+                # partial work it did, and per-node row counts feed the
+                # q-error drift record
+                stats = ExecutionStats()
+                stats.query_id = query_id
+                self._note_cache_outcome(stats, outcome)
                 entry.stats = stats
                 run = QueryRun(
                     entry=entry,
                     token=token,
                     tracer=tracer,
+                    layers=layers,
                     plan=plan,
                     cache_outcome=outcome,
                     compile_seconds=compile_seconds,
@@ -637,16 +642,15 @@ class LevelHeadedEngine:
                     profile=profile,
                     partial=partial,
                     degraded=rejection is not None,
+                    first_span=len(tracer.root.children),
                 )
                 result = (runner or self._execute_local)(run)
-                execute_seconds = time.perf_counter() - run.started
                 _, drifted = self._record_feedback(plan, stats, key)
                 if collect_stats:
                     result.stats = stats
                 if trace and result.trace is None:
-                    # a trace forced by a deadline or the slow-query log
-                    # stays internal, and a runner that attached its own
-                    # tree (the coordinator's ``shard.<route>``) keeps it
+                    # a runner that attached its own tree (the
+                    # coordinator's ``shard.<route>``) keeps it
                     result.trace = tracer.root
                 result.query_id = query_id
                 annotations: Dict[str, object] = {}
@@ -662,18 +666,17 @@ class LevelHeadedEngine:
                     }
                 bytes_out = result.nbytes
                 self.metrics.record_query(
-                    execute_seconds,
+                    run.execute_seconds(),
                     compile_seconds=compile_seconds,
                     cache_outcome=outcome,
                     rows=result.num_rows,
                     bytes_materialized=bytes_out,
-                    groups_emitted=stats.groups_emitted if stats is not None else None,
+                    groups_emitted=stats.groups_emitted,
                 )
                 self._finish_flight(
                     entry,
                     "ok",
                     run,
-                    execute_seconds=execute_seconds,
                     rows=result.num_rows,
                     bytes_out=bytes_out,
                     drifted=drifted,
@@ -751,12 +754,12 @@ class LevelHeadedEngine:
     ) -> Optional[RetryableAdmissionError]:
         """Stamp, count and record whatever exception leaves the lifecycle.
 
-        Every error gets the ``query_id`` and a flight record.  A query
-        killed while running (``run`` exists: deadline, cancel, memory
-        budget) is also dressed up with its partial stats and span tree,
-        counted, and written to the query log.  Returns the retryable
-        error to raise instead when an out-of-memory kill was really the
-        governor's share running out.
+        Every error gets the ``query_id`` and a flight record.  A killed
+        query (deadline, cancel, memory budget) carries its lifecycle
+        span tree; one killed while running (``run`` exists) also carries
+        its partial stats, is counted, and is written to the query log.
+        Returns the retryable error to raise instead when an
+        out-of-memory kill was really the governor's share running out.
         """
         try:
             if getattr(exc, "query_id", None) is None:
@@ -771,24 +774,21 @@ class LevelHeadedEngine:
             outcome, metric = "oom", "query_oom"
         else:
             outcome = "rejected" if isinstance(exc, AdmissionError) else "error"
+        if outcome not in ("rejected", "error"):
+            # a kill, wherever it struck, carries the lifecycle tree: the
+            # phase the query died in, then the ``killed`` mark
+            entry.tracer.mark("killed", outcome=outcome)
+            if exc.trace_root is None:
+                exc.trace_root = entry.tracer.root
         if run is None or outcome in ("rejected", "error"):
-            # admission rejections, compile errors (a kill during compile
+            # admission rejections, compile errors (a kill before the run
             # included), plain execution bugs
-            self._finish_flight(
-                entry, outcome, execute_seconds=entry.elapsed_seconds(), error=str(exc)
-            )
+            self._finish_flight(entry, outcome, error=str(exc))
             return None
-        execute_seconds = time.perf_counter() - run.started
         self.metrics.inc(metric)
-        if run.stats is not None and exc.partial_stats is None:
+        if exc.partial_stats is None:
             exc.partial_stats = run.stats
-        if run.tracer.active:
-            run.tracer.mark("killed", outcome=outcome, execute_ms=execute_seconds * 1000)
-            if getattr(exc, "trace_root", None) is None:
-                exc.trace_root = run.tracer.root
-        self._finish_flight(
-            entry, outcome, run, execute_seconds=execute_seconds, error=str(exc)
-        )
+        self._finish_flight(entry, outcome, run, error=str(exc))
         if outcome != "oom":
             return None
         if self.governor is not None:
@@ -812,7 +812,6 @@ class LevelHeadedEngine:
         outcome: str,
         run: Optional[QueryRun] = None,
         *,
-        execute_seconds: Optional[float] = None,
         rows: int = 0,
         bytes_out: int = 0,
         drifted: bool = False,
@@ -830,11 +829,15 @@ class LevelHeadedEngine:
         A query that reached its run (served or killed) also appends one
         event to the attached query log; a killed one always captures
         its plan text and span tree, a served one only when it crossed
-        the slow-query threshold.
+        the slow-query threshold.  Its execute time is the runner's
+        spans; a query that never ran reports its whole ``query`` span.
         """
         if entry.recorded:
             return
         entry.recorded = True
+        execute_seconds = (
+            run.execute_seconds() if run is not None else entry.tracer.root.duration
+        )
         plan = run.plan if run is not None else None
         stats = run.stats if run is not None else None
         cache_outcome = run.cache_outcome if run is not None else None
@@ -886,9 +889,7 @@ class LevelHeadedEngine:
             "compile_ms": (
                 None if compile_seconds is None else round(compile_seconds * 1000, 4)
             ),
-            "execute_ms": (
-                None if execute_seconds is None else round(execute_seconds * 1000, 4)
-            ),
+            "execute_ms": round(execute_seconds * 1000, 4),
             "rows": int(rows),
             "bytes_out": int(bytes_out),
             "cancel_checks": int(stats.cancel_checks) if stats is not None else 0,
@@ -1047,10 +1048,6 @@ class LevelHeadedEngine:
         skeleton.approx = plan.approx = approx_spec
         return skeleton, plan
 
-    def _forces_trace(self) -> bool:
-        """Whether the attached query log needs every query traced."""
-        return self.query_log is not None and self.query_log.captures_traces
-
     def enable_query_log(
         self, sink, slow_query_seconds: Optional[float] = None
     ) -> QueryLog:
@@ -1059,7 +1056,8 @@ class LevelHeadedEngine:
         ``sink`` is a path or file-like object; one JSON line per served
         query.  With ``slow_query_seconds`` set, queries at or above the
         threshold also capture the plan text and full span tree (the
-        engine traces every query while such a log is attached).
+        planner and executor layers record their spans for every query
+        while such a log is attached).
         Returns the log; detach with ``engine.query_log = None``.
         """
         self.query_log = QueryLog(sink, slow_query_seconds=slow_query_seconds)
@@ -1069,24 +1067,20 @@ class LevelHeadedEngine:
         """The default runner: ``execute_plan`` on this engine, then decode."""
         plan, tracer, stats = run.plan, run.tracer, run.stats
         profiler = KernelProfiler() if run.profile else None
-        kwargs = dict(stats=stats, tracer=tracer, cancel=run.token)
+        kwargs = dict(stats=stats, tracer=run.layers, cancel=run.token)
         if run.budget is not None:
             kwargs["memory_budget_bytes"] = run.budget
-        with tracer.span("execute") as span:
-            snapshot = stats.snapshot() if tracer.active else None
-            if profiler is not None:
-                # activate around execution only: the profile attributes
-                # execute_plan, not compilation or result decode
-                t_exec = time.perf_counter()
-                with _activate_profiler(profiler):
-                    raw = execute_plan(plan, **kwargs)
-                profiler.execute_seconds = time.perf_counter() - t_exec
-            else:
-                raw = execute_plan(plan, **kwargs)
-            if tracer.active:
-                span.set(mode=plan.mode, rows=raw.num_rows)
+        # the profile attributes execute_plan, not compile or decode
+        with tracer.span("execute") as span, (
+            _activate_profiler(profiler) if profiler is not None else nullcontext()
+        ):
+            snapshot = stats.snapshot() if run.layers.active else None
+            raw = execute_plan(plan, **kwargs)
+            span.set(mode=plan.mode, rows=raw.num_rows)
+            if snapshot is not None:
                 span.stats = stats.delta_since(snapshot)
-        run.entry.phase = "decode"
+        if profiler is not None:
+            profiler.execute_seconds = span.duration
         with tracer.span("decode"):
             if run.partial:
                 result = self._decode_partial(plan.compiled, plan, raw)
@@ -1104,7 +1098,7 @@ class LevelHeadedEngine:
     def _record_feedback(
         self,
         plan: PhysicalPlan,
-        stats: Optional[ExecutionStats],
+        stats: ExecutionStats,
         cache_key: Optional[Tuple],
     ) -> Tuple[Optional[QueryFeedback], bool]:
         """Measure this run's q-error and feed it to the plan cache.
@@ -1116,7 +1110,7 @@ class LevelHeadedEngine:
         (measurement is None for scan/BLAS plans, which have no join
         estimates to score).
         """
-        if stats is None or not stats.node_rows:
+        if not stats.node_rows:
             return None, False
         measured = measure(plan, stats.node_rows)
         if measured is None:

@@ -85,8 +85,8 @@ class QueryKilledError(ExecutionError):
     kill fired, so a killed query is still fully diagnosable:
     ``partial_stats`` is the accumulated-so-far
     :class:`~repro.xcution.stats.ExecutionStats`, and ``trace_root`` the
-    (partial) lifecycle :class:`~repro.obs.Span` tree when the query was
-    traced.
+    (partial) lifecycle :class:`~repro.obs.Span` tree, ending in a
+    ``killed`` mark.
     """
 
     def __init__(self, message: str):
@@ -94,7 +94,7 @@ class QueryKilledError(ExecutionError):
         #: ExecutionStats accumulated up to the kill (None if the engine
         #: was not collecting stats for this query).
         self.partial_stats = None
-        #: partial lifecycle span tree (None when the query was untraced).
+        #: partial lifecycle span tree (None until the engine attaches it).
         self.trace_root = None
 
 
@@ -148,8 +148,9 @@ class OutOfMemoryBudgetError(ExecutionError):
 
     ``partial_stats`` carries the
     :class:`~repro.xcution.stats.ExecutionStats` accumulated when the
-    budget blew mid-execution (the engine attaches them), so the work
-    done up to the failure is not lost to diagnostics.
+    budget blew mid-execution, and ``trace_root`` the lifecycle span tree
+    up to the kill (the engine attaches both), so the work done up to
+    the failure is not lost to diagnostics.
     """
 
     def __init__(self, message: str, requested_bytes: int = 0, budget_bytes: int = 0):
@@ -158,6 +159,7 @@ class OutOfMemoryBudgetError(ExecutionError):
         self.budget_bytes = budget_bytes
         #: ExecutionStats accumulated up to the failure (None if unknown).
         self.partial_stats = None
+        self.trace_root = None
 
 
 # ---------------------------------------------------------------------------

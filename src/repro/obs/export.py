@@ -131,10 +131,10 @@ class QueryLog:
     One JSON object per line, one line per served query, with a stable
     field order (so downstream parsers can stream line by line and
     golden tests can pin the schema).  Queries whose execute time
-    reaches ``slow_query_seconds`` additionally capture the full plan
-    text and the lifecycle span tree -- the engine forces tracing on
-    when a slow threshold is configured, so the capture is always
-    available for offending queries.
+    reaches ``slow_query_seconds``, and killed queries, additionally
+    capture the full plan text and the query's span tree: its lifecycle
+    spans, plus the planner and executor spans the engine records for
+    every query while a slow threshold is configured.
 
     ``sink`` is a path (opened in append mode, one line flushed per
     event) or any file-like object with ``write``.

@@ -69,7 +69,7 @@ class InflightQuery:
         "session",
         "started_ts",
         "_t0",
-        "phase",
+        "tracer",
         "stats",
         "admission_wait_seconds",
         "queued",
@@ -82,8 +82,8 @@ class InflightQuery:
         self.session = session
         self.started_ts = time.time()
         self._t0 = time.perf_counter()
-        #: coarse lifecycle phase: admission -> compile -> execute -> decode.
-        self.phase = "admission"
+        #: the query's lifecycle tracer, once the engine has opened it.
+        self.tracer = None
         #: the run's live ExecutionStats once execution starts (reading
         #: its counters mid-flight is racy-but-monotonic, which is all a
         #: progress view needs).
@@ -95,8 +95,12 @@ class InflightQuery:
         #: double-record).
         self.recorded = False
 
-    def elapsed_seconds(self) -> float:
-        return time.perf_counter() - self._t0
+    @property
+    def phase(self) -> str:
+        """The latest lifecycle span (``parse``, ``compile``, ``execute``,
+        ...: the open one while a phase runs), ``admission`` before any."""
+        root = self.tracer.root if self.tracer is not None else None
+        return root.children[-1].name if root and root.children else "admission"
 
     def snapshot(self) -> Dict[str, object]:
         stats = self.stats
@@ -105,7 +109,7 @@ class InflightQuery:
             "session": self.session,
             "sql": self.sql,
             "phase": self.phase,
-            "elapsed_ms": round(self.elapsed_seconds() * 1000, 3),
+            "elapsed_ms": round((time.perf_counter() - self._t0) * 1000, 3),
             "started_ts": round(self.started_ts, 6),
             "queued": self.queued,
             "admission_wait_ms": round(self.admission_wait_seconds * 1000, 3),

@@ -94,7 +94,7 @@ class KernelProfiler:
         self.aggregator_bytes: Dict[str, int] = {}
         #: one entry per trie built during execution (child results).
         self.trie_builds: List[Dict] = []
-        #: wall seconds of the whole ``execute_plan`` call (set by the
+        #: wall seconds of the query's ``execute`` span (set by the
         #: engine after execution; the denominator of attribution).
         self.execute_seconds = 0.0
 

@@ -7,32 +7,47 @@ time, an optional :class:`~repro.xcution.stats.ExecutionStats` delta
 scoped to that span, and key/value payloads (chosen order and its
 icost*weight cost, set-layout mix, plan-cache outcome, ...).
 
-Tracing is opt-in and zero-cost when off: every traced code path takes
-an optional tracer and falls back to the module-level :data:`NULL_TRACER`,
-whose ``span`` context manager allocates nothing.
+The engine's lifecycle always records its phase spans and reads every
+duration it reports off them.  The planner and executor layers record
+their deeper spans only when handed a real tracer, else the module-level
+:data:`NULL_TRACER`, whose ``span`` returns one shared inert span.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional
 
 
 class Span:
-    """One timed phase of a query, with payload, stats, and children."""
+    """One timed phase of a query (payload, stats, children); ``with``-able."""
 
-    __slots__ = ("name", "start", "end", "payload", "children", "stats")
+    __slots__ = ("name", "start", "end", "payload", "children", "stats", "_tracer")
 
-    def __init__(self, name: str, start: float = 0.0):
+    def __init__(self, name: str, start: float = 0.0, tracer=None, payload=None):
         self.name = name
         self.start = start
         self.end = start
-        self.payload: Dict[str, object] = {}
+        self.payload: Dict[str, object] = {} if payload is None else payload
         self.children: List["Span"] = []
         #: ExecutionStats counters scoped to this span (a plain dict of
         #: counter deltas), set by executors that carry stats.
         self.stats: Optional[Dict[str, int]] = None
+        self._tracer = tracer  # the tracer that opens and closes it
+
+    def __enter__(self) -> "Span":
+        tracer = self._tracer
+        self.start = tracer._clock()
+        tracer._attach(self)
+        tracer._stack.append(self)
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        tracer = self._tracer
+        self.end = tracer._clock()
+        tracer._stack.pop()
+        self._tracer = None
+        return False
 
     @property
     def duration(self) -> float:
@@ -109,11 +124,12 @@ class Tracer:
         self.root: Optional[Span] = None
         self._stack: List[Span] = []
 
-    @contextmanager
-    def span(self, name: str, **payload):
-        span = Span(name, self._clock())
-        if payload:
-            span.payload.update(payload)
+    def span(self, name: str, **payload) -> Span:
+        """A span opened on ``with`` under the innermost open span."""
+        # ``payload`` is a fresh dict per call, so the span can own it
+        return Span(name, 0.0, self, payload)
+
+    def _attach(self, span: Span) -> None:
         if self._stack:
             self._stack[-1].children.append(span)
         elif self.root is None:
@@ -122,52 +138,37 @@ class Tracer:
             # A second top-level span: graft it under the existing root
             # so one query always yields one tree.
             self.root.children.append(span)
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            span.end = self._clock()
-            self._stack.pop()
-
-    @property
-    def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
 
     def annotate(self, **payload) -> None:
         """Attach payload to the innermost open span (no-op when idle)."""
         if self._stack:
             self._stack[-1].payload.update(payload)
 
-    def mark(self, name: str, **payload) -> Optional[Span]:
+    def mark(self, name: str, **payload) -> Span:
         """Record a zero-duration event span under the innermost open span.
 
         Used for point-in-time facts -- "the deadline fired here", "the
         query was cancelled here" -- that have a position in the tree
         but no extent.
         """
-        now = self._clock()
-        span = Span(name, now)
-        span.end = now
-        if payload:
-            span.payload.update(payload)
-        if self._stack:
-            self._stack[-1].children.append(span)
-        elif self.root is not None:
-            self.root.children.append(span)
-        else:
-            self.root = span
+        span = Span(name, self._clock(), None, payload)
+        self._attach(span)
         return span
 
 
 class _NullSpan:
-    """The shared inert span yielded by :data:`NULL_TRACER`."""
+    """The shared inert span returned by :data:`NULL_TRACER`."""
 
     __slots__ = ()
 
-    def set(self, **payload) -> "_NullSpan":
+    def __enter__(self) -> "_NullSpan":
         return self
 
-    stats = None
+    def __exit__(self, *exc) -> bool:
+        return False
+
+    def set(self, **payload) -> "_NullSpan":
+        return self
 
 
 class NullTracer:
@@ -175,17 +176,12 @@ class NullTracer:
 
     active = False
     root = None
-    current = None
 
-    @contextmanager
-    def span(self, name: str, **payload):
-        yield _NULL_SPAN
+    def span(self, name: str, **payload) -> _NullSpan:
+        return _NULL_SPAN
 
     def annotate(self, **payload) -> None:
         pass
-
-    def mark(self, name: str, **payload):
-        return None
 
 
 _NULL_SPAN = _NullSpan()

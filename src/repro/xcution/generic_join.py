@@ -221,7 +221,7 @@ class NodeExecutor:
 
     def _expand(self, p: int, frontier: _Frontier) -> _Expansion:
         """Choose the participant with the fewest children at ``p``."""
-        start = time.perf_counter()
+        start = time.perf_counter() if self.profiler is not None else 0.0
         parts = self.at_attr[p]
         n = frontier.size
         if len(parts) > 1:
@@ -247,7 +247,8 @@ class NodeExecutor:
             starts = np.zeros(n, dtype=np.int64)
             counts = np.full(n, self.bindings[lead[0]].trie.level(0).n_nodes, np.int64)
         expansion = _Expansion(lead, starts, counts, CHUNK_ROWS if p else None)
-        self._level_seconds[p] += time.perf_counter() - start
+        if self.profiler is not None:
+            self._level_seconds[p] += time.perf_counter() - start
         return expansion
 
     def _step(self, p: int, frontier: _Frontier, expansion: _Expansion, window) -> _Frontier:
@@ -255,7 +256,7 @@ class NodeExecutor:
         if self.cancel is not None:
             self.stats.cancel_checks += 1
             self.cancel.check()
-        start = time.perf_counter()
+        start = time.perf_counter() if self.profiler is not None else 0.0
         lo, hi = window
         ends, counts = expansion.ends, expansion.counts
         # frontier rows whose candidates overlap [lo, hi), and how many each
@@ -311,7 +312,8 @@ class NodeExecutor:
                 kept = np.flatnonzero(found >= 0)
                 out, values, found = out.take(kept), values[kept], found[kept]
             out.keys.append(fetcher.trie.annotation(fetcher.ref_id).values[found])
-        self._level_seconds[p] += time.perf_counter() - start
+        if self.profiler is not None:
+            self._level_seconds[p] += time.perf_counter() - start
         return out
 
     def _probe(self, bi: int, lvl: int, parents, values: np.ndarray) -> np.ndarray:
@@ -339,7 +341,7 @@ class NodeExecutor:
         """Reduce fully bound rows to one row per group."""
         if not rows.size:
             return
-        start = time.perf_counter()
+        start = time.perf_counter() if self.profiler is not None else 0.0
         slots = {
             slot_id: annotation.values[rows.nodes[bi]]
             for bi, pairs in enumerate(self.slots_at)

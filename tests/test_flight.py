@@ -14,6 +14,8 @@ import pytest
 
 import repro
 from repro import LevelHeadedEngine
+from repro.core import engine as engine_module
+from repro.core.prepared import PlanSource
 from repro.errors import ReproError
 from repro.obs import FlightRecorder, InflightRegistry, next_query_id, sql_hash
 
@@ -223,3 +225,40 @@ def test_debug_queries_sees_inflight_query():
     assert live["count"] == 1
     assert live["queries"][0]["query_id"] == result.query_id
     assert live["queries"][0]["phase"] in ("admission", "compile", "execute")
+
+
+def test_inflight_phase_reads_the_open_lifecycle_span(monkeypatch):
+    engine = LevelHeadedEngine(make_mini_tpch())
+    seen = []
+
+    def note_phase():
+        seen.append(engine.debug_snapshot("queries")["queries"][0]["phase"])
+
+    key, execute_plan = PlanSource.key, engine_module.execute_plan
+
+    def spying_key(self, cfg):
+        note_phase()
+        return key(self, cfg)
+
+    def spying_execute_plan(*args, **kwargs):
+        note_phase()
+        return execute_plan(*args, **kwargs)
+
+    monkeypatch.setattr(PlanSource, "key", spying_key)
+    monkeypatch.setattr(engine_module, "execute_plan", spying_execute_plan)
+    engine.query(Q5_SQL)
+    assert seen == ["parse", "execute"]
+
+
+def test_reported_durations_are_read_off_the_lifecycle_spans():
+    # one clock per query: the flight entry's compile and execute times
+    # and the profile's execute time are the spans' own durations
+    engine = LevelHeadedEngine(make_mini_tpch())
+    result = engine.query(Q5_SQL, trace=True, profile=True)
+    entry = engine.debug_snapshot("flight", n=1)["entries"][0]
+    assert entry["query_id"] == result.query_id
+    spans = {child.name: child for child in result.trace.children}
+    assert entry["compile_ms"] == round(spans["compile"].duration * 1000, 4)
+    runner = sum(spans[name].duration for name in ("execute", "decode"))
+    assert entry["execute_ms"] == round(runner * 1000, 4)
+    assert result.profile.execute_seconds == spans["execute"].duration

@@ -17,6 +17,8 @@ Pins the PR-4 contract end to end:
   goes through the engine's handle-first API.
 """
 
+import io
+import json
 import threading
 import time
 
@@ -88,8 +90,8 @@ def test_timeout_error_reaches_prepared_statements():
 
 
 def test_timeout_through_execute_carries_the_span_tree():
-    # one lifecycle, one tracer rule: a deadlined run is always traced,
-    # whichever front door it came through
+    # one lifecycle, one clock: every killed run carries its lifecycle
+    # span tree, whichever front door it came through
     engine = LevelHeadedEngine(graph_catalog(*SLOW_GRAPH))
     plan = engine.compile(CYCLE4_SQL)
     with pytest.raises(QueryTimeoutError) as excinfo:
@@ -97,6 +99,45 @@ def test_timeout_through_execute_carries_the_span_tree():
     assert excinfo.value.partial_stats is not None
     assert excinfo.value.trace_root is not None
     assert excinfo.value.trace_root.name == "query"
+
+
+LIFECYCLE_SPANS = {"query", "parse", "admission.wait", "compile", "execute", "decode"}
+
+
+def test_untraced_kill_carries_only_the_lifecycle_spans():
+    # the lifecycle tree records the phase the query died in and the
+    # kill; no planner or executor span was paid for
+    engine = LevelHeadedEngine(graph_catalog(*SLOW_GRAPH))
+    with pytest.raises(QueryTimeoutError) as excinfo:
+        engine.query(CYCLE4_SQL, timeout_ms=150)
+    root = excinfo.value.trace_root
+    assert root.name == "query"
+    names = [child.name for child in root.children]
+    assert names[-1] == "killed" and names[-2] in LIFECYCLE_SPANS
+    assert set(names[:-1]) <= LIFECYCLE_SPANS
+    assert all(not child.children for child in root.children)
+    assert root.find("node.execute") is None
+    assert root.children[-1].payload["outcome"] == "timeout"
+
+
+def test_slow_query_log_keeps_the_deep_tree_of_a_killed_query():
+    engine = LevelHeadedEngine(graph_catalog(*SLOW_GRAPH))
+    sink = io.StringIO()
+    engine.enable_query_log(sink, slow_query_seconds=0.0)
+    plan = engine.compile(CYCLE4_SQL)  # the deadline then fires in execution
+    with pytest.raises(QueryTimeoutError):
+        engine.execute(plan, timeout_ms=150)
+    event = json.loads(sink.getvalue().splitlines()[-1])
+    assert event["event"] == "killed_query"
+
+    def names(span):
+        yield span["name"]
+        for child in span.get("children", ()):
+            yield from names(child)
+
+    found = list(names(event["trace"]))
+    assert found[0] == "query"
+    assert "node.execute" in found and "killed" in found
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +334,14 @@ def test_budget_below_spilled_footprint_raises_oom():
         catalog,
         config=EngineConfig(memory_budget_bytes=_degradation_budget(catalog) // 3),
     )
-    with pytest.raises(OutOfMemoryBudgetError):
+    with pytest.raises(OutOfMemoryBudgetError) as excinfo:
         engine.query(DEGREE_SQL)
+    # no deadline, no cancel token, no trace: the kill still carries the
+    # lifecycle tree, ending in the execute phase and the kill mark
+    root = excinfo.value.trace_root
+    assert root is not None and root.name == "query"
+    assert [child.name for child in root.children][-2:] == ["execute", "killed"]
+    assert root.children[-1].payload["outcome"] == "oom"
 
 
 def test_memory_pressure_sheds_plan_cache():

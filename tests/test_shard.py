@@ -486,15 +486,15 @@ def test_cancel_fans_out_to_every_worker_and_frees_slots():
     )
     try:
         handle = surface.submit(SLOW_SQL)
-        # wait for the query to reach the execute phase on the workers
+        # wait for the coordinator to fan the query out to the workers
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             queries = surface.engine.inflight.snapshot()
-            if any(q["phase"] == "execute" for q in queries):
+            if any(q["phase"] == "shard.scatter" for q in queries):
                 break
             time.sleep(0.01)
         else:
-            pytest.fail("query never reached the execute phase")
+            pytest.fail("query never reached the scatter phase")
         time.sleep(0.05)
         assert handle.cancel()
         with pytest.raises(QueryCancelledError) as excinfo:
