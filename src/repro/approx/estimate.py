@@ -114,12 +114,3 @@ def apply_estimation(result, spec: ApproxSpec, mode: str = "forced") -> Dict:
     }
     result.approx = metadata
     return metadata
-
-
-def approx_from_wire(payload: Optional[Dict]) -> Optional[Dict]:
-    """Validate/normalize an ``approx`` block received over the wire."""
-    if payload is None:
-        return None
-    if not isinstance(payload, dict):
-        raise ValueError(f"malformed approx block: {payload!r}")
-    return payload

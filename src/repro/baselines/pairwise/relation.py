@@ -45,9 +45,6 @@ class ColumnRelation:
             num_rows=self.num_rows,
         )
 
-    def estimated_bytes(self) -> int:
-        return sum(col.nbytes for col in self.columns.values())
-
 
 def _composite(relation: ColumnRelation, names: Sequence[str]) -> np.ndarray:
     """A sortable composite key over one or more columns."""

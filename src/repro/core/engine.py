@@ -65,6 +65,7 @@ from ..obs import (
     MetricsRegistry,
     QueryLog,
     Tracer,
+    admission_of,
     next_query_id,
     sql_hash,
 )
@@ -165,7 +166,7 @@ class LevelHeadedEngine:
         #: produced (:class:`~repro.obs.MetricsRegistry`).
         self.metrics = MetricsRegistry()
         #: optional :class:`~repro.obs.QueryLog`: when attached, every
-        #: served query appends one JSONL event; with a slow-query
+        #: served or killed query appends one JSONL event; with a slow-query
         #: threshold configured, ``query()`` forces tracing so slow
         #: events capture the plan and span tree.
         self.query_log: Optional[QueryLog] = None
@@ -541,10 +542,12 @@ class LevelHeadedEngine:
         run these steps, in this order:
         cancel token, tracer, ``query_id``, in-flight registration,
         admission (with the degrade-to-approximate rung), the timed
-        cached compile, the run, then the bookkeeping tail (q-error
-        feedback, metrics, query log, flight record).  Whatever leaves as
-        an exception is stamped with the ``query_id`` and flight-recorded,
-        and the governor slot is always released.
+        cached compile, the run and its q-error feedback.  Whatever
+        leaves as an exception is stamped with the ``query_id``
+        (:meth:`_note_query_failure`), and the governor slot is always
+        released.  Then, whatever the outcome, the query's one outcome
+        record is built (:meth:`_finish_query`): its flight entry, off
+        which the metrics and the query-log event are read.
 
         Two inputs differ between callers.  *Where the plan comes from*:
         a :class:`PlanSource` -- by default the ad-hoc text ``sql``
@@ -573,7 +576,9 @@ class LevelHeadedEngine:
         slot: Optional[AdmissionSlot] = None
         rejection: Optional[RetryableAdmissionError] = None
         run: Optional[QueryRun] = None
-        outcome = compile_seconds = None
+        result: Optional[ResultTable] = None
+        failure: Optional[BaseException] = None
+        outcome, drifted = "ok", False
         try:
             with cancel_scope(token), tracer.span("query") as qspan:
                 qspan.set(query_id=query_id)
@@ -587,8 +592,9 @@ class LevelHeadedEngine:
                 )
                 with tracer.span("admission.wait") as aspan:
                     try:
-                        slot = self._admit(cached, token, entry)
+                        slot = self._admit(cached, token)
                     except RetryableAdmissionError as exc:
+                        aspan.set(cause=exc.cause)
                         # the shedding rung before queue_full rejection:
                         # an opted-in query with sample coverage runs
                         # approximately instead of failing retryable
@@ -597,36 +603,34 @@ class LevelHeadedEngine:
                             and cfg.approx == "allow"
                             and self._approx_covers(source)
                         ):
-                            self._count_rejection(exc)
                             raise
                         rejection = exc
                         cfg = dataclasses.replace(cfg, approx="force")
                         key = source.key(cfg)
-                        self.metrics.inc("degraded_to_approx")
-                        aspan.set(degraded_to_approx=True, cause=exc.cause)
+                        aspan.set(degraded_to_approx=True)
                     if slot is not None:
                         aspan.set(
                             queued=slot.queued,
                             waited_ms=round(slot.waited_seconds * 1000, 3),
                         )
+                compile_seconds = cache_outcome = None
                 if plan is None:
                     with tracer.span("compile") as cspan:
-                        plan, outcome, _ = self._cached_plan(
+                        plan, cache_outcome, _ = self._cached_plan(
                             sql, cfg, layers, key=key, source=source
                         )
-                    if outcome != HIT:
+                    if cache_outcome != HIT:
                         compile_seconds = cspan.duration
                     if rejection is not None and plan.approx is None:
                         # coverage disappeared between the pre-check and the
                         # compile (a concurrent drop): the rejection stands
-                        self._count_rejection(rejection)
                         raise rejection
                 # every run carries stats: a killed query reports the
                 # partial work it did, and per-node row counts feed the
                 # q-error drift record
                 stats = ExecutionStats()
                 stats.query_id = query_id
-                self._note_cache_outcome(stats, outcome)
+                self._note_cache_outcome(stats, cache_outcome)
                 entry.stats = stats
                 run = QueryRun(
                     entry=entry,
@@ -634,7 +638,7 @@ class LevelHeadedEngine:
                     tracer=tracer,
                     layers=layers,
                     plan=plan,
-                    cache_outcome=outcome,
+                    cache_outcome=cache_outcome,
                     compile_seconds=compile_seconds,
                     stats=stats,
                     budget=slot.memory_share_bytes if slot is not None else None,
@@ -653,38 +657,10 @@ class LevelHeadedEngine:
                     # coordinator's ``shard.<route>``) keeps it
                     result.trace = tracer.root
                 result.query_id = query_id
-                annotations: Dict[str, object] = {}
-                if result.approx is not None:
-                    annotations["approx"] = {
-                        "mode": result.approx["mode"],
-                        "fraction": result.approx["fraction"],
-                        "samples": [use["sample"] for use in result.approx["samples"]],
-                        "errors": {
-                            name: info["error"]
-                            for name, info in result.approx["columns"].items()
-                        },
-                    }
-                bytes_out = result.nbytes
-                self.metrics.record_query(
-                    run.execute_seconds(),
-                    compile_seconds=compile_seconds,
-                    cache_outcome=outcome,
-                    rows=result.num_rows,
-                    bytes_materialized=bytes_out,
-                    groups_emitted=stats.groups_emitted,
-                )
-                self._finish_flight(
-                    entry,
-                    "ok",
-                    run,
-                    rows=result.num_rows,
-                    bytes_out=bytes_out,
-                    drifted=drifted,
-                    annotations=annotations,
-                )
                 return result
         except BaseException as exc:
-            retry = self._note_query_failure(exc, entry, run)
+            failure, result = exc, None  # a failed query served no rows
+            outcome, retry = self._note_query_failure(exc, entry, run)
             if retry is not None:
                 raise retry from exc
             raise
@@ -692,6 +668,7 @@ class LevelHeadedEngine:
             self.inflight.finish(query_id)
             if slot is not None:
                 self.governor.release(slot)
+            self._finish_query(entry, outcome, run, result, drifted, failure)
 
     # -- governance machinery -------------------------------------------------
 
@@ -706,13 +683,6 @@ class LevelHeadedEngine:
             return None
         return CancelToken(timeout_ms=effective)
 
-    def _count_rejection(self, exc: RetryableAdmissionError) -> None:
-        # one rejection, one total increment; the cause label splits
-        # the total without double-counting any query
-        self.metrics.inc("admission_rejected")
-        if exc.cause:
-            self.metrics.inc(f"admission_rejected_{exc.cause}")
-
     def _approx_covers(self, source: PlanSource) -> bool:
         """Whether the statement could run approximately (degrade pre-check)."""
         try:
@@ -722,19 +692,17 @@ class LevelHeadedEngine:
         return has_usable_sample(lifted.stmt, self.catalog)
 
     def _admit(
-        self, cached: bool, token: Optional[CancelToken], entry: InflightQuery
+        self, cached: bool, token: Optional[CancelToken]
     ) -> Optional[AdmissionSlot]:
         """Acquire an admission slot (None when no governor is attached).
 
-        Rejections are counted by the lifecycle, which first tries the
-        degrade-to-approximate rung and only counts what it rejects.
+        Counts admission events (grants, queueing, the queue wait); a
+        rejection is an outcome, counted off the query's flight entry.
         """
         if self.governor is None:
             return None
         slot = self.governor.admit(cached=cached, token=token)
         self.metrics.inc("admission_admitted")
-        entry.admission_wait_seconds = slot.waited_seconds
-        entry.queued = slot.queued
         if slot.queued:
             self.metrics.inc("admission_queued")
             self.metrics.observe("admission_wait_seconds", slot.waited_seconds)
@@ -751,15 +719,15 @@ class LevelHeadedEngine:
 
     def _note_query_failure(
         self, exc: BaseException, entry: InflightQuery, run: Optional[QueryRun]
-    ) -> Optional[RetryableAdmissionError]:
-        """Stamp, count and record whatever exception leaves the lifecycle.
+    ) -> Tuple[str, Optional[RetryableAdmissionError]]:
+        """Map the exception leaving the lifecycle to its outcome; stamp it.
 
-        Every error gets the ``query_id`` and a flight record.  A killed
-        query (deadline, cancel, memory budget) carries its lifecycle
-        span tree; one killed while running (``run`` exists) also carries
-        its partial stats, is counted, and is written to the query log.
-        Returns the retryable error to raise instead when an
-        out-of-memory kill was really the governor's share running out.
+        Every error gets the ``query_id``.  A kill (deadline, cancel,
+        memory budget), wherever it struck, also carries its lifecycle
+        span tree, and its partial stats once its run had started.
+        Returns the outcome, plus the retryable error to raise instead
+        when an out-of-memory kill was really the governor's share
+        running out.
         """
         try:
             if getattr(exc, "query_id", None) is None:
@@ -767,35 +735,28 @@ class LevelHeadedEngine:
         except Exception:  # pragma: no cover -- exotic exceptions with slots
             pass
         if isinstance(exc, QueryTimeoutError):
-            outcome, metric = "timeout", "query_timeouts"
+            outcome = "timeout"
         elif isinstance(exc, QueryCancelledError):
-            outcome, metric = "cancelled", "query_cancellations"
+            outcome = "cancelled"
         elif isinstance(exc, OutOfMemoryBudgetError):
-            outcome, metric = "oom", "query_oom"
+            outcome = "oom"
         else:
-            outcome = "rejected" if isinstance(exc, AdmissionError) else "error"
-        if outcome not in ("rejected", "error"):
-            # a kill, wherever it struck, carries the lifecycle tree: the
-            # phase the query died in, then the ``killed`` mark
-            entry.tracer.mark("killed", outcome=outcome)
-            if exc.trace_root is None:
-                exc.trace_root = entry.tracer.root
-        if run is None or outcome in ("rejected", "error"):
-            # admission rejections, compile errors (a kill before the run
-            # included), plain execution bugs
-            self._finish_flight(entry, outcome, error=str(exc))
-            return None
-        self.metrics.inc(metric)
+            return ("rejected" if isinstance(exc, AdmissionError) else "error"), None
+        # the tree ends in the phase the query died in, then the mark
+        entry.tracer.mark("killed", outcome=outcome)
+        if exc.trace_root is None:
+            exc.trace_root = entry.tracer.root
+        if run is None:
+            return outcome, None
         if exc.partial_stats is None:
             exc.partial_stats = run.stats
-        self._finish_flight(entry, outcome, run, error=str(exc))
         if outcome != "oom":
-            return None
+            return outcome, None
         if self.governor is not None:
             self.governor.note_memory_pressure()
         own_budget = run.plan.config.memory_budget_bytes
         if run.budget is None or (own_budget is not None and run.budget >= own_budget):
-            return None
+            return outcome, None
         # the *governor's share*, not the query's own budget, was the
         # binding constraint: concurrent callers get retryable
         # backpressure, never an unhandled OOM
@@ -804,76 +765,54 @@ class LevelHeadedEngine:
         )
         retry.partial_stats = exc.partial_stats
         retry.query_id = entry.query_id
-        return retry
+        return outcome, retry
 
-    def _finish_flight(
+    def _finish_query(
         self,
         entry: InflightQuery,
         outcome: str,
-        run: Optional[QueryRun] = None,
-        *,
-        rows: int = 0,
-        bytes_out: int = 0,
-        drifted: bool = False,
-        annotations: Optional[Dict[str, object]] = None,
-        error: Optional[str] = None,
+        run: Optional[QueryRun],
+        result: Optional[ResultTable],
+        drifted: bool,
+        failure: Optional[BaseException],
     ) -> None:
-        """The record of a finished query: flight entry, query-log event.
+        """Build the query's one outcome record and feed every sink off it.
 
-        Every flight record carries an ``annotations`` block with the
-        ``feedback`` sub-block *uniformly present* (empty on admission
-        rejections and compile failures, where no ``run`` exists) --
-        ``/debug/flight`` consumers never need per-outcome key guards.  The approximate-execution annotation
-        (``approx``) joins the block only when the query ran on samples.
-
-        A query that reached its run (served or killed) also appends one
-        event to the attached query log; a killed one always captures
-        its plan text and span tree, a served one only when it crossed
-        the slow-query threshold.  Its execute time is the runner's
-        spans; a query that never ran reports its whole ``query`` span.
+        The record is the flight-recorder entry; the metrics
+        (:meth:`~repro.obs.MetricsRegistry.record_query`) and the
+        attached query log (:meth:`~repro.obs.QueryLog.record`) are
+        functions of it, so the three can never disagree.  Its
+        ``annotations`` block carries the ``feedback`` sub-block
+        *uniformly* (empty where no ``run`` exists) -- ``/debug/flight``
+        consumers never need per-outcome key guards -- and the
+        approximate-execution annotation (``approx``) only when the
+        query ran on samples.  Admission facts (``queued``,
+        ``admission_wait_ms``, a refused slot's ``cause``) are read off
+        the ``admission.wait`` span; the execute time is the runner's
+        spans, or the whole ``query`` span for a query that never ran.
         """
-        if entry.recorded:
-            return
-        entry.recorded = True
-        execute_seconds = (
-            run.execute_seconds() if run is not None else entry.tracer.root.duration
-        )
-        plan = run.plan if run is not None else None
-        stats = run.stats if run is not None else None
-        cache_outcome = run.cache_outcome if run is not None else None
-        compile_seconds = run.compile_seconds if run is not None else None
-        log = self.query_log
-        if log is not None and run is not None:
-            capture = outcome != "ok" or (
-                log.slow_query_seconds is not None
-                and execute_seconds >= log.slow_query_seconds
-            )
-            log.record(
-                sql=entry.sql,
-                mode=plan.mode,
-                cache_outcome=cache_outcome,
-                compile_seconds=compile_seconds,
-                execute_seconds=execute_seconds,
-                rows=rows,
-                plan_text=plan.explain() if capture else None,
-                trace_root=run.tracer.root if capture else None,
-                outcome=outcome,
-                query_id=entry.query_id,
-                annotations=annotations,
-            )
-        nodes = [
-            {
-                "node": summary.get("node_key"),
-                "order": list(summary.get("attrs") or ()),
+        root = entry.tracer.root
+        admission = admission_of(root)
+        plan = stats = compile_seconds = None
+        if run is not None:
+            plan, stats, compile_seconds = run.plan, run.stats, run.compile_seconds
+        execute_seconds = run.execute_seconds() if run is not None else root.duration
+        block: Dict[str, object] = {}
+        if result is not None and result.approx is not None:
+            block["approx"] = {
+                "mode": result.approx["mode"],
+                "fraction": result.approx["fraction"],
+                "samples": [use["sample"] for use in result.approx["samples"]],
+                "errors": {
+                    name: info["error"]
+                    for name, info in result.approx["columns"].items()
+                },
             }
-            for summary in (plan.node_summaries() if plan is not None else [])
-        ]
         q_error_max = (
             float(stats.q_error_max)
             if stats is not None and stats.q_error_max
             else None
         )
-        block: Dict[str, object] = dict(annotations or {})
         block["feedback"] = {"q_error_max": q_error_max, "drifted": bool(drifted)}
         record: Dict[str, object] = {
             "query_id": entry.query_id,
@@ -883,24 +822,46 @@ class LevelHeadedEngine:
             "sql_hash": sql_hash(entry.sql),
             "outcome": outcome,
             "mode": plan.mode if plan is not None else None,
-            "cache_outcome": cache_outcome,
-            "queued": entry.queued,
-            "admission_wait_ms": round(entry.admission_wait_seconds * 1000, 3),
+            "cache_outcome": run.cache_outcome if run is not None else None,
+            "queued": admission.get("queued", False),
+            "admission_wait_ms": admission.get("waited_ms", 0.0),
+            # a rejection's cause, or the one a degraded run was spared
+            "cause": (
+                getattr(failure, "cause", None)
+                if outcome == "rejected"
+                else admission.get("cause")
+            ) or None,
             "compile_ms": (
                 None if compile_seconds is None else round(compile_seconds * 1000, 4)
             ),
             "execute_ms": round(execute_seconds * 1000, 4),
-            "rows": int(rows),
-            "bytes_out": int(bytes_out),
+            "rows": result.num_rows if result is not None else 0,
+            "bytes_out": result.nbytes if result is not None else 0,
+            "groups": int(stats.groups_emitted) if stats is not None else 0,
             "cancel_checks": int(stats.cancel_checks) if stats is not None else 0,
-            "nodes": nodes,
+            "nodes": [
+                {
+                    "node": summary.get("node_key"),
+                    "order": list(summary.get("attrs") or ()),
+                }
+                for summary in (plan.node_summaries() if plan is not None else [])
+            ],
             "q_error_max": q_error_max,
             "drifted": bool(drifted),
             "annotations": block,
         }
-        if error is not None:
-            record["error"] = error
+        if failure is not None:
+            record["error"] = str(failure)
         self.flight.record(record)
+        self.metrics.record_query(record)
+        log = self.query_log
+        if log is not None:
+            capture = log.captures(record)
+            log.record(
+                record,
+                plan_text=plan.explain() if capture and plan is not None else None,
+                trace_root=root if capture else None,
+            )
 
     def debug_snapshot(
         self, what: str, n: Optional[int] = None, outcome: Optional[str] = None
@@ -1054,7 +1015,7 @@ class LevelHeadedEngine:
         """Attach a :class:`~repro.obs.QueryLog` writing to ``sink``.
 
         ``sink`` is a path or file-like object; one JSON line per served
-        query.  With ``slow_query_seconds`` set, queries at or above the
+        or killed query.  With ``slow_query_seconds`` set, queries at or above the
         threshold also capture the plan text and full span tree (the
         planner and executor layers record their spans for every query
         while such a log is attached).

@@ -37,6 +37,7 @@ from .flight import (
     FlightRecorder,
     InflightQuery,
     InflightRegistry,
+    admission_of,
     next_query_id,
     sql_hash,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "Span",
     "Tracer",
     "activate",
+    "admission_of",
     "next_query_id",
     "phase_times",
     "render_chrome_trace",

@@ -26,6 +26,7 @@ import threading
 import time
 from typing import Dict, List, Optional, TextIO, Union
 
+from .metrics import KILL_COUNTERS
 from .trace import Span
 
 # ---------------------------------------------------------------------------
@@ -128,13 +129,17 @@ def to_prometheus(registry, namespace: str = "repro") -> str:
 class QueryLog:
     """A JSONL query-event log with slow-query capture.
 
-    One JSON object per line, one line per served query, with a stable
-    field order (so downstream parsers can stream line by line and
-    golden tests can pin the schema).  Queries whose execute time
-    reaches ``slow_query_seconds``, and killed queries, additionally
-    capture the full plan text and the query's span tree: its lifecycle
-    spans, plus the planner and executor spans the engine records for
-    every query while a slow threshold is configured.
+    One JSON object per line, with a stable field order (so downstream
+    parsers can stream line by line and golden tests can pin the
+    schema).  Each event is read off one finished query's
+    flight-recorder entry: a served query is a ``query`` event, a killed
+    one (deadline, cancel, memory budget -- also before it ran) a
+    ``killed_query`` event; rejections and errors write none.  Queries
+    whose execute time reaches ``slow_query_seconds``, and killed
+    queries, additionally capture the full plan text and the query's
+    span tree: its lifecycle spans, plus the planner and executor spans
+    the engine records for every query while a slow threshold is
+    configured.
 
     ``sink`` is a path (opened in append mode, one line flushed per
     event) or any file-like object with ``write``.
@@ -165,55 +170,53 @@ class QueryLog:
         """Whether the engine should trace every query for this log."""
         return self.slow_query_seconds is not None
 
+    def _slow(self, entry: Dict[str, object]) -> bool:
+        return (
+            self.slow_query_seconds is not None
+            and entry["execute_ms"] >= self.slow_query_seconds * 1000
+        )
+
+    def captures(self, entry: Dict[str, object]) -> bool:
+        """Whether ``entry``'s event carries the plan text and span tree:
+        a kill always does, a served query once it is slow."""
+        outcome = entry["outcome"]
+        return outcome in KILL_COUNTERS or (outcome == "ok" and self._slow(entry))
+
     def record(
         self,
-        *,
-        sql: Optional[str],
-        mode: str,
-        cache_outcome: Optional[str],
-        compile_seconds: Optional[float],
-        execute_seconds: float,
-        rows: int,
+        entry: Dict[str, object],
         plan_text: Optional[str] = None,
         trace_root: Optional[Span] = None,
-        outcome: str = "ok",
-        query_id: Optional[str] = None,
-        annotations: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Append one query event; thread-safe, one line per call.
+        """Append the event of one finished query; thread-safe, one line.
 
-        ``outcome`` is ``"ok"`` for served queries; killed queries pass
-        ``"timeout"`` / ``"cancelled"`` / ``"oom"`` and are logged as
-        ``killed_query`` events that *always* capture the plan text and
-        span tree (a query the governor killed is precisely the one to
-        diagnose afterwards).  Extra fields are only emitted for killed
-        queries so the ordinary event schema stays unchanged.
-
-        ``annotations`` is emitted on *every* event -- an empty dict
-        when the caller has none (killed and rejected queries included),
-        so consumers never guard on the key's presence.  The engine puts
-        the approximate-execution block (``approx``) here.
+        ``entry`` is the query's flight-recorder entry.  An ``ok`` one is
+        a ``query`` (or ``slow_query``) event; a kill (``timeout`` /
+        ``cancelled`` / ``oom``) is a ``killed_query`` event that adds
+        its ``outcome`` and *always* carries ``plan``/``trace`` (a query
+        the governor killed is precisely the one to diagnose afterwards;
+        ``plan`` is null when it died before its plan ran).  Any
+        other outcome writes nothing.  ``annotations`` is the entry's
+        block, present on every event.
         """
-        killed = outcome != "ok"
-        slow = (
-            self.slow_query_seconds is not None
-            and execute_seconds >= self.slow_query_seconds
-        )
+        outcome = entry["outcome"]
+        killed = outcome in KILL_COUNTERS
+        if not killed and outcome != "ok":
+            return
+        slow = self._slow(entry)
         # Stable field order: parsers and golden tests rely on it.
         event: Dict[str, object] = {
             "ts": round(self._clock(), 6),
             "event": "killed_query" if killed else ("slow_query" if slow else "query"),
-            "query_id": query_id,
-            "sql": sql,
-            "mode": mode,
-            "cache_outcome": cache_outcome,
-            "compile_ms": (
-                None if compile_seconds is None else round(compile_seconds * 1000, 4)
-            ),
-            "execute_ms": round(execute_seconds * 1000, 4),
-            "rows": int(rows),
+            "query_id": entry["query_id"],
+            "sql": entry["sql"],
+            "mode": entry["mode"],
+            "cache_outcome": entry["cache_outcome"],
+            "compile_ms": entry["compile_ms"],
+            "execute_ms": entry["execute_ms"],
+            "rows": entry["rows"],
             "slow": slow,
-            "annotations": dict(annotations or {}),
+            "annotations": entry["annotations"],
         }
         if killed:
             event["outcome"] = outcome

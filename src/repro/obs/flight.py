@@ -34,6 +34,7 @@ __all__ = [
     "FlightRecorder",
     "InflightQuery",
     "InflightRegistry",
+    "admission_of",
     "next_query_id",
     "sql_hash",
 ]
@@ -60,6 +61,20 @@ def sql_hash(sql: Optional[str]) -> Optional[str]:
     return hashlib.sha1(sql.encode("utf-8")).hexdigest()[:12]
 
 
+def admission_of(root) -> Dict[str, object]:
+    """The payload of the ``admission.wait`` span under a lifecycle root.
+
+    The engine sets ``queued`` and ``waited_ms`` on it once a slot is
+    granted, and ``cause`` (plus ``degraded_to_approx``) when admission
+    refused one; empty before admission ends or without a governor.
+    """
+    if root is not None:
+        for span in root.children:
+            if span.name == "admission.wait":
+                return span.payload
+    return {}
+
+
 class InflightQuery:
     """Live state of one admitted-but-unfinished query."""
 
@@ -71,9 +86,6 @@ class InflightQuery:
         "_t0",
         "tracer",
         "stats",
-        "admission_wait_seconds",
-        "queued",
-        "recorded",
     )
 
     def __init__(self, query_id: str, sql: Optional[str], session: Optional[str]):
@@ -88,12 +100,6 @@ class InflightQuery:
         #: its counters mid-flight is racy-but-monotonic, which is all a
         #: progress view needs).
         self.stats = None
-        self.admission_wait_seconds = 0.0
-        self.queued = False
-        #: whether a flight-recorder entry was already written for this
-        #: query (kills record eagerly; the failure path must not
-        #: double-record).
-        self.recorded = False
 
     @property
     def phase(self) -> str:
@@ -104,6 +110,7 @@ class InflightQuery:
 
     def snapshot(self) -> Dict[str, object]:
         stats = self.stats
+        admission = admission_of(self.tracer.root if self.tracer is not None else None)
         return {
             "query_id": self.query_id,
             "session": self.session,
@@ -111,8 +118,8 @@ class InflightQuery:
             "phase": self.phase,
             "elapsed_ms": round((time.perf_counter() - self._t0) * 1000, 3),
             "started_ts": round(self.started_ts, 6),
-            "queued": self.queued,
-            "admission_wait_ms": round(self.admission_wait_seconds * 1000, 3),
+            "queued": admission.get("queued", False),
+            "admission_wait_ms": admission.get("waited_ms", 0.0),
             "cancel_checks": int(stats.cancel_checks) if stats is not None else 0,
         }
 

@@ -3,7 +3,9 @@
 A :class:`MetricsRegistry` hangs off each engine and accumulates
 cumulative counters and latency histograms across every query the
 engine serves: queries served, plan-cache hit rates, p50/p95 compile
-and execute times, groups emitted, bytes materialized.  Counters are
+and execute times, groups emitted, bytes materialized.  Every outcome
+counter is read off the query's flight-recorder entry
+(:meth:`MetricsRegistry.record_query`).  Counters are
 guarded by a lock so background threads (the bench harness, a serving
 loop) can record concurrently.
 
@@ -35,6 +37,14 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 BUCKET_BOUNDS: Dict[str, Tuple[float, ...]] = {
     "execute_seconds": DEFAULT_LATENCY_BUCKETS,
     "admission_wait_seconds": DEFAULT_LATENCY_BUCKETS,
+}
+
+
+#: the counter each kill outcome of a flight entry increments.
+KILL_COUNTERS: Dict[str, str] = {
+    "timeout": "query_timeouts",
+    "cancelled": "query_cancellations",
+    "oom": "query_oom",
 }
 
 
@@ -151,7 +161,7 @@ class MetricsRegistry:
 
     def inc(self, name: str, by: int = 1) -> None:
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + by
+            self._bump(name, by)
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set a point-in-time gauge (active connections, queue depth...)."""
@@ -165,33 +175,60 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram(
-                    bounds=BUCKET_BOUNDS.get(name)
-                )
-            histogram.observe(value)
+            self._sample(name, value)
 
-    def record_query(
-        self,
-        execute_seconds: float,
-        compile_seconds: Optional[float] = None,
-        cache_outcome: Optional[str] = None,
-        rows: int = 0,
-        bytes_materialized: int = 0,
-        groups_emitted: Optional[int] = None,
-    ) -> None:
-        """Record one served query (the engine calls this on every run)."""
-        self.inc("queries_served")
-        self.observe("execute_seconds", execute_seconds)
-        if compile_seconds is not None:
-            self.observe("compile_seconds", compile_seconds)
-        if cache_outcome is not None:
-            self.inc(f"plan_cache_{cache_outcome}")
-        self.inc("rows_emitted", rows)
-        self.inc("bytes_materialized", bytes_materialized)
-        if groups_emitted is not None:
-            self.inc("groups_emitted", groups_emitted)
+    def record_query(self, entry: Dict[str, object]) -> None:
+        """Count one finished query off its flight-recorder entry.
+
+        The engine calls this once per query with the entry it has just
+        recorded, so every outcome counter is a function of that one
+        record (one lock acquisition for all of them):
+
+        * ``ok``: ``queries_served``, the execute and compile
+          histograms, ``plan_cache_<cache_outcome>``, rows, bytes and
+          groups;
+        * a kill (``timeout``, ``cancelled``, ``oom``): its
+          :data:`KILL_COUNTERS` counter, wherever the kill struck;
+        * ``rejected``: ``admission_rejected`` plus
+          ``admission_rejected_<cause>``;
+        * any other entry with an admission ``cause`` ran degraded to
+          approximate instead of being rejected: ``degraded_to_approx``
+          (never on a ``rejected`` entry, whose rejection stood).
+        """
+        outcome = entry["outcome"]
+        cause = entry["cause"]
+        with self._lock:
+            if outcome == "ok":
+                self._bump("queries_served")
+                self._sample("execute_seconds", entry["execute_ms"] / 1000)
+                if entry["compile_ms"] is not None:
+                    self._sample("compile_seconds", entry["compile_ms"] / 1000)
+                if entry["cache_outcome"] is not None:
+                    self._bump(f"plan_cache_{entry['cache_outcome']}")
+                self._bump("rows_emitted", entry["rows"])
+                self._bump("bytes_materialized", entry["bytes_out"])
+                self._bump("groups_emitted", entry["groups"])
+            elif outcome == "rejected":
+                # one rejection, one total increment; the cause label
+                # splits the total without double-counting any query
+                self._bump("admission_rejected")
+                if cause:
+                    self._bump(f"admission_rejected_{cause}")
+            elif outcome in KILL_COUNTERS:
+                self._bump(KILL_COUNTERS[outcome])
+            if cause and outcome != "rejected":
+                self._bump("degraded_to_approx")
+
+    def _bump(self, name: str, by: int = 1) -> None:
+        self._counters[name] = self._counters.get(name, 0) + by
+
+    def _sample(self, name: str, value: float) -> None:
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram(
+                bounds=BUCKET_BOUNDS.get(name)
+            )
+        histogram.observe(value)
 
     # -- reading ------------------------------------------------------------
 

@@ -38,9 +38,6 @@ class Semiring:
             return self.zero
         return self.add_reduce(values)
 
-    def is_annihilated(self, value: float) -> bool:
-        return value == self.zero or (math.isinf(self.zero) and math.isinf(value) and value == self.zero)
-
 
 SUM_PRODUCT = Semiring(
     name="sum_product",

@@ -455,10 +455,6 @@ class ReproServer:
     def running(self) -> bool:
         return self._tcp is not None
 
-    def active_sessions(self) -> int:
-        with self._lock:
-            return len(self._sessions)
-
     # -- session bookkeeping ---------------------------------------------------
 
     def _open_session(self, handler: _ConnectionHandler) -> Session:

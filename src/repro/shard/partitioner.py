@@ -27,7 +27,7 @@ return *decoded* group keys (see :meth:`LevelHeadedEngine._decode_partial`).
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -94,16 +94,3 @@ def slice_table(table: Table, indices: np.ndarray) -> Table:
     }
     return Table(table.schema, columns)
 
-
-def plan_distribution(
-    tables: Iterable[Table], partition_domain: Optional[str]
-) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """Split table names into (partitioned, replicated) under a domain."""
-    partitioned: List[str] = []
-    replicated: List[str] = []
-    for table in tables:
-        if partition_domain is not None and leading_domain(table) == partition_domain:
-            partitioned.append(table.name)
-        else:
-            replicated.append(table.name)
-    return tuple(sorted(partitioned)), tuple(sorted(replicated))

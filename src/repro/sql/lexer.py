@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import ParseError
 
@@ -128,7 +128,3 @@ class TokenStream:
 
     def at_end(self) -> bool:
         return self.peek().kind == "EOF"
-
-
-def iter_tokens(sql: str) -> Iterator[Token]:
-    return iter(tokenize(sql))

@@ -229,10 +229,6 @@ class Catalog:
     def domain_version(self, domain: str) -> int:
         return self._versions.get(domain, 0)
 
-    def versions_of(self, domains: Iterable[str]) -> Dict[str, int]:
-        """Current versions of the given key domains (plan snapshots)."""
-        return {domain: self.domain_version(domain) for domain in domains}
-
     def names(self) -> Iterable[str]:
         return self.tables.keys()
 

@@ -41,10 +41,6 @@ class AttrType(enum.Enum):
             AttrType.DATE: np.int64,  # proleptic-Gregorian ordinal
         }[self]
 
-    @property
-    def is_numeric(self) -> bool:
-        return self in (AttrType.INT, AttrType.LONG, AttrType.FLOAT, AttrType.DOUBLE)
-
 
 #: Types a key attribute may have: keys are dictionary-encoded integers.
 KEY_TYPES = (AttrType.INT, AttrType.LONG)

@@ -177,6 +177,25 @@ def on_threads(fn, threads: int) -> list:
         return [future.result(timeout=300) for future in futures]
 
 
+def flight_entry(**fields) -> dict:
+    """A finished query's flight-recorder entry: a served query by default.
+
+    ``LevelHeadedEngine._finish_query`` builds these; the metrics
+    (``MetricsRegistry.record_query``) and the query log
+    (``QueryLog.record``) read them.  ``fields`` override the defaults.
+    """
+    entry = {
+        "query_id": "q1-1", "ts": 0.0, "session": None, "sql": "q",
+        "sql_hash": None, "outcome": "ok", "mode": "join",
+        "cache_outcome": "miss", "queued": False, "admission_wait_ms": 0.0,
+        "cause": None, "compile_ms": None, "execute_ms": 1.0, "rows": 0,
+        "bytes_out": 0, "groups": 0, "cancel_checks": 0, "nodes": [],
+        "q_error_max": None, "drifted": False, "annotations": {},
+    }
+    entry.update(fields)
+    return entry
+
+
 def make_matrix_catalog(entries=None, n=4) -> Catalog:
     """A catalog with one sparse 'matrix' table over a shared dim domain."""
     cat = Catalog()

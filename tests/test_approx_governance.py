@@ -29,7 +29,7 @@ from repro.core.governor import Governor
 from repro.errors import ReproError, RetryableAdmissionError, UnsupportedOnTopology
 from repro.server import ReproServer
 
-from .conftest import make_mini_tpch
+from .conftest import flight_entry, make_mini_tpch
 
 SQL = (
     "SELECT l_suppkey, SUM(l_extendedprice) AS revenue, COUNT(*) AS lines "
@@ -132,6 +132,25 @@ def test_allow_without_sample_coverage_still_rejects():
     assert engine.metrics.counter("degraded_to_approx") == 0
 
 
+def test_degrade_whose_rejection_stands_counts_only_the_rejection(monkeypatch):
+    # the coverage pre-check passes, but the compiled plan finds no
+    # sample (as after a concurrent drop): the queue_full rejection
+    # stands, and the abandoned degrade is not counted
+    engine, governor, held = _overloaded_engine(approx="allow")
+    monkeypatch.setattr(engine, "_approx_covers", lambda source: True)
+    try:
+        with pytest.raises(RetryableAdmissionError) as info:
+            engine.query(SQL)
+    finally:
+        governor.release(held)
+    assert info.value.cause == "queue_full"
+    assert engine.metrics.counter("admission_rejected") == 1
+    assert engine.metrics.counter("admission_rejected_queue_full") == 1
+    assert engine.metrics.counter("degraded_to_approx") == 0
+    entry = engine.flight.snapshot(n=1)[0]
+    assert (entry["outcome"], entry["cause"]) == ("rejected", "queue_full")
+
+
 def test_uncontended_allow_runs_exact():
     engine = repro.connect(
         catalog=make_mini_tpch(), max_concurrency=4, approx="allow"
@@ -162,8 +181,8 @@ def test_rejected_and_killed_events_carry_annotations_uniformly():
 
     sink = io.StringIO()
     QueryLog(sink).record(
-        sql="q", mode="join", cache_outcome="hit", compile_seconds=None,
-        execute_seconds=0.5, rows=0, outcome="timeout", plan_text="p",
+        flight_entry(cache_outcome="hit", execute_ms=500.0, outcome="timeout"),
+        plan_text="p",
     )
     killed = json.loads(sink.getvalue())
     assert killed["event"] == "killed_query"

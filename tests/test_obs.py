@@ -6,7 +6,7 @@ import pytest
 
 from repro import LevelHeadedEngine, MetricsRegistry, Span, Tracer
 from repro.obs import NULL_TRACER, Histogram, phase_times
-from tests.conftest import make_mini_tpch, on_threads
+from tests.conftest import flight_entry, make_mini_tpch, on_threads
 from tests.test_engine import Q5_SQL
 
 
@@ -131,8 +131,8 @@ def test_metrics_as_dict_is_a_consistent_snapshot():
     """cache_hit_rate must be computed from the same counter snapshot
     the dict reports, not re-read after the fact."""
     m = MetricsRegistry()
-    m.record_query(0.001, cache_outcome="miss", rows=1)
-    m.record_query(0.001, cache_outcome="hit", rows=1)
+    m.record_query(flight_entry(execute_ms=1.0, cache_outcome="miss", rows=1))
+    m.record_query(flight_entry(execute_ms=1.0, cache_outcome="hit", rows=1))
     snap = m.as_dict()
     hits = snap["counters"]["plan_cache_hit"]
     misses = snap["counters"]["plan_cache_miss"]
@@ -141,9 +141,9 @@ def test_metrics_as_dict_is_a_consistent_snapshot():
 
 def test_metrics_registry_record_query():
     m = MetricsRegistry()
-    m.record_query(0.010, compile_seconds=0.050, cache_outcome="miss", rows=3,
-                   bytes_materialized=96, groups_emitted=3)
-    m.record_query(0.008, cache_outcome="hit", rows=3, bytes_materialized=96)
+    m.record_query(flight_entry(execute_ms=10.0, compile_ms=50.0, cache_outcome="miss",
+                                rows=3, bytes_out=96, groups=3))
+    m.record_query(flight_entry(execute_ms=8.0, cache_outcome="hit", rows=3, bytes_out=96))
     assert m.counter("queries_served") == 2
     assert m.counter("rows_emitted") == 6
     assert m.counter("plan_cache_hit") == 1

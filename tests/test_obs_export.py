@@ -10,7 +10,7 @@ import pytest
 
 from repro import LevelHeadedEngine, MetricsRegistry, Tracer
 from repro.obs import QueryLog, to_chrome_trace, to_prometheus
-from tests.conftest import make_mini_tpch, on_threads
+from tests.conftest import flight_entry, make_mini_tpch, on_threads
 from tests.test_engine import Q5_SQL
 
 GOLDEN = Path(__file__).parent / "golden" / "metrics_golden.prom"
@@ -28,9 +28,9 @@ def _fake_clock(times):
 
 def test_prometheus_matches_golden_file():
     m = MetricsRegistry()
-    m.record_query(0.010, compile_seconds=0.050, cache_outcome="miss", rows=3,
-                   bytes_materialized=96, groups_emitted=3)
-    m.record_query(0.008, cache_outcome="hit", rows=3, bytes_materialized=96)
+    m.record_query(flight_entry(execute_ms=10.0, compile_ms=50.0, cache_outcome="miss",
+                                rows=3, bytes_out=96, groups=3))
+    m.record_query(flight_entry(execute_ms=8.0, cache_outcome="hit", rows=3, bytes_out=96))
     assert m.to_prometheus() == GOLDEN.read_text()
 
 
@@ -43,7 +43,7 @@ def test_prometheus_empty_registry_renders_rate_only():
 
 def test_prometheus_counters_are_sorted_and_typed():
     m = MetricsRegistry()
-    m.record_query(0.001, cache_outcome="hit", rows=1, bytes_materialized=8)
+    m.record_query(flight_entry(execute_ms=1.0, cache_outcome="hit", rows=1, bytes_out=8))
     text = to_prometheus(m)
     lines = text.splitlines()
     counter_names = [
@@ -98,8 +98,8 @@ EXPECTED_FIELDS = ["ts", "event", "query_id", "sql", "mode", "cache_outcome",
 def test_query_log_event_schema_and_field_order():
     sink = io.StringIO()
     log = QueryLog(sink, clock=_fake_clock([100.0]))
-    log.record(sql="SELECT 1", mode="join", cache_outcome="miss",
-               compile_seconds=0.002, execute_seconds=0.001, rows=1)
+    log.record(flight_entry(sql="SELECT 1", mode="join", cache_outcome="miss",
+                            compile_ms=2.0, execute_ms=1.0, rows=1))
     line = sink.getvalue().strip()
     event = json.loads(line)
     assert list(event.keys()) == EXPECTED_FIELDS
@@ -119,8 +119,7 @@ def test_query_log_event_schema_and_field_order():
 def test_query_log_null_compile_on_cache_hit():
     sink = io.StringIO()
     log = QueryLog(sink)
-    log.record(sql="q", mode="join", cache_outcome="hit",
-               compile_seconds=None, execute_seconds=0.001, rows=0)
+    log.record(flight_entry(cache_outcome="hit", compile_ms=None, execute_ms=1.0))
     event = json.loads(sink.getvalue())
     assert event["compile_ms"] is None
 
@@ -129,8 +128,7 @@ def test_query_log_fast_query_below_threshold_is_not_slow():
     sink = io.StringIO()
     log = QueryLog(sink, slow_query_seconds=10.0)
     assert log.captures_traces
-    log.record(sql="q", mode="join", cache_outcome="hit",
-               compile_seconds=None, execute_seconds=0.001, rows=0)
+    log.record(flight_entry(cache_outcome="hit", compile_ms=None, execute_ms=1.0))
     event = json.loads(sink.getvalue())
     assert event["event"] == "query" and event["slow"] is False
     assert "plan" not in event and "trace" not in event
@@ -143,8 +141,7 @@ def test_query_log_slow_query_carries_plan_and_trace():
             pass
     sink = io.StringIO()
     log = QueryLog(sink, slow_query_seconds=0.5)
-    log.record(sql="q", mode="join", cache_outcome="hit",
-               compile_seconds=None, execute_seconds=2.0, rows=0,
+    log.record(flight_entry(cache_outcome="hit", compile_ms=None, execute_ms=2000.0),
                plan_text="plan text here", trace_root=tracer.root)
     event = json.loads(sink.getvalue())
     assert event["event"] == "slow_query" and event["slow"] is True
@@ -159,12 +156,12 @@ def test_query_log_slow_query_carries_plan_and_trace():
 def test_query_log_path_sink_appends(tmp_path):
     path = tmp_path / "queries.jsonl"
     log = QueryLog(path)
-    log.record(sql="a", mode="join", cache_outcome="miss",
-               compile_seconds=0.001, execute_seconds=0.001, rows=1)
+    log.record(flight_entry(sql="a", cache_outcome="miss", compile_ms=1.0,
+                            execute_ms=1.0, rows=1))
     log.close()
     log = QueryLog(path)
-    log.record(sql="b", mode="join", cache_outcome="hit",
-               compile_seconds=None, execute_seconds=0.001, rows=1)
+    log.record(flight_entry(sql="b", cache_outcome="hit", compile_ms=None,
+                            execute_ms=1.0, rows=1))
     log.close()
     events = [json.loads(line) for line in path.read_text().splitlines()]
     assert [e["sql"] for e in events] == ["a", "b"]
