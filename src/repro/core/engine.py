@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import re
 import time
-from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -69,7 +68,6 @@ from ..obs import (
     next_query_id,
     sql_hash,
 )
-from ..obs import activate as _activate_profiler
 from ..optimizer.feedback import QueryFeedback, measure
 from ..query.translate import CompiledQuery, translate
 from ..sql.ast import Literal, SelectStmt
@@ -562,10 +560,11 @@ class LevelHeadedEngine:
         token = self._make_token(timeout_ms, cancel_token)
         # one clock per query: the lifecycle always records its phase
         # spans; the planner and executor layers add their deep spans
-        # only when the caller or an attached slow-query log reads them
+        # only when the caller, the kernel profile or an attached
+        # slow-query log reads them
         tracer = Tracer()
         log = self.query_log
-        deep = trace or (log is not None and log.captures_traces)
+        deep = trace or profile or (log is not None and log.captures_traces)
         layers = tracer if deep else NULL_TRACER
         query_id = query_id or next_query_id()
         entry = self.inflight.register(
@@ -1027,21 +1026,15 @@ class LevelHeadedEngine:
     def _execute_local(self, run: QueryRun) -> ResultTable:
         """The default runner: ``execute_plan`` on this engine, then decode."""
         plan, tracer, stats = run.plan, run.tracer, run.stats
-        profiler = KernelProfiler() if run.profile else None
         kwargs = dict(stats=stats, tracer=run.layers, cancel=run.token)
         if run.budget is not None:
             kwargs["memory_budget_bytes"] = run.budget
-        # the profile attributes execute_plan, not compile or decode
-        with tracer.span("execute") as span, (
-            _activate_profiler(profiler) if profiler is not None else nullcontext()
-        ):
+        with tracer.span("execute") as span:
             snapshot = stats.snapshot() if run.layers.active else None
             raw = execute_plan(plan, **kwargs)
             span.set(mode=plan.mode, rows=raw.num_rows)
             if snapshot is not None:
                 span.stats = stats.delta_since(snapshot)
-        if profiler is not None:
-            profiler.execute_seconds = span.duration
         with tracer.span("decode"):
             if run.partial:
                 result = self._decode_partial(plan.compiled, plan, raw)
@@ -1053,7 +1046,8 @@ class LevelHeadedEngine:
                     result, plan.approx, mode="degraded" if run.degraded else "forced"
                 )
             self.metrics.inc("approx_queries")
-        result.profile = profiler
+        # the profile reads execute_plan's spans, not compile's or decode's
+        result.profile = KernelProfiler(span) if run.profile else None
         return result
 
     def _record_feedback(

@@ -42,7 +42,7 @@ from .flight import (
     sql_hash,
 )
 from .metrics import Histogram, MetricsRegistry
-from .profile import KernelProfiler, activate
+from .profile import KernelProfiler
 from .trace import (
     NULL_TRACER,
     NullTracer,
@@ -65,7 +65,6 @@ __all__ = [
     "QueryLog",
     "Span",
     "Tracer",
-    "activate",
     "admission_of",
     "next_query_id",
     "phase_times",

@@ -62,16 +62,22 @@ def sql_hash(sql: Optional[str]) -> Optional[str]:
 
 
 def admission_of(root) -> Dict[str, object]:
-    """The payload of the ``admission.wait`` span under a lifecycle root.
+    """The admission facts of a lifecycle root's ``admission.wait`` span.
 
-    The engine sets ``queued`` and ``waited_ms`` on it once a slot is
-    granted, and ``cause`` (plus ``degraded_to_approx``) when admission
-    refused one; empty before admission ends or without a governor.
+    While the span is open the query waits for a slot: it reads
+    ``queued`` and the wait so far (``waited_ms``, on the tracer's
+    clock).  Once it closes, its payload: the engine sets ``queued`` and
+    ``waited_ms`` on it when a slot is granted, and ``cause`` (plus
+    ``degraded_to_approx``) when admission refused one.  Empty before
+    admission starts or without a governor.
     """
     if root is not None:
         for span in root.children:
             if span.name == "admission.wait":
-                return span.payload
+                waited = span.elapsed()
+                if waited is None:
+                    return span.payload
+                return {"queued": True, "waited_ms": round(waited * 1000, 3)}
     return {}
 
 
@@ -83,7 +89,6 @@ class InflightQuery:
         "sql",
         "session",
         "started_ts",
-        "_t0",
         "tracer",
         "stats",
     )
@@ -93,7 +98,6 @@ class InflightQuery:
         self.sql = sql
         self.session = session
         self.started_ts = time.time()
-        self._t0 = time.perf_counter()
         #: the query's lifecycle tracer, once the engine has opened it.
         self.tracer = None
         #: the run's live ExecutionStats once execution starts (reading
@@ -110,13 +114,20 @@ class InflightQuery:
 
     def snapshot(self) -> Dict[str, object]:
         stats = self.stats
-        admission = admission_of(self.tracer.root if self.tracer is not None else None)
+        root = self.tracer.root if self.tracer is not None else None
+        # admission first: the wait is never read later than the elapsed
+        admission = admission_of(root)
+        elapsed = 0.0
+        if root is not None:
+            running = root.elapsed()
+            elapsed = root.duration if running is None else running
         return {
             "query_id": self.query_id,
             "session": self.session,
             "sql": self.sql,
             "phase": self.phase,
-            "elapsed_ms": round((time.perf_counter() - self._t0) * 1000, 3),
+            # the lifecycle's root span, on its tracer's clock
+            "elapsed_ms": round(elapsed * 1000, 3),
             "started_ts": round(self.started_ts, 6),
             "queued": admission.get("queued", False),
             "admission_wait_ms": admission.get("waited_ms", 0.0),

@@ -54,6 +54,12 @@ class Span:
         """Wall seconds spent inside this span (children included)."""
         return max(0.0, self.end - self.start)
 
+    def elapsed(self) -> Optional[float]:
+        """Seconds since an open span of a tree was entered, read on its
+        tracer's clock; None once it has closed (then see ``duration``)."""
+        tracer = self._tracer  # cleared on exit, maybe by another thread
+        return None if tracer is None else max(0.0, tracer._clock() - self.start)
+
     def set(self, **payload) -> "Span":
         """Attach key/value payload entries to this span."""
         self.payload.update(payload)

@@ -12,12 +12,10 @@ model (Section V-A1, Figure 5a):
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ..obs import profile as _profile
 from .bitset import BitSet
 from .layout import Layout, choose_layout
 from .uintset import UintSet
@@ -88,15 +86,10 @@ def intersect(a: Set, b: Set) -> Set:
 
     Result layouts follow the paper's convention: bs∩bs stays a bitset,
     any intersection involving a uint side yields a uint set
-    (``uint = l(bs ∩ uint)`` in Section V-A1).
-
-    When a :class:`repro.obs.KernelProfiler` is active, every pairwise
-    call is attributed to its kernel kind with wall time and operand
-    bytes; the unprofiled path pays only this one thread-local read.
+    (``uint = l(bs ∩ uint)`` in Section V-A1).  No engine path calls
+    it: the frontier probes whole trie levels, and the kernel profile
+    counts those probes.
     """
-    prof = _profile.active()
-    if prof is not None:
-        return _intersect_profiled(a, b, prof)
     if a.layout is Layout.BITSET and b.layout is Layout.BITSET:
         return _intersect_bs_bs(a, b)
     if a.layout is Layout.BITSET:
@@ -104,29 +97,6 @@ def intersect(a: Set, b: Set) -> Set:
     if b.layout is Layout.BITSET:
         return _intersect_bs_uint(b, a)
     return _intersect_uint_uint(a, b)
-
-
-def _intersect_profiled(a: Set, b: Set, prof) -> Set:
-    a_bs = a.layout is Layout.BITSET
-    b_bs = b.layout is Layout.BITSET
-    start = time.perf_counter()
-    if a_bs and b_bs:
-        kind, result = "bs_bs", _intersect_bs_bs(a, b)
-    elif a_bs:
-        kind, result = "bs_uint", _intersect_bs_uint(a, b)
-    elif b_bs:
-        kind, result = "bs_uint", _intersect_bs_uint(b, a)
-    else:
-        kind, result = "uint_uint", _intersect_uint_uint(a, b)
-    seconds = time.perf_counter() - start
-    prof.record_kernel(
-        kind,
-        seconds,
-        bytes_in=a.nbytes + b.nbytes,
-        output_values=len(result),
-        bitset_operands=int(a_bs) + int(b_bs),
-    )
-    return result
 
 
 def intersect_many(sets: Sequence[Set]) -> Set:

@@ -12,14 +12,12 @@ key attributes collapse duplicates -- Sections II-C and IV-A).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import SchemaError
-from ..obs import profile as _profile
 from .dictionary import Dictionary
 from .trie import Annotation, Trie, TrieLevel
 
@@ -83,13 +81,10 @@ def build_trie(
 
     ``key_columns`` are parallel arrays of dictionary codes, one per key
     attribute in trie-level order.  ``domain_sizes`` (dictionary sizes
-    per level) declare the code range the row ordering packs.
-
-    When a :class:`repro.obs.KernelProfiler` is active (builds of child
-    results during execution), the build's wall time and the resulting
-    trie's per-level byte footprint are recorded.
+    per level) declare the code range the row ordering packs.  The
+    builder reads no clock: the executor's ``child.materialize`` span
+    times a child result's build.
     """
-    start = time.perf_counter()
     if not key_columns:
         raise SchemaError("a trie needs at least one key attribute")
     if len(key_columns) != len(key_attrs):
@@ -106,7 +101,7 @@ def build_trie(
 
     cols = [np.ascontiguousarray(c, dtype=np.uint32) for c in key_columns]
     if n_rows == 0:
-        return _recorded(_empty_trie(key_attrs, annotations, len(cols)), start)
+        return _empty_trie(key_attrs, annotations, len(cols))
 
     # Builds can dominate compile time for large relations; poll the
     # ambient cancel token (set by the engine's ``cancel_scope``) once
@@ -151,23 +146,7 @@ def build_trie(
             spec.name, spec.level, collapsed, dictionary=spec.dictionary
         )
 
-    trie = Trie(key_attrs=tuple(key_attrs), levels=levels, annotations=built_annotations)
-    return _recorded(trie, start)
-
-
-def _recorded(trie: Trie, start: float) -> Trie:
-    """Record ``trie``'s build with the active kernel profiler, if any."""
-    prof = _profile.active()
-    if prof is not None:
-        prof.record_trie_build(
-            attrs=trie.key_attrs,
-            tuples=trie.num_tuples,
-            level_bytes=[
-                level.flat_values.nbytes + level.offsets.nbytes for level in trie.levels
-            ],
-            seconds=time.perf_counter() - start,
-        )
-    return trie
+    return Trie(key_attrs=tuple(key_attrs), levels=levels, annotations=built_annotations)
 
 
 def _empty_trie(key_attrs, annotations, arity) -> Trie:

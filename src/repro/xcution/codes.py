@@ -13,19 +13,17 @@ goes through this module, which never comparison-sorts a record array.
 * :func:`segmented_reduce` / :func:`row_values` are the one copy of the
   coefficient x slot product loop and the sum/min/max ``reduceat`` loop.
 
-Kernel time is attributed to the active :class:`KernelProfiler` under
-``group.order`` and ``group.reduce``.
+The kernels read no clock: their callers (the scan, the frontier's
+emit) open the ``group.order`` and ``group.reduce`` spans around them.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ExecutionError
-from ..obs import profile as _profile
 from ..sets.layout import fits_table
 
 #: packed keys stay below this so ``key * cardinality + code`` cannot
@@ -33,12 +31,6 @@ from ..sets.layout import fits_table
 _PACK_LIMIT = 1 << 62
 
 _REDUCERS = {"min": np.minimum, "max": np.maximum}
-
-
-def _profiled(category: str, start: float) -> None:
-    profiler = _profile.active()
-    if profiler is not None:
-        profiler.add_category(category, time.perf_counter() - start)
 
 
 def column_codes(column: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -105,7 +97,7 @@ def row_order(
     ``order`` is the permutation ``np.lexsort(columns[::-1])`` gives
     (first column most significant, ties in input order); ``key`` is the
     packed per-row key it sorts.  ``cardinalities`` declare code columns
-    as in :func:`group_runs`.  Unprofiled: callers book the time.
+    as in :func:`group_runs`.
     """
     coded: List[np.ndarray] = []
     cards: List[int] = []
@@ -133,7 +125,6 @@ def group_runs(
     (dictionary codes); other columns are coded by :func:`column_codes`.
     At least one column; :func:`whole_run` covers the ungrouped case.
     """
-    start = time.perf_counter()
     n_rows = int(np.asarray(columns[0]).shape[0])
     if n_rows == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -144,7 +135,6 @@ def group_runs(
     boundary[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
-    _profiled("group.order", start)
     return order, starts
 
 
@@ -200,14 +190,12 @@ def segmented_reduce(
     SUM/COUNT, elementwise extremum for MIN/MAX.  ``order=None`` means
     the rows already sit in run order.
     """
-    start = time.perf_counter()
     matrix = np.empty((starts.size, len(agg_funcs)), dtype=np.float64)
     if starts.size:
         for j, (func, values) in enumerate(zip(agg_funcs, value_columns)):
             if order is not None:
                 values = values[order]
             matrix[:, j] = _REDUCERS.get(func, np.add).reduceat(values, starts)
-    _profiled("group.reduce", start)
     return matrix
 
 
@@ -222,10 +210,18 @@ def reduce_groups(
     Groups ascend lexicographically (as :func:`group_runs` orders them),
     each reduced over its rows in input order.
     """
+    keys, order, starts = group_keys(key_columns, n_rows)
+    return keys, segmented_reduce(agg_funcs, value_columns, order, starts)
+
+
+def group_keys(
+    key_columns: Sequence[np.ndarray], n_rows: int
+) -> Tuple[List[np.ndarray], Optional[np.ndarray], np.ndarray]:
+    """The ordering half of :func:`reduce_groups`: ``(keys, order, starts)``,
+    one key row per distinct tuple plus the runs to reduce over."""
     if not key_columns:
         order, starts = whole_run(n_rows)
-        return [], segmented_reduce(agg_funcs, value_columns, order, starts)
+        return [], order, starts
     order, starts = group_runs(key_columns)
     first = order[starts]
-    keys = [column[first] for column in key_columns]
-    return keys, segmented_reduce(agg_funcs, value_columns, order, starts)
+    return [column[first] for column in key_columns], order, starts

@@ -45,15 +45,14 @@ identical on every run.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ExecutionError
-from ..obs import profile as _profile
+from ..obs import NULL_TRACER
 from .aggregator import GroupAggregator
-from .codes import reduce_groups, row_values
+from .codes import group_keys, row_values, segmented_reduce
 from .plan import EngineConfig, NodePlan, RelationBinding
 from .stats import ExecutionStats
 
@@ -112,6 +111,7 @@ class NodeExecutor:
         config: Optional[EngineConfig] = None,
         stats: Optional[ExecutionStats] = None,
         cancel=None,
+        tracer=NULL_TRACER,
     ):
         self.node = node
         self.stats = stats if stats is not None else ExecutionStats()
@@ -121,14 +121,13 @@ class NodeExecutor:
         #: per frontier step, so a ``cancel()`` or an elapsed deadline
         #: stops the walk at its next step.
         self.cancel = cancel
-        #: the calling thread's active :class:`repro.obs.KernelProfiler`
-        #: (None when none is active): receives the wall time of the
-        #: frontier steps per attribute position.
-        self.profiler = _profile.active()
+        #: records one span per frontier step (``frontier.expand``,
+        #: ``frontier.step`` with its ``probe`` spans), the emit and the
+        #: reduce -- the spans a :class:`repro.obs.KernelProfiler` folds.
+        self.tracer = tracer
         self.attrs = node.attrs
         n_attrs = len(self.attrs)
         self.last = n_attrs - 1
-        self._level_seconds = [0.0] * n_attrs
         position = {attr: i for i, attr in enumerate(self.attrs)}
 
         # participation map: at_attr[p] = [(binding index, trie level)]
@@ -194,34 +193,39 @@ class NodeExecutor:
         self.aggregator.check_budget()
         self.stats.groups_emitted += len(self.aggregator)
         self.stats.aggregator_spills += self.aggregator.spills
-        if self.profiler is not None:
-            self.profiler.record_node(
-                self.node.result_slot or "root",
-                self.attrs,
-                self._level_seconds,
-                self.aggregator.approx_bytes(),
-            )
         return self.aggregator
 
     # -- the frontier walk ----------------------------------------------------
 
     def _descend(self, p: int, frontier: _Frontier) -> None:
         """Bind attribute ``p`` (and everything below it) for ``frontier``."""
-        expansion = self._expand(p, frontier)
+        with self._level_span("frontier.expand", p):
+            expansion = self._expand(p, frontier)
         for window in expansion.windows:
             self._walk(p, frontier, expansion, window)
 
     def _walk(self, p: int, frontier: _Frontier, expansion: _Expansion, window) -> None:
         """Bind attribute ``p`` for one window, then everything below it."""
-        rows = self._step(p, frontier, expansion, window)
+        with self._level_span("frontier.step", p):
+            rows = self._step(p, frontier, expansion, window)
         if p == self.last:
             self._emit(rows)
         elif rows.size:
             self._descend(p + 1, rows)
 
+    def _level_span(self, name: str, p: int):
+        """A span of the step that binds attribute ``p``, carrying its trie
+        level; ``dense`` marks an attribute only one relation binds (a
+        direct array scan, no set probed)."""
+        span = self.tracer.span(name)
+        if self.tracer.active:
+            span.set(level=p, attr=self.attrs[p])
+            if len(self.at_attr[p]) == 1:
+                span.set(dense=True)
+        return span
+
     def _expand(self, p: int, frontier: _Frontier) -> _Expansion:
         """Choose the participant with the fewest children at ``p``."""
-        start = time.perf_counter() if self.profiler is not None else 0.0
         parts = self.at_attr[p]
         n = frontier.size
         if len(parts) > 1:
@@ -246,17 +250,13 @@ class NodeExecutor:
         if starts is None:
             starts = np.zeros(n, dtype=np.int64)
             counts = np.full(n, self.bindings[lead[0]].trie.level(0).n_nodes, np.int64)
-        expansion = _Expansion(lead, starts, counts, CHUNK_ROWS if p else None)
-        if self.profiler is not None:
-            self._level_seconds[p] += time.perf_counter() - start
-        return expansion
+        return _Expansion(lead, starts, counts, CHUNK_ROWS if p else None)
 
     def _step(self, p: int, frontier: _Frontier, expansion: _Expansion, window) -> _Frontier:
         """Expand the lead's children in ``window``, probe the others."""
         if self.cancel is not None:
             self.stats.cancel_checks += 1
             self.cancel.check()
-        start = time.perf_counter() if self.profiler is not None else 0.0
         lo, hi = window
         ends, counts = expansion.ends, expansion.counts
         # frontier rows whose candidates overlap [lo, hi), and how many each
@@ -274,8 +274,6 @@ class NodeExecutor:
             ids[lead_bi]
         ]
         parts = self.at_attr[p]
-        if len(parts) == 1 and self.profiler is not None:
-            self.profiler.record_scan()
         for bi, lvl in parts:
             if bi == lead_bi:
                 continue
@@ -312,49 +310,44 @@ class NodeExecutor:
                 kept = np.flatnonzero(found >= 0)
                 out, values, found = out.take(kept), values[kept], found[kept]
             out.keys.append(fetcher.trie.annotation(fetcher.ref_id).values[found])
-        if self.profiler is not None:
-            self._level_seconds[p] += time.perf_counter() - start
         return out
 
     def _probe(self, bi: int, lvl: int, parents, values: np.ndarray) -> np.ndarray:
         """Child ids of ``values`` under ``parents`` at one relation level."""
         level = self.bindings[bi].trie.level(lvl)
-        profiler = self.profiler
-        if profiler is None:
-            return level.batch_child_ids(parents, values)
-        start = time.perf_counter()
-        hit = level.batch_child_ids(parents, values)
-        # one batched probe = one intersection kernel call: a direct
-        # table or a presence bitmap is the bitset side, a search of the
-        # composite keys is uint against uint
-        dense = level.probe_kind != "search"
-        profiler.record_kernel(
-            "bs_uint" if dense else "uint_uint",
-            time.perf_counter() - start,
-            bytes_in=values.nbytes + level.probe_nbytes,
-            output_values=int(np.count_nonzero(hit >= 0)),
-            bitset_operands=int(dense),
-        )
+        with self.tracer.span("probe") as span:
+            hit = level.batch_child_ids(parents, values)
+        if self.tracer.active:
+            # one batched probe = one intersection kernel call: a direct
+            # table or a presence bitmap is the bitset side, a search of
+            # the composite keys is uint against uint
+            span.set(
+                kind="uint_uint" if level.probe_kind == "search" else "bs_uint",
+                bytes=int(values.nbytes + level.probe_nbytes),
+                hits=int(np.count_nonzero(hit >= 0)),
+            )
         return hit
 
     def _emit(self, rows: _Frontier) -> None:
         """Reduce fully bound rows to one row per group."""
         if not rows.size:
             return
-        start = time.perf_counter() if self.profiler is not None else 0.0
-        slots = {
-            slot_id: annotation.values[rows.nodes[bi]]
-            for bi, pairs in enumerate(self.slots_at)
-            for slot_id, annotation in pairs
-        }
-        if self.profiler is not None:
-            self.profiler.add_category("frontier.emit", time.perf_counter() - start)
-        keys, matrix = reduce_groups(
-            self.aggregator.agg_funcs,
-            rows.keys,
-            row_values(self.aggs, slots, rows.size),
-            rows.size,
-        )
+        tracer = self.tracer
+        with tracer.span("frontier.emit"):
+            slots = {
+                slot_id: annotation.values[rows.nodes[bi]]
+                for bi, pairs in enumerate(self.slots_at)
+                for slot_id, annotation in pairs
+            }
+        with tracer.span("group.order"):
+            keys, order, starts = group_keys(rows.keys, rows.size)
+        with tracer.span("group.reduce"):
+            matrix = segmented_reduce(
+                self.aggregator.agg_funcs,
+                row_values(self.aggs, slots, rows.size),
+                order,
+                starts,
+            )
         self.aggregator.add_batch([_key_dtype(k) for k in keys], matrix)
 
 

@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..obs import NULL_TRACER
 from ..sql.ast import ColumnRef
 from ..sql.expressions import evaluate
 from ..storage.schema import AttrType
@@ -24,11 +25,14 @@ from .codes import group_runs, row_values, segmented_reduce, whole_run
 from .plan import ScanPlan
 
 
-def execute_scan(plan: ScanPlan) -> Tuple[List[np.ndarray], np.ndarray]:
+def execute_scan(
+    plan: ScanPlan, tracer=NULL_TRACER
+) -> Tuple[List[np.ndarray], np.ndarray]:
     """Run a scan plan; returns (columnar group keys, aggregate matrix).
 
     Group key columns hold *raw* values (strings, years, ...), unlike
-    the join path's dictionary codes.
+    the join path's dictionary codes.  ``tracer`` records the
+    ``group.order`` and ``group.reduce`` spans around the code kernels.
     """
     table = plan.table
 
@@ -78,7 +82,8 @@ def execute_scan(plan: ScanPlan) -> Tuple[List[np.ndarray], np.ndarray]:
             group_columns.append(column)
             cardinalities.append(None if dictionary is None else dictionary.size)
             dictionaries.append(dictionary)
-        order, starts = group_runs(group_columns, cardinalities)
+        with tracer.span("group.order"):
+            order, starts = group_runs(group_columns, cardinalities)
         first = order[starts]
         key_columns = [
             col[first] if d is None else d.values[col[first]]
@@ -87,7 +92,8 @@ def execute_scan(plan: ScanPlan) -> Tuple[List[np.ndarray], np.ndarray]:
     else:
         order, starts = whole_run(n_rows)
         key_columns = []
-    matrix = segmented_reduce(agg_funcs, values, order, starts)
+    with tracer.span("group.reduce"):
+        matrix = segmented_reduce(agg_funcs, values, order, starts)
 
     # A global aggregate over an empty selection returns zero rows here;
     # the decode layer emits the one-row identity result (COUNT/SUM -> 0,

@@ -11,7 +11,6 @@ aggregates.  Scan and BLAS plans dispatch to their own executors.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -20,7 +19,6 @@ import numpy as np
 from ..errors import ExecutionError
 from ..la import blas
 from ..obs import NULL_TRACER
-from ..obs import profile as _profile
 from ..sql.ast import ColumnRef
 from ..sql.expressions import evaluate
 from ..storage.table import AnnotationRequest
@@ -74,9 +72,9 @@ def execute_plan(
     ``stats`` (optional) accumulates executor counters for
     EXPLAIN ANALYZE; scan and BLAS plans leave it untouched.
     ``tracer`` (optional, a :class:`repro.obs.Tracer`) records one span
-    per GHD node with its scoped counters and chosen order.  The calling
-    thread's active kernel profiler (``repro.obs.activate``), if any,
-    attributes join execution per trie level and kernel.  ``cancel`` (optional, a
+    per GHD node with its scoped counters and chosen order, and under it
+    the node's frontier steps and probes per trie level -- the spans a
+    :class:`repro.obs.KernelProfiler` folds.  ``cancel`` (optional, a
     :class:`repro.core.governor.CancelToken`) is polled between and
     inside the node passes, so a deadline or ``cancel()`` stops the plan
     at chunk granularity.  ``memory_budget_bytes`` overrides the plan
@@ -89,7 +87,7 @@ def execute_plan(
         cancel.check()
     if plan.mode == "scan":
         with tracer.span("scan.execute", alias=plan.scan.alias):
-            key_columns, matrix = execute_scan(plan.scan)
+            key_columns, matrix = execute_scan(plan.scan, tracer)
         layout = [("ann", g.id) for g in plan.scan.group_exprs]
         return RawResult(
             group_layout=layout,
@@ -109,18 +107,12 @@ def execute_plan(
                 budget = min(budget, config.memory_budget_bytes)
             if budget != config.memory_budget_bytes:
                 config = replace(config, memory_budget_bytes=budget)
-        profiler = _profile.active()
         aggregator = _execute_node(plan.root, config, stats, tracer, cancel)
-        start = time.perf_counter() if profiler is not None else 0.0
-        key_columns, matrix = aggregator.result_arrays()
-        if profiler is not None:
-            profiler.add_category("finalize", time.perf_counter() - start)
+        with tracer.span("finalize"):
+            key_columns, matrix = aggregator.result_arrays()
         key_columns = list(key_columns)
         with tracer.span("decode.deferred_annotations"):
-            start = time.perf_counter() if profiler is not None else 0.0
             _append_deferred_annotations(plan.root, key_columns, matrix)
-            if profiler is not None:
-                profiler.add_category("decode.deferred", time.perf_counter() - start)
         return RawResult(
             group_layout=list(plan.root.group_layout),
             key_columns=key_columns,
@@ -168,20 +160,18 @@ def _execute_node(
         _materialize_child(child, config, stats, tracer, cancel)
         for child in node.children
     ]
-    profiler = _profile.active()
     if cancel is not None:
         cancel.check()
     with tracer.span("node.execute") as span:
-        start = time.perf_counter() if profiler is not None else 0.0
-        executor = NodeExecutor(
-            node,
-            list(node.bindings) + child_bindings,
-            config,
-            stats=stats,
-            cancel=cancel,
-        )
-        if profiler is not None:
-            profiler.add_category("node.setup", time.perf_counter() - start)
+        with tracer.span("node.setup"):
+            executor = NodeExecutor(
+                node,
+                list(node.bindings) + child_bindings,
+                config,
+                stats=stats,
+                cancel=cancel,
+                tracer=tracer,
+            )
         snapshot = stats.snapshot() if (tracer.active and stats is not None) else None
         aggregator = executor.run()
         if stats is not None:
@@ -190,11 +180,13 @@ def _execute_node(
             stats.note_node_rows(node.node_key, len(aggregator))
         if tracer.active:
             span.set(
+                node=node.result_slot or "root",
                 attrs=list(node.attrs),
                 materialized=list(node.materialized),
                 relaxed=node.relaxed,
                 order_cost=node.decision.cost,
                 groups=len(aggregator),
+                aggregator_bytes=aggregator.approx_bytes(),
             )
             if snapshot is not None:
                 span.stats = stats.delta_since(snapshot)
@@ -216,22 +208,26 @@ def _materialize_child(
     aggregator = _execute_node(child, config, stats, tracer, cancel)
     if cancel is not None:
         cancel.check()
-    profiler = _profile.active()
-    start = time.perf_counter() if profiler is not None else 0.0
-    key_columns, matrix = aggregator.result_arrays()
-    if profiler is not None:
-        profiler.add_category("finalize", time.perf_counter() - start)
-    arity = len(child.materialized)
-    key_columns = [np.asarray(col, dtype=np.uint32) for col in key_columns]
-    values = matrix[:, 0] if matrix.size else np.empty(0)
+    with tracer.span("finalize"):
+        key_columns, matrix = aggregator.result_arrays()
     with tracer.span("child.materialize", slot=child.result_slot) as span:
+        arity = len(child.materialized)
+        key_columns = [np.asarray(col, dtype=np.uint32) for col in key_columns]
+        values = matrix[:, 0] if matrix.size else np.empty(0)
         trie = build_trie(
             key_columns,
             child.materialized,
             [AnnotationSpec(child.result_slot, values, level=arity - 1, combine="sum")],
         )
         if tracer.active:
-            span.set(tuples=trie.num_tuples)
+            span.set(
+                attrs=list(child.materialized),
+                tuples=trie.num_tuples,
+                level_bytes=[
+                    int(level.flat_values.nbytes + level.offsets.nbytes)
+                    for level in trie.levels
+                ],
+            )
     return RelationBinding(
         alias=f"__result_{child.result_slot}",
         trie=trie,

@@ -9,12 +9,14 @@ and ``engine.debug_snapshot`` serves the four live views atomically.
 
 import os
 import threading
+import time
 
 import pytest
 
 import repro
 from repro import LevelHeadedEngine
 from repro.core import engine as engine_module
+from repro.core.governor import Governor
 from repro.core.prepared import PlanSource
 from repro.errors import ReproError
 from repro.obs import FlightRecorder, InflightRegistry, next_query_id, sql_hash
@@ -262,3 +264,34 @@ def test_reported_durations_are_read_off_the_lifecycle_spans():
     runner = sum(spans[name].duration for name in ("execute", "decode"))
     assert entry["execute_ms"] == round(runner * 1000, 4)
     assert result.profile.execute_seconds == spans["execute"].duration
+
+
+def test_inflight_row_of_a_queued_query_reads_the_open_admission_span():
+    # while the query waits for a slot, its live row is queued and its
+    # wait grows on the tracer's clock from the admission span's start
+    governor = Governor(max_concurrency=1, max_queue=4)
+    engine = repro.connect(catalog=make_mini_tpch(), governor=governor)
+    held = governor.admit(cached=True, token=None)
+    worker = threading.Thread(target=engine.query, args=(Q5_SQL,))
+    worker.start()
+    try:
+        deadline = time.monotonic() + 30
+        while True:
+            rows = engine.debug_snapshot("queries")["queries"]
+            if rows and rows[0]["phase"] == "admission.wait":
+                break
+            assert time.monotonic() < deadline, rows
+            time.sleep(0.005)
+        time.sleep(0.2)
+        row = engine.debug_snapshot("queries")["queries"][0]
+    finally:
+        governor.release(held)
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert row["phase"] == "admission.wait"
+    assert row["queued"] is True
+    assert row["admission_wait_ms"] >= 200
+    assert row["elapsed_ms"] >= row["admission_wait_ms"]
+    entry = engine.flight.snapshot(n=1)[0]
+    assert entry["outcome"] == "ok"
+    assert entry["queued"] is True and entry["admission_wait_ms"] >= 200
